@@ -1,21 +1,27 @@
-"""Source-calculus kernel: typing, reduction, and equivalence.
+"""The source calculus: the calculus of constructions with Nat, as a
+description over the shared kernel.
 
-Typing produces explicit derivation trees; the defunctionalization pass is
-directed by them.  Conversions show up as explicit equivalence nodes so that
-every rule application is visible to the translation.
+Its head redex is beta, evaluation enters every child (under lambdas too), and
+lambdas are the functions the extensionality bridge unfolds.  Typing produces
+explicit derivation trees; the defunctionalization pass is directed by them.
+Conversions show up as explicit equivalence nodes so that every rule
+application is visible to the translation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (
-    IllFormedContext,
-    NotAFunction,
-    NotAType,
-    StepBudgetExceeded,
-    TypeMismatch,
-    UnboundVariable,
+from .errors import TypeCheckError, UnboundVariable
+from .kernel import (
+    DEFAULT_BUDGET,
+    Budget,
+    Calculus,
+    Derivation,
+    check_context,
+    convertible,
+    infer,
+    normalize,
+    reduce_step,
+    reduce_trace,
 )
 from .syntax import (
     Add,
@@ -28,296 +34,68 @@ from .syntax import (
     Term,
     Universe,
     Var,
-    alpha_eq,
-    free_var_set,
     free_vars,
-    fresh_name,
-    is_cc_term,
     rename_free,
     subst,
 )
 
-DEFAULT_BUDGET = 1_000_000
+
+def _beta(t: Term) -> Term | None:
+    match t:
+        case App(Lam(x, _, body), arg):
+            return subst(body, x, arg)
+    return None
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """One typing judgement ctx |- subject : type plus its premises."""
-
-    rule: str
-    ctx: Ctx
-    subject: Term
-    type: Term
-    children: tuple["Derivation", ...] = ()
+def _eta(calc: Calculus, t: Term, z: str, b: Budget) -> Term:
+    """A lambda normal form applied to z is its renamed body; any other normal
+    form applied to z is already normal.  Neither takes a step."""
+    if isinstance(t, Lam):
+        return rename_free(t.body, t.binder, z)
+    return App(t, Var(z))
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+CC_TERMS = frozenset({Var, Universe, Pi, Lam, App, NatType, NatLit, Add})
 
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise StepBudgetExceeded(self.limit)
-
-
-# ---------------------------------------------------------------------------
-# Reduction
+CC = Calculus(
+    name="source",
+    allowed=CC_TERMS,
+    enters=frozenset({App, Add, Pi, Lam}),
+    head=_beta,
+    is_function=lambda t: isinstance(t, Lam),
+    unfold=_eta,
+)
 
 
 def cc_reduce_step(t: Term) -> Term | None:
     """One leftmost-outermost step (under binders); None if t is normal."""
-    match t:
-        case App(Lam(x, _, body), arg):
-            return subst(body, x, arg)
-        case App(fn, arg):
-            s = cc_reduce_step(fn)
-            if s is not None:
-                return App(s, arg)
-            s = cc_reduce_step(arg)
-            if s is not None:
-                return App(fn, s)
-            return None
-        case Add(NatLit(a), NatLit(b)):
-            return NatLit(a + b)
-        case Add(lhs, rhs):
-            s = cc_reduce_step(lhs)
-            if s is not None:
-                return Add(s, rhs)
-            s = cc_reduce_step(rhs)
-            if s is not None:
-                return Add(lhs, s)
-            return None
-        case Pi(x, domain, codomain):
-            s = cc_reduce_step(domain)
-            if s is not None:
-                return Pi(x, s, codomain)
-            s = cc_reduce_step(codomain)
-            if s is not None:
-                return Pi(x, domain, s)
-            return None
-        case Lam(x, domain, body, tag):
-            s = cc_reduce_step(domain)
-            if s is not None:
-                return Lam(x, s, body, tag)
-            s = cc_reduce_step(body)
-            if s is not None:
-                return Lam(x, domain, s, tag)
-            return None
-        case _:
-            return None
+    return reduce_step(CC, t)
 
 
 def cc_reduce_trace(t: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
     """The full reduction sequence from t to its normal form, inclusive."""
-    trace = [t]
-    b = _Budget(budget)
-    while (s := cc_reduce_step(trace[-1])) is not None:
-        b.spend()
-        trace.append(s)
-    return trace
-
-
-def _whnf(t: Term, b: _Budget) -> Term:
-    while True:
-        match t:
-            case App(fn, arg):
-                fn2 = _whnf(fn, b)
-                if isinstance(fn2, Lam):
-                    b.spend()
-                    t = subst(fn2.body, fn2.binder, arg)
-                    continue
-                return App(fn2, arg) if fn2 is not fn else t
-            case Add(lhs, rhs):
-                l2 = _whnf(lhs, b)
-                r2 = _whnf(rhs, b)
-                if isinstance(l2, NatLit) and isinstance(r2, NatLit):
-                    b.spend()
-                    return NatLit(l2.value + r2.value)
-                return Add(l2, r2) if (l2 is not lhs or r2 is not rhs) else t
-            case _:
-                return t
-
-
-def _normalize(t: Term, b: _Budget) -> Term:
-    t = _whnf(t, b)
-    match t:
-        case App(fn, arg):
-            return App(_normalize(fn, b), _normalize(arg, b))
-        case Add(lhs, rhs):
-            return Add(_normalize(lhs, b), _normalize(rhs, b))
-        case Pi(x, domain, codomain):
-            return Pi(x, _normalize(domain, b), _normalize(codomain, b))
-        case Lam(x, domain, body, tag):
-            return Lam(x, _normalize(domain, b), _normalize(body, b), tag)
-        case _:
-            return t
+    return reduce_trace(CC, t, Budget(budget))
 
 
 def cc_normalize(t: Term, budget: int = DEFAULT_BUDGET) -> Term:
     """Full beta/delta normal form (normal order, then under binders)."""
-    return _normalize(t, _Budget(budget))
-
-
-# ---------------------------------------------------------------------------
-# Equivalence: reduce to normal form, compare, bridging lambdas by eta
+    return normalize(CC, t, Budget(budget))
 
 
 def cc_equiv(a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
-    bud = _Budget(budget)
-    return _equiv_nf(_normalize(a, bud), _normalize(b, bud), 0)
-
-
-_ETA_DEPTH_LIMIT = 64
-
-
-def _equiv_nf(a: Term, b: Term, depth: int) -> bool:
-    """Equivalence of normal forms; eta handled at lambda mismatches."""
-    if depth > _ETA_DEPTH_LIMIT:
-        return False
-    if alpha_eq(a, b):
-        return True
-    match a, b:
-        case Lam(x, _, m1), Lam(y, _, m2):
-            # Both reduce to lambdas: compare bodies at a common fresh name
-            # (the eta rules make annotation domains irrelevant here).
-            z = fresh_name(x, free_var_set(m1) | free_var_set(m2) | {x, y})
-            return _equiv_nf(rename_free(m1, x, z), rename_free(m2, y, z), depth + 1)
-        case (Lam(x, _, m1), _):
-            z = fresh_name(x, free_var_set(m1) | free_var_set(b) | {x})
-            return _equiv_nf(rename_free(m1, x, z), App(b, Var(z)), depth + 1)
-        case (_, Lam(y, _, m2)):
-            z = fresh_name(y, free_var_set(m2) | free_var_set(a) | {y})
-            return _equiv_nf(App(a, Var(z)), rename_free(m2, y, z), depth + 1)
-        case Pi(x, a1, b1), Pi(y, a2, b2):
-            if not _equiv_nf(a1, a2, depth + 1):
-                return False
-            z = fresh_name(x, free_var_set(b1) | free_var_set(b2) | {x, y})
-            return _equiv_nf(rename_free(b1, x, z), rename_free(b2, y, z), depth + 1)
-        case App(f1, x1), App(f2, x2):
-            return _equiv_nf(f1, f2, depth + 1) and _equiv_nf(x1, x2, depth + 1)
-        case Add(l1, r1), Add(l2, r2):
-            return _equiv_nf(l1, l2, depth + 1) and _equiv_nf(r1, r2, depth + 1)
-        case _:
-            return False
-
-
-# ---------------------------------------------------------------------------
-# Typing
-
-
-def _infer_type(ctx: Ctx, t: Term, b: _Budget) -> tuple[Derivation, int]:
-    """Infer t and coerce its type to a universe; returns the level too."""
-    d = _infer(ctx, t, b)
-    match d.type:
-        case Universe(i):
-            return d, i
-    w = _normalize(d.type, b)
-    match w:
-        case Universe(i):
-            dw = _infer(ctx, w, b)
-            return Derivation("ty-Equiv", ctx, t, w, (d, dw)), i
-    from .surface import show_term
-
-    raise NotAType(f"{show_term(t)} has type {show_term(d.type)}")
-
-
-def _coerce(ctx: Ctx, d: Derivation, want: Term, b: _Budget, where: str) -> Derivation:
-    """Wrap d in a conversion node so its type becomes `want`."""
-    if alpha_eq(d.type, want):
-        return d
-    if not _equiv_nf(_normalize(d.type, b), _normalize(want, b), 0):
-        from .surface import show_term
-
-        raise TypeMismatch(show_term(want), show_term(d.type), where)
-    dw = _infer(ctx, want, b)
-    return Derivation("ty-Equiv", ctx, d.subject, want, (d, dw))
-
-
-def _infer(ctx: Ctx, t: Term, b: _Budget) -> Derivation:
-    match t:
-        case Var(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise UnboundVariable(name)
-            dty = _infer(ctx, ty, b)
-            return Derivation("ty-Var", ctx, t, ty, (dty,))
-        case Universe(i):
-            return Derivation("ty-Universe", ctx, t, Universe(i + 1))
-        case NatType():
-            return Derivation("ty-Nat", ctx, t, Universe(0))
-        case NatLit():
-            return Derivation("ty-NatLit", ctx, t, NatType())
-        case Add(lhs, rhs):
-            dl = _coerce(ctx, _infer(ctx, lhs, b), NatType(), b, "left operand of add")
-            dr = _coerce(ctx, _infer(ctx, rhs, b), NatType(), b, "right operand of add")
-            return Derivation("ty-Add", ctx, t, NatType(), (dl, dr))
-        case Pi(x, domain, codomain):
-            da, i = _infer_type(ctx, domain, b)
-            if x in ctx:
-                x2 = fresh_name(x, set(ctx.names()) | free_var_set(codomain))
-                codomain = rename_free(codomain, x, x2)
-                x = x2
-                t = Pi(x, domain, codomain)
-            db, j = _infer_type(ctx.extend(x, domain), codomain, b)
-            return Derivation("ty-Pi", ctx, t, Universe(max(i, j)), (da, db))
-        case Lam(x, domain, body, tag):
-            da, _ = _infer_type(ctx, domain, b)
-            if x in ctx:
-                x2 = fresh_name(x, set(ctx.names()) | free_var_set(body))
-                body = rename_free(body, x, x2)
-                x = x2
-                t = Lam(x, domain, body, tag)
-            dm = _infer(ctx.extend(x, domain), body, b)
-            return Derivation("ty-Lambda", ctx, t, Pi(x, domain, dm.type), (da, dm))
-        case App(fn, arg):
-            dm = _infer(ctx, fn, b)
-            fn_ty = dm.type
-            if not isinstance(fn_ty, Pi):
-                w = _normalize(fn_ty, b)
-                if not isinstance(w, Pi):
-                    from .surface import show_term
-
-                    raise NotAFunction(
-                        f"{show_term(fn)} has type {show_term(fn_ty)}"
-                    )
-                dw = _infer(ctx, w, b)
-                dm = Derivation("ty-Equiv", ctx, fn, w, (dm, dw))
-                fn_ty = w
-            dn = _coerce(ctx, _infer(ctx, arg, b), fn_ty.domain, b, "argument")
-            result = subst(fn_ty.codomain, fn_ty.binder, arg)
-            dsub = _infer(ctx, result, b)
-            return Derivation("ty-Apply", ctx, t, result, (dm, dn, dsub))
-        case _:
-            raise NotAType(f"constructor not part of the source calculus: {t!r}")
+    return convertible(CC, a, b, Budget(budget))
 
 
 def cc_check_context(ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
     """Raise unless every assumption's type is a type in its prefix."""
-    b = _Budget(budget)
-    seen: list[tuple[str, Term]] = []
-    for name, ty in ctx:
-        if any(name == n for n, _ in seen):
-            raise IllFormedContext(f"context binds {name!r} twice")
-        prefix = Ctx(tuple(seen))
-        extra = free_var_set(ty) - set(prefix.names())
-        if extra:
-            raise IllFormedContext(
-                f"type of {name!r} mentions later or unbound names {sorted(extra)}"
-            )
-        try:
-            _infer_type(prefix, ty, b)
-        except NotAType as exc:
-            raise IllFormedContext(f"type of {name!r} is not a type: {exc}") from exc
-        seen.append((name, ty))
+    check_context(CC, ctx, Budget(budget))
 
 
 def cc_wf_context(ctx: Ctx, budget: int = DEFAULT_BUDGET) -> tuple[bool, str | None]:
     try:
         cc_check_context(ctx, budget)
         return True, None
-    except (IllFormedContext, UnboundVariable, TypeMismatch, NotAFunction) as exc:
+    except TypeCheckError as exc:
         return False, str(exc)
 
 
@@ -325,11 +103,10 @@ def cc_infer(
     ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET, check_ctx: bool = True
 ) -> Derivation:
     """Infer a type for t under ctx; the result's .type is the type."""
-    if not is_cc_term(t):
-        raise NotAType("term uses constructors outside the source calculus")
+    CC.check_term(t)
     if check_ctx:
         cc_check_context(ctx, budget)
-    return _infer(ctx, t, _Budget(budget))
+    return infer(CC, ctx, t, Budget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +120,10 @@ def fv_telescope(ctx: Ctx, term: Term, ty: Term) -> tuple[tuple[str, Term], ...]
     prefixing each variable with the telescope of its own type, deduplicating
     left to right.  The result is a well-formed sub-telescope of ctx.
     """
-    tele: list[tuple[str, Term]] = []
-    have: set[str] = set()
     memo: dict[str, tuple[tuple[str, Term], ...]] = {}
 
-    def union(pairs) -> None:
-        for n, a in pairs:
-            if n not in have:
-                have.add(n)
-                tele.append((n, a))
-
     def tele_of_vars(names: tuple[str, ...]) -> tuple[tuple[str, Term], ...]:
-        acc: list[tuple[str, Term]] = []
-        got: set[str] = set()
-
-        def acc_union(pairs):
-            for n, a in pairs:
-                if n not in got:
-                    got.add(n)
-                    acc.append((n, a))
-
+        acc: dict[str, Term] = {}  # first occurrence wins, in order
         types = []
         for x in names:
             a = ctx.lookup(x)
@@ -370,18 +131,12 @@ def fv_telescope(ctx: Ctx, term: Term, ty: Term) -> tuple[tuple[str, Term], ...]
                 raise UnboundVariable(x)
             types.append((x, a))
         for x, a in types:
-            if x in memo:
-                acc_union(memo[x])
-            else:
-                sub = tele_of_vars(free_vars(a))
-                memo[x] = sub
-                acc_union(sub)
-        acc_union(types)
-        return tuple(acc)
+            if x not in memo:
+                memo[x] = tele_of_vars(free_vars(a))
+            for n, b in memo[x]:
+                acc.setdefault(n, b)
+        for x, a in types:
+            acc.setdefault(x, a)
+        return tuple(acc.items())
 
-    xs: list[str] = []
-    for n in free_vars(term) + free_vars(ty):
-        if n not in xs:
-            xs.append(n)
-    union(tele_of_vars(tuple(xs)))
-    return tuple(tele)
+    return tele_of_vars(tuple(dict.fromkeys(free_vars(term) + free_vars(ty))))

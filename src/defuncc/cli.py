@@ -1,6 +1,7 @@
 """Command line driver.
 
-Exit codes: 0 success, 1 type error, 2 parse error, 3 verification failure.
+Exit codes: 0 success, 1 type error (or input nested too deeply to check),
+2 parse error (including a duplicate axiom), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .dcc import dcc_infer, dcc_normalize
 from .defun import defun, label_union
 from .errors import DefunccError, ParseError
 from .harness import load_file, verify_dcc, verify_path
+from .kernel import DEFAULT_BUDGET
 from .refun import refun
 from .surface import emit_json, emit_text, show_ctx, show_term
 from .syntax import Term
@@ -127,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=1_000_000,
-        help="reduction step budget (default 1000000)",
+        default=DEFAULT_BUDGET,
+        help=f"reduction step budget (default {DEFAULT_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -174,6 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except DefunccError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TYPE
+    except RecursionError:
+        print(
+            "error: input nests too deeply to check (recursion limit reached)",
+            file=sys.stderr,
+        )
         return EXIT_TYPE
 
 

@@ -1,9 +1,12 @@
-"""Target-calculus kernel: labels in place of lambdas, checked against a
-label context.
+"""The target calculus: labels in place of lambdas, checked against a label
+context, as a description over the shared kernel.
 
-Every operation takes the label context first: reduction needs it to unfold
-label applications, typing needs it for label lookups, and equivalence needs
-it to compare labels by their definitions.
+Its head redex is label-beta through the label context, evaluation enters
+closure arguments, and labels are the functions the extensionality bridge
+unfolds.  Every operation takes the label context first: reduction needs it to
+unfold label applications, typing needs it for label lookups, and equivalence
+needs it to compare labels by their definitions.  Inference returns only the
+type.
 """
 
 from __future__ import annotations
@@ -12,320 +15,126 @@ from .errors import (
     ClosureArity,
     ClosureTypeMismatch,
     IllFormedContext,
-    NotAFunction,
-    NotAType,
-    StepBudgetExceeded,
+    TypeCheckError,
     TypeMismatch,
-    UnboundVariable,
     UnknownLabel,
 )
+from .kernel import (
+    DEFAULT_BUDGET,
+    Budget,
+    Calculus,
+    Derivation,
+    apply_fresh,
+    check_context,
+    convertible,
+    infer,
+    infer_type,
+    normalize,
+    reduce_step,
+    reduce_trace,
+)
+from .surface import label_name, show_term
 from .syntax import (
     Add,
     App,
     Ctx,
     Label,
     LabelCtx,
-    LabelEntry,
     NatLit,
     NatType,
     Pi,
     Term,
     Universe,
     Var,
-    alpha_eq,
     free_var_set,
-    fresh_name,
-    is_dcc_term,
-    rename_free,
     subst_many,
 )
 
-DEFAULT_BUDGET = 1_000_000
 
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise StepBudgetExceeded(self.limit)
-
-
-def _entry_for(defs: LabelCtx, label_id: int) -> LabelEntry:
+def _closure(defs: LabelCtx, label_id: int, args: tuple[Term, ...]):
+    """The entry of l{args} and the closure as a substitution for its telescope."""
     e = defs.lookup(label_id)
     if e is None:
-        from .surface import label_name
-
         raise UnknownLabel(label_name(label_id))
-    return e
+    if len(args) != e.arity():
+        raise ClosureArity(label_name(label_id), e.arity(), len(args))
+    return e, {x: v for (x, _), v in zip(e.telescope, args)}
 
 
 def label_beta(defs: LabelCtx, label_id: int, args: tuple[Term, ...], arg: Term) -> Term:
     """Unfold l{args} applied to arg into the entry body, instantiated."""
-    e = _entry_for(defs, label_id)
-    if len(args) != e.arity():
-        from .surface import label_name
-
-        raise ClosureArity(label_name(label_id), e.arity(), len(args))
-    mapping = {x: v for (x, _), v in zip(e.telescope, args)}
+    e, mapping = _closure(defs, label_id, args)
     mapping[e.arg_name] = arg
     return subst_many(e.body, mapping)
 
 
 def label_pi_type(defs: LabelCtx, label_id: int, args: tuple[Term, ...]) -> Term:
     """The function type of l{args}: the entry's Pi with the closure plugged in."""
-    e = _entry_for(defs, label_id)
-    if len(args) != e.arity():
-        from .surface import label_name
-
-        raise ClosureArity(label_name(label_id), e.arity(), len(args))
-    mapping = {x: v for (x, _), v in zip(e.telescope, args)}
+    e, mapping = _closure(defs, label_id, args)
     return subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), mapping)
 
 
-# ---------------------------------------------------------------------------
-# Reduction
+DCC_TERMS = frozenset({Var, Universe, Pi, App, NatType, NatLit, Add, Label})
+_ENTERS = frozenset({App, Add, Pi, Label})
+
+
+def dcc_calculus(defs: LabelCtx) -> Calculus:
+    """The target calculus over one label context."""
+
+    def head(t: Term) -> Term | None:
+        match t:
+            case App(Label(i, cargs), arg):
+                return label_beta(defs, i, cargs, arg)
+        return None
+
+    def unfold(calc: Calculus, t: Term, z: str, b: Budget) -> Term | None:
+        if isinstance(t, Label) and t.label_id not in defs:
+            return None
+        return apply_fresh(calc, t, z, b)
+
+    def ty_label(calc: Calculus, ctx: Ctx, t: Label, b: Budget) -> Derivation:
+        """Closure arguments are typed one by one against the telescope, each
+        telescope type instantiated with the earlier arguments."""
+        e, _ = _closure(defs, t.label_id, t.args)
+        mapping: dict[str, Term] = {}
+        for k, ((xk, ak), mk) in enumerate(zip(e.telescope, t.args)):
+            want = subst_many(ak, mapping)
+            got = infer(calc, ctx, mk, b).type
+            if not convertible(calc, got, want, b):
+                raise ClosureTypeMismatch(
+                    label_name(t.label_id), k, show_term(want), show_term(got)
+                )
+            mapping[xk] = mk
+        ty = subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), mapping)
+        return Derivation("ty-Label", ctx, t, ty)
+
+    return Calculus(
+        name="target",
+        allowed=DCC_TERMS,
+        enters=_ENTERS,
+        head=head,
+        is_function=lambda t: isinstance(t, Label),
+        unfold=unfold,
+        rules={Label: ty_label},
+        type_only=True,
+    )
 
 
 def dcc_reduce_step(defs: LabelCtx, t: Term) -> Term | None:
     """One leftmost-outermost step (under binders and into closures)."""
-    match t:
-        case App(Label(i, cargs), arg):
-            return label_beta(defs, i, cargs, arg)
-        case App(fn, arg):
-            s = dcc_reduce_step(defs, fn)
-            if s is not None:
-                return App(s, arg)
-            s = dcc_reduce_step(defs, arg)
-            if s is not None:
-                return App(fn, s)
-            return None
-        case Add(NatLit(a), NatLit(b)):
-            return NatLit(a + b)
-        case Add(lhs, rhs):
-            s = dcc_reduce_step(defs, lhs)
-            if s is not None:
-                return Add(s, rhs)
-            s = dcc_reduce_step(defs, rhs)
-            if s is not None:
-                return Add(lhs, s)
-            return None
-        case Pi(x, domain, codomain):
-            s = dcc_reduce_step(defs, domain)
-            if s is not None:
-                return Pi(x, s, codomain)
-            s = dcc_reduce_step(defs, codomain)
-            if s is not None:
-                return Pi(x, domain, s)
-            return None
-        case Label(i, cargs):
-            for k, a in enumerate(cargs):
-                s = dcc_reduce_step(defs, a)
-                if s is not None:
-                    return Label(i, cargs[:k] + (s,) + cargs[k + 1 :])
-            return None
-        case _:
-            return None
+    return reduce_step(dcc_calculus(defs), t)
 
 
 def dcc_reduce_trace(defs: LabelCtx, t: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
-    trace = [t]
-    b = _Budget(budget)
-    while (s := dcc_reduce_step(defs, trace[-1])) is not None:
-        b.spend()
-        trace.append(s)
-    return trace
-
-
-def _whnf(defs: LabelCtx, t: Term, b: _Budget) -> Term:
-    while True:
-        match t:
-            case App(fn, arg):
-                fn2 = _whnf(defs, fn, b)
-                if isinstance(fn2, Label):
-                    b.spend()
-                    t = label_beta(defs, fn2.label_id, fn2.args, arg)
-                    continue
-                return App(fn2, arg) if fn2 is not fn else t
-            case Add(lhs, rhs):
-                l2 = _whnf(defs, lhs, b)
-                r2 = _whnf(defs, rhs, b)
-                if isinstance(l2, NatLit) and isinstance(r2, NatLit):
-                    b.spend()
-                    return NatLit(l2.value + r2.value)
-                return Add(l2, r2) if (l2 is not lhs or r2 is not rhs) else t
-            case _:
-                return t
-
-
-def _normalize(defs: LabelCtx, t: Term, b: _Budget) -> Term:
-    t = _whnf(defs, t, b)
-    match t:
-        case App(fn, arg):
-            return App(_normalize(defs, fn, b), _normalize(defs, arg, b))
-        case Add(lhs, rhs):
-            return Add(_normalize(defs, lhs, b), _normalize(defs, rhs, b))
-        case Pi(x, domain, codomain):
-            return Pi(x, _normalize(defs, domain, b), _normalize(defs, codomain, b))
-        case Label(i, cargs):
-            return Label(i, tuple(_normalize(defs, a, b) for a in cargs))
-        case _:
-            return t
+    return reduce_trace(dcc_calculus(defs), t, Budget(budget))
 
 
 def dcc_normalize(defs: LabelCtx, t: Term, budget: int = DEFAULT_BUDGET) -> Term:
-    return _normalize(defs, t, _Budget(budget))
-
-
-# ---------------------------------------------------------------------------
-# Equivalence
-
-_ETA_DEPTH_LIMIT = 64
+    return normalize(dcc_calculus(defs), t, Budget(budget))
 
 
 def dcc_equiv(defs: LabelCtx, a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
-    bud = _Budget(budget)
-    return _equiv_nf(defs, _normalize(defs, a, bud), _normalize(defs, b, bud), 0, bud)
-
-
-def _apply_fresh(defs: LabelCtx, t: Term, z: str, b: _Budget) -> Term:
-    return _normalize(defs, App(t, Var(z)), b)
-
-
-def _equiv_nf(defs: LabelCtx, a: Term, b: Term, depth: int, bud: _Budget) -> bool:
-    """Equivalence of normal forms; labels bridged through their bodies."""
-    if depth > _ETA_DEPTH_LIMIT:
-        return False
-    if alpha_eq(a, b):
-        return True
-    match a, b:
-        case Label(i, xs), Label(j, ys) if i == j and len(xs) == len(ys):
-            if all(_equiv_nf(defs, p, q, depth + 1, bud) for p, q in zip(xs, ys)):
-                return True
-            # closure components differ; fall through to the body bridge
-        case _:
-            pass
-    a_fn = isinstance(a, Label)
-    b_fn = isinstance(b, Label)
-    if a_fn or b_fn:
-        # Unfold through the entry body: both sides applied to a fresh name.
-        if a_fn and defs.lookup(a.label_id) is None:
-            return False
-        if b_fn and defs.lookup(b.label_id) is None:
-            return False
-        z = fresh_name("x", free_var_set(a) | free_var_set(b))
-        return _equiv_nf(
-            defs,
-            _apply_fresh(defs, a, z, bud),
-            _apply_fresh(defs, b, z, bud),
-            depth + 1,
-            bud,
-        )
-    match a, b:
-        case Pi(x, a1, b1), Pi(y, a2, b2):
-            if not _equiv_nf(defs, a1, a2, depth + 1, bud):
-                return False
-            z = fresh_name(x, free_var_set(b1) | free_var_set(b2) | {x, y})
-            return _equiv_nf(
-                defs, rename_free(b1, x, z), rename_free(b2, y, z), depth + 1, bud
-            )
-        case App(f1, x1), App(f2, x2):
-            return _equiv_nf(defs, f1, f2, depth + 1, bud) and _equiv_nf(
-                defs, x1, x2, depth + 1, bud
-            )
-        case Add(l1, r1), Add(l2, r2):
-            return _equiv_nf(defs, l1, l2, depth + 1, bud) and _equiv_nf(
-                defs, r1, r2, depth + 1, bud
-            )
-        case _:
-            return False
-
-
-# ---------------------------------------------------------------------------
-# Typing
-
-
-def _dinfer_type(defs: LabelCtx, ctx: Ctx, t: Term, b: _Budget) -> int:
-    ty = _dinfer(defs, ctx, t, b)
-    w = _normalize(defs, ty, b)
-    match w:
-        case Universe(i):
-            return i
-    from .surface import show_term
-
-    raise NotAType(f"{show_term(t)} has type {show_term(ty)}")
-
-
-def _dinfer(defs: LabelCtx, ctx: Ctx, t: Term, b: _Budget) -> Term:
-    match t:
-        case Var(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise UnboundVariable(name)
-            return ty
-        case Universe(i):
-            return Universe(i + 1)
-        case NatType():
-            return Universe(0)
-        case NatLit():
-            return NatType()
-        case Add(lhs, rhs):
-            for side, operand in (("left", lhs), ("right", rhs)):
-                ty = _dinfer(defs, ctx, operand, b)
-                if not _equiv_nf(defs, _normalize(defs, ty, b), NatType(), 0, b):
-                    from .surface import show_term
-
-                    raise TypeMismatch("Nat", show_term(ty), f"{side} operand of add")
-            return NatType()
-        case Pi(x, domain, codomain):
-            i = _dinfer_type(defs, ctx, domain, b)
-            if x in ctx:
-                x2 = fresh_name(x, set(ctx.names()) | free_var_set(codomain))
-                codomain = rename_free(codomain, x, x2)
-                x = x2
-            j = _dinfer_type(defs, ctx.extend(x, domain), codomain, b)
-            return Universe(max(i, j))
-        case App(fn, arg):
-            fn_ty = _normalize(defs, _dinfer(defs, ctx, fn, b), b)
-            if not isinstance(fn_ty, Pi):
-                from .surface import show_term
-
-                raise NotAFunction(f"{show_term(fn)} has type {show_term(fn_ty)}")
-            arg_ty = _dinfer(defs, ctx, arg, b)
-            if not _equiv_nf(
-                defs, _normalize(defs, arg_ty, b), _normalize(defs, fn_ty.domain, b), 0, b
-            ):
-                from .surface import show_term
-
-                raise TypeMismatch(
-                    show_term(fn_ty.domain), show_term(arg_ty), "argument"
-                )
-            return subst_many(fn_ty.codomain, {fn_ty.binder: arg})
-        case Label(i, cargs):
-            e = _entry_for(defs, i)
-            from .surface import label_name
-
-            if len(cargs) != e.arity():
-                raise ClosureArity(label_name(i), e.arity(), len(cargs))
-            mapping: dict[str, Term] = {}
-            for k, ((xk, ak), mk) in enumerate(zip(e.telescope, cargs)):
-                want = subst_many(ak, mapping)
-                got = _dinfer(defs, ctx, mk, b)
-                if not _equiv_nf(
-                    defs, _normalize(defs, got, b), _normalize(defs, want, b), 0, b
-                ):
-                    from .surface import show_term
-
-                    raise ClosureTypeMismatch(
-                        label_name(i), k, show_term(want), show_term(got)
-                    )
-                mapping[xk] = mk
-            return subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), mapping)
-        case _:
-            raise NotAType(f"constructor not part of the target calculus: {t!r}")
+    return convertible(dcc_calculus(defs), a, b, Budget(budget))
 
 
 def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
@@ -336,16 +145,14 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
     and the body must inhabit the return type.  Context types may mention any
     label.
     """
-    b = _Budget(budget)
+    b = Budget(budget)
     seen_ids: set[int] = set()
     for idx, e in enumerate(defs.entries):
-        from .surface import label_name
-
         name = label_name(e.label_id)
         if e.label_id in seen_ids:
             raise IllFormedContext(f"label {name} declared twice")
         seen_ids.add(e.label_id)
-        prefix = LabelCtx(defs.entries[:idx])
+        calc = dcc_calculus(LabelCtx(defs.entries[:idx]))
         sub = Ctx()
         for x, a in e.telescope:
             extra = free_var_set(a) - set(sub.names())
@@ -354,7 +161,7 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
                     f"closure telescope of {name} is not a telescope: type of "
                     f"{x!r} mentions {sorted(extra)}"
                 )
-            _dinfer_type(prefix, sub, a, b)
+            infer_type(calc, sub, a, b)
             try:
                 sub = sub.extend(x, a)
             except ValueError as exc:
@@ -364,49 +171,25 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
             raise IllFormedContext(
                 f"argument type of {name} mentions {sorted(extra)}"
             )
-        _dinfer_type(prefix, sub, e.arg_type, b)
+        infer_type(calc, sub, e.arg_type, b)
         try:
             sub2 = sub.extend(e.arg_name, e.arg_type)
         except ValueError as exc:
             raise IllFormedContext(f"argument binder of {name}: {exc}") from exc
-        _dinfer_type(prefix, sub2, e.ret_type, b)
-        body_ty = _dinfer(prefix, sub2, e.body, b)
-        if not _equiv_nf(
-            prefix, _normalize(prefix, body_ty, b), _normalize(prefix, e.ret_type, b), 0, b
-        ):
-            from .surface import show_term
-
+        infer_type(calc, sub2, e.ret_type, b)
+        body_ty = infer(calc, sub2, e.body, b).type
+        if not convertible(calc, body_ty, e.ret_type, b):
             raise TypeMismatch(
                 show_term(e.ret_type), show_term(body_ty), f"body of {name}"
             )
-    seen: list[tuple[str, Term]] = []
-    for x, ty in ctx:
-        if any(x == n for n, _ in seen):
-            raise IllFormedContext(f"context binds {x!r} twice")
-        prefix_ctx = Ctx(tuple(seen))
-        extra = free_var_set(ty) - set(prefix_ctx.names())
-        if extra:
-            raise IllFormedContext(
-                f"type of {x!r} mentions later or unbound names {sorted(extra)}"
-            )
-        _dinfer_type(defs, prefix_ctx, ty, b)
-        seen.append((x, ty))
+    check_context(dcc_calculus(defs), ctx, b)
 
 
 def dcc_wf(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> tuple[bool, str | None]:
     try:
         dcc_check(defs, ctx, budget)
         return True, None
-    except (
-        IllFormedContext,
-        UnboundVariable,
-        UnknownLabel,
-        ClosureArity,
-        ClosureTypeMismatch,
-        TypeMismatch,
-        NotAFunction,
-        NotAType,
-    ) as exc:
+    except TypeCheckError as exc:
         return False, str(exc)
 
 
@@ -418,8 +201,8 @@ def dcc_infer(
     check_ctx: bool = True,
 ) -> Term:
     """The type of t under defs and ctx."""
-    if not is_dcc_term(t):
-        raise NotAType("term uses constructors outside the target calculus")
+    calc = dcc_calculus(defs)
+    calc.check_term(t)
     if check_ctx:
         dcc_check(defs, ctx, budget)
-    return _dinfer(defs, ctx, t, _Budget(budget))
+    return infer(calc, ctx, t, Budget(budget)).type

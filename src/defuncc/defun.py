@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cc import Derivation, cc_infer, fv_telescope
+from .cc import cc_infer, fv_telescope
 from .errors import LabelClash
+from .kernel import DEFAULT_BUDGET, Derivation
+from .surface import label_name
 from .syntax import (
     Add,
     App,
@@ -24,15 +26,12 @@ from .syntax import (
     LabelCtx,
     LabelEntry,
     Lam,
-    NatLit,
-    NatType,
     Pi,
-    SBind,
     Term,
-    Universe,
     Var,
     entry_alpha_eq,
     entry_canon,
+    map_children,
     subst_many,
 )
 
@@ -60,7 +59,8 @@ class Translation:
 
     def __init__(self, infer=None) -> None:
         self._by_key: dict[object, int] = {}
-        self._entries: list[LabelEntry] = []  # provisional id = list index
+        # provisional id = list index; Renumbering gives each entry its final id
+        self._entries: list[LabelEntry] = []
         self._first_stamp: dict[int, int] = {}
         self._stamp = 0
         self._subst_nodes = 0  # translated explicit-substitution nodes
@@ -74,16 +74,7 @@ class Translation:
         if pid is None:
             pid = len(self._entries)
             self._by_key[key] = pid
-            self._entries.append(
-                LabelEntry(
-                    pid,
-                    entry.telescope,
-                    entry.arg_name,
-                    entry.arg_type,
-                    entry.body,
-                    entry.ret_type,
-                )
-            )
+            self._entries.append(entry)
             self._first_stamp[pid] = stamp
         return pid
 
@@ -186,28 +177,9 @@ class Renumbering:
         self._entries = entries
 
     def term(self, t: Term) -> Term:
-        match t:
-            case Var() | Universe() | NatType() | NatLit():
-                return t
-            case Pi(x, a, b):
-                return Pi(x, self.term(a), self.term(b))
-            case Lam(x, a, b, tag):
-                return Lam(x, self.term(a), self.term(b), tag)
-            case App(f, a):
-                return App(self.term(f), self.term(a))
-            case Add(l, r):
-                return Add(self.term(l), self.term(r))
-            case Label(i, args):
-                return Label(self._map[i], tuple(self.term(a) for a in args))
-            case ESubst(m, bindings):
-                return ESubst(
-                    self.term(m),
-                    tuple(
-                        SBind(sb.name, self.term(sb.domain), self.term(sb.value))
-                        for sb in bindings
-                    ),
-                )
-        raise TypeError(f"not a term: {t!r}")
+        if isinstance(t, Label):
+            return Label(self._map[t.label_id], tuple(self.term(a) for a in t.args))
+        return map_children(self.term, t)
 
     def entry(self, pid: int) -> LabelEntry:
         e = self._entries[pid]
@@ -242,7 +214,7 @@ def _union(*parts: tuple[int, ...]) -> tuple[int, ...]:
 # Public entry points
 
 
-def defun(ctx: Ctx, term: Term, budget: int = 1_000_000) -> TranslationResult:
+def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResult:
     """Translate a judgement: context first, then the term, then its type."""
     deriv = cc_infer(ctx, term, budget)
     run = Translation()
@@ -290,8 +262,6 @@ def label_union(d1: LabelCtx, d2: LabelCtx) -> LabelCtx:
             by_id[e.label_id] = e
             out.append(e)
         elif not entry_alpha_eq(prior, e):
-            from .surface import label_name
-
             raise LabelClash(label_name(e.label_id))
     return LabelCtx(tuple(out))
 

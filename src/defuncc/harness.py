@@ -9,16 +9,11 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cc import (
-    cc_check_context,
-    cc_equiv,
-    cc_infer,
-    cc_normalize,
-    cc_reduce_step,
-)
+from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
-from .defun import Translation, TranslationResult, _union, defun, label_subset, label_union
+from .defun import Translation, _union, defun, label_subset, label_union
 from .errors import DefunccError, StepBudgetExceeded, TypeCheckError
+from .kernel import DEFAULT_BUDGET
 from .refun import refun_context, refun_expr
 from .sigma import check_diagram
 from .surface import Elaborated, parse_dcc, parse_source, show_term
@@ -42,8 +37,6 @@ from .syntax import (
     fresh_name,
 )
 
-CHECK_BUDGET = 1_000_000
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -57,147 +50,127 @@ class CheckResult:
         return f"{prefix}{self.name}: {status}{detail}"
 
 
-def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, ok, detail)
-
-
 # ---------------------------------------------------------------------------
 # Single-judgement checks
 
 
-def check_type_preservation(ctx: Ctx, term: Term, budget: int = CHECK_BUDGET) -> CheckResult:
+def _check(name: str):
+    """Make a judgement check from a body returning (ok, detail); any
+    DefunccError the body raises fails the check with its message."""
+
+    def wrap(body):
+        def check(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> CheckResult:
+            try:
+                return CheckResult(name, *body(ctx, term, budget))
+            except DefunccError as exc:
+                return CheckResult(name, False, str(exc))
+
+        check.__name__, check.__doc__ = body.__name__, body.__doc__
+        return check
+
+    return wrap
+
+
+@_check("type-preservation")
+def check_type_preservation(ctx: Ctx, term: Term, budget: int):
     """Translate a judgement and re-check it in the target calculus."""
-    name = "type-preservation"
-    try:
-        res = defun(ctx, term, budget)
-        defs_all = label_union(res.ctx_defs, res.defs)
-        dcc_check(defs_all, res.dcc_ctx, budget)
-        ty = dcc_infer(defs_all, res.dcc_ctx, res.term, budget, check_ctx=False)
-        if not dcc_equiv(defs_all, ty, res.type_term, budget):
-            return _result(
-                name,
-                False,
-                f"target type {show_term(ty)} differs from {show_term(res.type_term)}",
-            )
-        if not label_subset(res.type_defs, res.defs):
-            return _result(name, False, "type definitions escape the term definitions")
-        return _result(name, True, f"{len(defs_all)} label(s)")
-    except DefunccError as exc:
-        return _result(name, False, str(exc))
+    res = defun(ctx, term, budget)
+    defs_all = label_union(res.ctx_defs, res.defs)
+    dcc_check(defs_all, res.dcc_ctx, budget)
+    ty = dcc_infer(defs_all, res.dcc_ctx, res.term, budget, check_ctx=False)
+    if not dcc_equiv(defs_all, ty, res.type_term, budget):
+        return False, f"target type {show_term(ty)} differs from {show_term(res.type_term)}"
+    if not label_subset(res.type_defs, res.defs):
+        return False, "type definitions escape the term definitions"
+    return True, f"{len(defs_all)} label(s)"
 
 
-def check_reduction_preservation(
-    ctx: Ctx, term: Term, budget: int = CHECK_BUDGET
-) -> CheckResult:
+@_check("reduction-preservation")
+def check_reduction_preservation(ctx: Ctx, term: Term, budget: int):
     """Normalize on both sides of the translation and compare results."""
-    name = "reduction-preservation"
-    try:
-        deriv = cc_infer(ctx, term, budget)
-        nf = cc_normalize(term, budget)
-        run = Translation()
-        dcc_ctx, cp = run.translate_context(ctx)
-        tt, tp = run.translate(deriv)
-        dnf = cc_infer(ctx, nf, budget, check_ctx=False)
-        tn, npids = run.translate(dnf)
-        ren = run.finalize()
-        defs = ren.label_ctx(_union(cp, tp, npids))
-        f_term = ren.term(tt)
-        f_nf = ren.term(tn)
-        dcc_nf = dcc_normalize(defs, f_term, budget)
-        ground = isinstance(cc_normalize(deriv.type, budget), NatType)
-        if ground:
-            if not alpha_eq(dcc_nf, nf):
-                return _result(
-                    name,
-                    False,
-                    f"ground values differ: {show_term(dcc_nf)} vs {show_term(nf)}",
-                )
-            return _result(name, True, f"ground value {show_term(nf)}")
-        if not dcc_equiv(defs, f_term, f_nf, budget):
-            return _result(name, False, "translated term and translated normal form differ")
-        return _result(name, True)
-    except DefunccError as exc:
-        return _result(name, False, str(exc))
+    deriv = cc_infer(ctx, term, budget)
+    nf = cc_normalize(term, budget)
+    run = Translation()
+    dcc_ctx, cp = run.translate_context(ctx)
+    tt, tp = run.translate(deriv)
+    dnf = cc_infer(ctx, nf, budget, check_ctx=False)
+    tn, npids = run.translate(dnf)
+    ren = run.finalize()
+    defs = ren.label_ctx(_union(cp, tp, npids))
+    f_term = ren.term(tt)
+    f_nf = ren.term(tn)
+    dcc_nf = dcc_normalize(defs, f_term, budget)
+    ground = isinstance(cc_normalize(deriv.type, budget), NatType)
+    if ground:
+        if not alpha_eq(dcc_nf, nf):
+            return False, f"ground values differ: {show_term(dcc_nf)} vs {show_term(nf)}"
+        return True, f"ground value {show_term(nf)}"
+    if not dcc_equiv(defs, f_term, f_nf, budget):
+        return False, "translated term and translated normal form differ"
+    return True, ""
 
 
-def check_round_trip(ctx: Ctx, term: Term, budget: int = CHECK_BUDGET) -> CheckResult:
+@_check("round-trip")
+def check_round_trip(ctx: Ctx, term: Term, budget: int):
     """defun then refun must return an equivalent source term and context."""
-    name = "round-trip"
-    try:
-        res = defun(ctx, term, budget)
-        defs_all = label_union(res.ctx_defs, res.defs)
-        back = refun_expr(defs_all, res.term)
-        if not cc_equiv(back, term, budget):
-            return _result(name, False, f"returned {show_term(back)}")
-        back_ctx = refun_context(defs_all, res.dcc_ctx)
-        for (x, a), (_, a0) in zip(back_ctx, ctx):
-            if not cc_equiv(a, a0, budget):
-                return _result(name, False, f"context entry {x!r} came back changed")
-        return _result(name, True)
-    except DefunccError as exc:
-        return _result(name, False, str(exc))
+    res = defun(ctx, term, budget)
+    defs_all = label_union(res.ctx_defs, res.defs)
+    back = refun_expr(defs_all, res.term)
+    if not cc_equiv(back, term, budget):
+        return False, f"returned {show_term(back)}"
+    back_ctx = refun_context(defs_all, res.dcc_ctx)
+    for (x, a), (_, a0) in zip(back_ctx, ctx):
+        if not cc_equiv(a, a0, budget):
+            return False, f"context entry {x!r} came back changed"
+    return True, ""
 
 
-def check_type_safety(ctx: Ctx, term: Term, budget: int = CHECK_BUDGET) -> CheckResult:
+@_check("type-safety")
+def check_type_safety(ctx: Ctx, term: Term, budget: int):
     """The translated term normalizes in budget; closed results are values."""
-    name = "type-safety"
-    try:
-        res = defun(ctx, term, budget)
-        defs_all = label_union(res.ctx_defs, res.defs)
-        nf = dcc_normalize(defs_all, res.term, budget)
-        closed = len(ctx) == 0 and not free_var_set(term)
-        if closed:
-            match nf:
-                case Universe() | Pi() | NatType() | NatLit() | Label():
-                    pass
-                case _:
-                    return _result(
-                        name, False, f"closed normal form is stuck: {show_term(nf)}"
-                    )
-        return _result(name, True, "closed value" if closed else "open term")
-    except StepBudgetExceeded as exc:
-        return _result(name, False, str(exc))
-    except DefunccError as exc:
-        return _result(name, False, str(exc))
+    res = defun(ctx, term, budget)
+    defs_all = label_union(res.ctx_defs, res.defs)
+    nf = dcc_normalize(defs_all, res.term, budget)
+    closed = len(ctx) == 0 and not free_var_set(term)
+    if closed:
+        match nf:
+            case Universe() | Pi() | NatType() | NatLit() | Label():
+                pass
+            case _:
+                return False, f"closed normal form is stuck: {show_term(nf)}"
+    return True, "closed value" if closed else "open term"
 
 
-def check_weakening(ctx: Ctx, term: Term, budget: int = CHECK_BUDGET) -> CheckResult:
+@_check("weakening")
+def check_weakening(ctx: Ctx, term: Term, budget: int):
     """Appending unused assumptions or labels must not change types."""
-    name = "weakening"
-    try:
-        deriv = cc_infer(ctx, term, budget)
-        z = fresh_name("zw", set(ctx.names()) | free_var_set(term))
-        d2 = cc_infer(ctx.extend(z, Universe(0)), term, budget, check_ctx=False)
-        if not cc_equiv(d2.type, deriv.type, budget):
-            return _result(name, False, "source type changed under a longer context")
-        res = defun(ctx, term, budget)
-        defs_all = label_union(res.ctx_defs, res.defs)
-        extra_id = max([e.label_id for e in defs_all], default=-1) + 1
-        extra = LabelEntry(extra_id, (), "x", NAT, Var("x"), NAT)
-        defs2 = label_union(defs_all, LabelCtx((extra,)))
-        if not label_subset(defs_all, defs2):
-            return _result(name, False, "label union is not monotone")
-        ty1 = dcc_infer(defs_all, res.dcc_ctx, res.term, budget, check_ctx=False)
-        ty2 = dcc_infer(defs2, res.dcc_ctx, res.term, budget, check_ctx=False)
-        if not dcc_equiv(defs2, ty1, ty2, budget):
-            return _result(name, False, "target type changed under a longer label context")
-        return _result(name, True)
-    except DefunccError as exc:
-        return _result(name, False, str(exc))
+    deriv = cc_infer(ctx, term, budget)
+    z = fresh_name("zw", set(ctx.names()) | free_var_set(term))
+    d2 = cc_infer(ctx.extend(z, Universe(0)), term, budget, check_ctx=False)
+    if not cc_equiv(d2.type, deriv.type, budget):
+        return False, "source type changed under a longer context"
+    res = defun(ctx, term, budget)
+    defs_all = label_union(res.ctx_defs, res.defs)
+    extra_id = max([e.label_id for e in defs_all], default=-1) + 1
+    extra = LabelEntry(extra_id, (), "x", NAT, Var("x"), NAT)
+    defs2 = label_union(defs_all, LabelCtx((extra,)))
+    if not label_subset(defs_all, defs2):
+        return False, "label union is not monotone"
+    ty1 = dcc_infer(defs_all, res.dcc_ctx, res.term, budget, check_ctx=False)
+    ty2 = dcc_infer(defs2, res.dcc_ctx, res.term, budget, check_ctx=False)
+    if not dcc_equiv(defs2, ty1, ty2, budget):
+        return False, "target type changed under a longer label context"
+    return True, ""
 
 
-def check_diagram_result(ctx: Ctx, term: Term, budget: int = CHECK_BUDGET) -> CheckResult:
-    name = "commuting-diagram"
-    try:
-        report = check_diagram(ctx, term, budget, raise_on_failure=True)
-        return _result(
-            name,
-            True,
-            f"{report.cc_steps} source / {report.sigma_steps} suspension step(s), "
-            f"{report.labels} label(s)",
-        )
-    except DefunccError as exc:
-        return _result(name, False, str(exc))
+@_check("commuting-diagram")
+def check_diagram_result(ctx: Ctx, term: Term, budget: int):
+    """Reduction and translation commute (see sigma.check_diagram)."""
+    report = check_diagram(ctx, term, budget, raise_on_failure=True)
+    return True, (
+        f"{report.cc_steps} source / {report.sigma_steps} suspension step(s), "
+        f"{report.labels} label(s)"
+    )
 
 
 ALL_CHECKS = (
@@ -329,7 +302,7 @@ def source_judgements(elab: Elaborated) -> list[tuple[str, Ctx, Term]]:
     return out
 
 
-def verify_source(elab: Elaborated, budget: int = CHECK_BUDGET) -> tuple[bool, list[str]]:
+def verify_source(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
     lines: list[str] = []
     ok = True
     try:
@@ -360,7 +333,7 @@ def verify_source(elab: Elaborated, budget: int = CHECK_BUDGET) -> tuple[bool, l
     return ok, lines
 
 
-def verify_dcc(elab: Elaborated, budget: int = CHECK_BUDGET) -> tuple[bool, list[str]]:
+def verify_dcc(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
     lines: list[str] = []
     try:
         dcc_check(elab.labels, elab.ctx, budget)
@@ -379,7 +352,7 @@ def verify_dcc(elab: Elaborated, budget: int = CHECK_BUDGET) -> tuple[bool, list
     return ok, lines
 
 
-def verify_file(path: str | Path, budget: int = CHECK_BUDGET) -> tuple[bool, list[str]]:
+def verify_file(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
     path = Path(path)
     elab = load_file(path)
     if path.suffix == ".dcc":
@@ -387,7 +360,7 @@ def verify_file(path: str | Path, budget: int = CHECK_BUDGET) -> tuple[bool, lis
     return verify_source(elab, budget)
 
 
-def verify_path(path: str | Path, budget: int = CHECK_BUDGET) -> tuple[bool, list[str]]:
+def verify_path(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
     """Verify one file, or every .cc/.dcc file directly inside a directory."""
     path = Path(path)
     if path.is_dir():

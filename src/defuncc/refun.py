@@ -10,52 +10,33 @@ from __future__ import annotations
 
 from .dcc import dcc_check, dcc_infer
 from .errors import UnknownLabel
-from .syntax import (
-    Add,
-    App,
-    Ctx,
-    Label,
-    LabelCtx,
-    Lam,
-    NatLit,
-    NatType,
-    Pi,
-    Term,
-    Universe,
-    Var,
-    subst_many,
-)
+from .kernel import DEFAULT_BUDGET
+from .surface import label_name
+from .syntax import Ctx, ESubst, Label, LabelCtx, Lam, Term, map_children, subst_many
 
 
 def refun_expr(defs: LabelCtx, t: Term) -> Term:
     match t:
-        case Var() | Universe() | NatType() | NatLit():
-            return t
-        case Pi(x, a, b):
-            return Pi(x, refun_expr(defs, a), refun_expr(defs, b))
-        case App(f, a):
-            return App(refun_expr(defs, f), refun_expr(defs, a))
-        case Add(l, r):
-            return Add(refun_expr(defs, l), refun_expr(defs, r))
         case Label(i, args):
             e = defs.lookup(i)
             if e is None:
-                from .surface import label_name
-
                 raise UnknownLabel(label_name(i))
             values = [refun_expr(defs, a) for a in args]
             lam = Lam(e.arg_name, refun_expr(defs, e.arg_type), refun_expr(defs, e.body))
             mapping = {x: v for (x, _), v in zip(e.telescope, values)}
             return subst_many(lam, mapping)
-        case _:
+        case Lam() | ESubst():
             raise TypeError(f"not a target term: {t!r}")
+    return map_children(lambda c: refun_expr(defs, c), t)
 
 
 def refun_context(defs: LabelCtx, ctx: Ctx) -> Ctx:
     return Ctx(tuple((x, refun_expr(defs, a)) for x, a in ctx))
 
 
-def refun(defs: LabelCtx, ctx: Ctx, term: Term, budget: int = 1_000_000) -> tuple[Ctx, Term]:
+def refun(
+    defs: LabelCtx, ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET
+) -> tuple[Ctx, Term]:
     """Re-check the judgement, then translate the context and term back."""
     dcc_check(defs, ctx, budget)
     dcc_infer(defs, ctx, term, budget, check_ctx=False)

@@ -12,23 +12,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cc import Derivation, _Budget, cc_infer, cc_reduce_trace
+from .cc import CC_TERMS, cc_infer, cc_reduce_trace
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
 from .defun import Translation, _union
-from .errors import (
-    DiagramFailure,
-    NotAFunction,
-    NotAType,
-    StepBudgetExceeded,
-    TypeMismatch,
-    UnboundVariable,
+from .errors import DefunccError, DiagramFailure, StepBudgetExceeded
+from .kernel import (
+    DEFAULT_BUDGET,
+    Budget,
+    Calculus,
+    Derivation,
+    coerce,
+    convertible,
+    infer,
+    infer_type,
+    normalize,
+    reduce_step,
+    reduce_trace,
 )
 from .syntax import (
     Add,
     App,
     Ctx,
     ESubst,
-    Label,
     Lam,
     NatLit,
     NatType,
@@ -40,34 +45,18 @@ from .syntax import (
     alpha_eq,
     free_var_set,
     fresh_name,
-    is_cc_term,
+    rename_binding,
     rename_free,
     subst_many,
+    uses_only,
 )
-
-DEFAULT_BUDGET = 1_000_000
 
 
 def sigma_embed(t: Term) -> Term:
     """Source terms are suspension-calculus terms as they stand."""
-    if not is_cc_term(t):
+    if not uses_only(t, CC_TERMS):
         raise TypeError("only source-calculus terms embed")
     return t
-
-
-def is_ccs_term(t: Term) -> bool:
-    match t:
-        case Var() | Universe() | NatType() | NatLit():
-            return True
-        case Pi(_, a, b) | App(a, b) | Add(a, b) | Lam(_, a, b):
-            return is_ccs_term(a) and is_ccs_term(b)
-        case ESubst(subject, bindings):
-            return is_ccs_term(subject) and all(
-                is_ccs_term(sb.domain) and is_ccs_term(sb.value) for sb in bindings
-            )
-        case Label():
-            return False
-    raise TypeError(f"not a term: {t!r}")
 
 
 def _is_closure(t: Term) -> bool:
@@ -101,18 +90,7 @@ def _apply_closure(c: Term, arg: Term) -> Term:
                 value = ESubst(value, prefix)
             name = sb.name
             if name in names:
-                avoid = names | free_var_set(subj) | {name}
-                for later in layer[i + 1 :]:
-                    avoid |= free_var_set(later.domain) | {later.name}
-                fresh = fresh_name(name, avoid)
-                for j in range(i + 1, len(layer)):
-                    layer[j] = SBind(
-                        layer[j].name,
-                        rename_free(layer[j].domain, name, fresh),
-                        layer[j].value,
-                    )
-                subj = rename_free(subj, name, fresh)
-                name = fresh
+                name, subj = rename_binding(layer, i, subj, names)
             acc.append(SBind(name, sb.domain, value))
             names.add(name)
         cur = subj
@@ -126,16 +104,14 @@ def _apply_closure(c: Term, arg: Term) -> Term:
     return ESubst(body, tuple(acc))
 
 
-def _root_step(t: Term) -> Term | None:
-    """A redex at the root, if any: beta, stuck-closure application,
-    literal addition, or one substitution push."""
+def _head(t: Term) -> Term | None:
+    """A redex at the root, if any: beta, stuck-closure application, or one
+    substitution push."""
     match t:
         case App(Lam(x, dom, body), arg):
             return ESubst(body, (SBind(x, dom, arg),))
         case App(c, arg) if _is_closure(c):
             return _apply_closure(c, arg)
-        case Add(NatLit(a), NatLit(b)):
-            return NatLit(a + b)
         case ESubst(subject, bindings):
             if not bindings:
                 return subject
@@ -160,10 +136,52 @@ def _root_step(t: Term) -> Term | None:
                     return App(ESubst(f, bindings), ESubst(a, bindings))
                 case Add(l, r):
                     return Add(ESubst(l, bindings), ESubst(r, bindings))
-                case _:
-                    return None  # a stuck closure, or a subject to reduce first
-        case _:
-            return None
+    return None  # no redex, a stuck closure, or a subject to reduce first
+
+
+def _ty_subst(calc: Calculus, ctx: Ctx, t: ESubst, b: Budget) -> Derivation:
+    """Telescope discipline, as for label closures: each value is checked in
+    the outer context against its declared type with the earlier values
+    substituted in, and the subject is typed under the declared types
+    themselves."""
+    binds = list(t.bindings)
+    subj = t.subject
+    inner_ctx = ctx
+    seen: dict[str, Term] = {}
+    val_derivs: list[Derivation] = []
+    for i in range(len(binds)):
+        sb = binds[i]
+        infer_type(calc, inner_ctx, sb.domain, b)
+        want = subst_many(sb.domain, seen)
+        dv = coerce(calc, ctx, infer(calc, ctx, sb.value, b), want, b, "suspended value")
+        name = sb.name
+        if name in inner_ctx:
+            name, subj = rename_binding(binds, i, subj, set(inner_ctx.names()))
+            binds[i] = SBind(name, sb.domain, sb.value)
+        inner_ctx = inner_ctx.extend(name, sb.domain)
+        seen[name] = sb.value
+        val_derivs.append(dv)
+    dm = infer(calc, inner_ctx, subj, b)
+    binds_t = tuple(binds)
+    return Derivation(
+        "s-ty-Subst", ctx, ESubst(subj, binds_t), ESubst(dm.type, binds_t), (dm, *val_derivs)
+    )
+
+
+SIGMA = Calculus(
+    name="suspension",
+    allowed=CC_TERMS | {ESubst},
+    enters=frozenset({App, Add, Pi, ESubst}),
+    head=_head,
+    is_function=lambda t: isinstance(t, (Lam, ESubst)),
+    # the result of an application is the codomain under a suspension
+    instantiate=lambda pi, arg: ESubst(pi.codomain, (SBind(pi.binder, pi.domain, arg),)),
+    rules={ESubst: _ty_subst},
+)
+
+
+def is_ccs_term(t: Term) -> bool:
+    return uses_only(t, SIGMA.allowed)
 
 
 def ccs_reduce_step(t: Term) -> Term | None:
@@ -174,285 +192,28 @@ def ccs_reduce_step(t: Term) -> Term | None:
     extraction is monotone along every step.  Differences hidden under a
     binder are recovered by the equivalence, not the reduction.
     """
-    r = _root_step(t)
-    if r is not None:
-        return r
-    match t:
-        case App(fn, arg):
-            s = ccs_reduce_step(fn)
-            if s is not None:
-                return App(s, arg)
-            s = ccs_reduce_step(arg)
-            if s is not None:
-                return App(fn, s)
-        case Add(lhs, rhs):
-            s = ccs_reduce_step(lhs)
-            if s is not None:
-                return Add(s, rhs)
-            s = ccs_reduce_step(rhs)
-            if s is not None:
-                return Add(lhs, s)
-        case Pi(x, dom, cod):
-            s = ccs_reduce_step(dom)
-            if s is not None:
-                return Pi(x, s, cod)
-            s = ccs_reduce_step(cod)
-            if s is not None:
-                return Pi(x, dom, s)
-        case ESubst(m, binds):
-            s = ccs_reduce_step(m)
-            if s is not None:
-                return ESubst(s, binds)
-            for i, sb in enumerate(binds):
-                s = ccs_reduce_step(sb.value)
-                if s is not None:
-                    replaced = SBind(sb.name, sb.domain, s)
-                    return ESubst(m, binds[:i] + (replaced,) + binds[i + 1 :])
-    return None
+    return reduce_step(SIGMA, t)
 
 
 def ccs_reduce_trace(t: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
-    trace = [t]
-    b = _Budget(budget)
-    while (s := ccs_reduce_step(trace[-1])) is not None:
-        b.spend()
-        trace.append(s)
-    return trace
-
-
-def _s_whnf(t: Term, b: _Budget) -> Term:
-    while True:
-        r = _root_step(t)
-        if r is not None:
-            b.spend()
-            t = r
-            continue
-        match t:
-            case App(fn, arg):
-                fn2 = _s_whnf(fn, b)
-                if fn2 is not fn:
-                    t = App(fn2, arg)
-                    continue
-                return t
-            case ESubst(m, binds):
-                m2 = _s_whnf(m, b)
-                if m2 is not m:
-                    t = ESubst(m2, binds)
-                    continue
-                return t
-            case Add(lhs, rhs):
-                l2 = _s_whnf(lhs, b)
-                r2 = _s_whnf(rhs, b)
-                if l2 is not lhs or r2 is not rhs:
-                    t = Add(l2, r2)
-                    continue
-                return t
-            case _:
-                return t
-
-
-def _s_norm(t: Term, b: _Budget) -> Term:
-    t = _s_whnf(t, b)
-    match t:
-        case App(fn, arg):
-            return App(_s_norm(fn, b), _s_norm(arg, b))
-        case Add(lhs, rhs):
-            return Add(_s_norm(lhs, b), _s_norm(rhs, b))
-        case Pi(x, dom, cod):
-            return Pi(x, _s_norm(dom, b), _s_norm(cod, b))
-        case ESubst(m, binds):
-            return ESubst(
-                _s_norm(m, b),
-                tuple(SBind(sb.name, sb.domain, _s_norm(sb.value, b)) for sb in binds),
-            )
-        case _:
-            return t
+    return reduce_trace(SIGMA, t, Budget(budget))
 
 
 def ccs_normalize(t: Term, budget: int = DEFAULT_BUDGET) -> Term:
-    return _s_norm(t, _Budget(budget))
-
-
-# ---------------------------------------------------------------------------
-# Equivalence
-
-_ETA_DEPTH_LIMIT = 64
+    return normalize(SIGMA, t, Budget(budget))
 
 
 def ccs_equiv(a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
-    bud = _Budget(budget)
-    return _s_equiv_nf(_s_norm(a, bud), _s_norm(b, bud), 0, bud)
+    return convertible(SIGMA, a, b, Budget(budget))
 
 
-def _s_equiv_nf(a: Term, b: Term, depth: int, bud: _Budget) -> bool:
-    """Equivalence of sigma-normal forms.  Lambdas and stuck closures are
-    bridged by applying both sides to a fresh name and reducing."""
-    if depth > _ETA_DEPTH_LIMIT:
-        return False
-    if alpha_eq(a, b):
-        return True
-    if isinstance(a, (Lam, ESubst)) or isinstance(b, (Lam, ESubst)):
-        z = fresh_name("x", free_var_set(a) | free_var_set(b))
-        return _s_equiv_nf(
-            _s_norm(App(a, Var(z)), bud),
-            _s_norm(App(b, Var(z)), bud),
-            depth + 1,
-            bud,
-        )
-    match a, b:
-        case Pi(x, a1, b1), Pi(y, a2, b2):
-            if not _s_equiv_nf(a1, a2, depth + 1, bud):
-                return False
-            z = fresh_name(x, free_var_set(b1) | free_var_set(b2) | {x, y})
-            return _s_equiv_nf(
-                rename_free(b1, x, z), rename_free(b2, y, z), depth + 1, bud
-            )
-        case App(f1, x1), App(f2, x2):
-            return _s_equiv_nf(f1, f2, depth + 1, bud) and _s_equiv_nf(
-                x1, x2, depth + 1, bud
-            )
-        case Add(l1, r1), Add(l2, r2):
-            return _s_equiv_nf(l1, l2, depth + 1, bud) and _s_equiv_nf(
-                r1, r2, depth + 1, bud
-            )
-        case _:
-            return False
-
-
-# ---------------------------------------------------------------------------
-# Typing
-
-
-def _s_infer_type(ctx: Ctx, t: Term, b: _Budget) -> tuple[Derivation, int]:
-    d = _s_infer(ctx, t, b)
-    match d.type:
-        case Universe(i):
-            return d, i
-    w = _s_norm(d.type, b)
-    match w:
-        case Universe(i):
-            dw = _s_infer(ctx, w, b)
-            return Derivation("ty-Equiv", ctx, t, w, (d, dw)), i
-    from .surface import show_term
-
-    raise NotAType(f"{show_term(t)} has type {show_term(d.type)}")
-
-
-def _s_coerce(ctx: Ctx, d: Derivation, want: Term, b: _Budget, where: str) -> Derivation:
-    if alpha_eq(d.type, want):
-        return d
-    if not _s_equiv_nf(_s_norm(d.type, b), _s_norm(want, b), 0, b):
-        from .surface import show_term
-
-        raise TypeMismatch(show_term(want), show_term(d.type), where)
-    dw = _s_infer(ctx, want, b)
-    return Derivation("ty-Equiv", ctx, d.subject, want, (d, dw))
-
-
-def _s_infer(ctx: Ctx, t: Term, b: _Budget) -> Derivation:
-    match t:
-        case Var(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise UnboundVariable(name)
-            dty = _s_infer(ctx, ty, b)
-            return Derivation("ty-Var", ctx, t, ty, (dty,))
-        case Universe(i):
-            return Derivation("ty-Universe", ctx, t, Universe(i + 1))
-        case NatType():
-            return Derivation("ty-Nat", ctx, t, Universe(0))
-        case NatLit():
-            return Derivation("ty-NatLit", ctx, t, NatType())
-        case Add(lhs, rhs):
-            dl = _s_coerce(ctx, _s_infer(ctx, lhs, b), NatType(), b, "left operand of add")
-            dr = _s_coerce(ctx, _s_infer(ctx, rhs, b), NatType(), b, "right operand of add")
-            return Derivation("ty-Add", ctx, t, NatType(), (dl, dr))
-        case Pi(x, domain, codomain):
-            da, i = _s_infer_type(ctx, domain, b)
-            if x in ctx:
-                x2 = fresh_name(x, set(ctx.names()) | free_var_set(codomain))
-                codomain = rename_free(codomain, x, x2)
-                x = x2
-                t = Pi(x, domain, codomain)
-            db, j = _s_infer_type(ctx.extend(x, domain), codomain, b)
-            return Derivation("ty-Pi", ctx, t, Universe(max(i, j)), (da, db))
-        case Lam(x, domain, body, tag):
-            da, _ = _s_infer_type(ctx, domain, b)
-            if x in ctx:
-                x2 = fresh_name(x, set(ctx.names()) | free_var_set(body))
-                body = rename_free(body, x, x2)
-                x = x2
-                t = Lam(x, domain, body, tag)
-            dm = _s_infer(ctx.extend(x, domain), body, b)
-            return Derivation("ty-Lambda", ctx, t, Pi(x, domain, dm.type), (da, dm))
-        case App(fn, arg):
-            dm = _s_infer(ctx, fn, b)
-            fn_ty = dm.type
-            if not isinstance(fn_ty, Pi):
-                w = _s_norm(fn_ty, b)
-                if not isinstance(w, Pi):
-                    from .surface import show_term
-
-                    raise NotAFunction(f"{show_term(fn)} has type {show_term(fn_ty)}")
-                dw = _s_infer(ctx, w, b)
-                dm = Derivation("ty-Equiv", ctx, fn, w, (dm, dw))
-                fn_ty = w
-            dn = _s_coerce(ctx, _s_infer(ctx, arg, b), fn_ty.domain, b, "argument")
-            result = ESubst(fn_ty.codomain, (SBind(fn_ty.binder, fn_ty.domain, arg),))
-            dsub = _s_infer(ctx, result, b)
-            return Derivation("ty-Apply", ctx, t, result, (dm, dn, dsub))
-        case ESubst(subject, bindings):
-            # Telescope discipline, as for label closures: each value is
-            # checked in the outer context against its declared type with
-            # the earlier values substituted in, and the subject is typed
-            # under the declared types themselves.
-            binds = list(bindings)
-            subj = subject
-            inner_ctx = ctx
-            seen: dict[str, Term] = {}
-            val_derivs: list[Derivation] = []
-            for i in range(len(binds)):
-                sb = binds[i]
-                _s_infer_type(inner_ctx, sb.domain, b)
-                want = subst_many(sb.domain, seen)
-                dv = _s_coerce(
-                    ctx, _s_infer(ctx, sb.value, b), want, b, "suspended value"
-                )
-                name = sb.name
-                if name in inner_ctx:
-                    avoid = set(inner_ctx.names()) | free_var_set(subj) | {name}
-                    for later in binds[i + 1 :]:
-                        avoid |= free_var_set(later.domain) | {later.name}
-                    fresh = fresh_name(name, avoid)
-                    for j in range(i + 1, len(binds)):
-                        binds[j] = SBind(
-                            binds[j].name,
-                            rename_free(binds[j].domain, name, fresh),
-                            binds[j].value,
-                        )
-                    subj = rename_free(subj, name, fresh)
-                    binds[i] = SBind(fresh, sb.domain, sb.value)
-                    name = fresh
-                inner_ctx = inner_ctx.extend(name, sb.domain)
-                seen[name] = sb.value
-                val_derivs.append(dv)
-            t2 = ESubst(subj, tuple(binds))
-            dm = _s_infer(inner_ctx, subj, b)
-            return Derivation(
-                "s-ty-Subst",
-                ctx,
-                t2,
-                ESubst(dm.type, tuple(binds)),
-                (dm, *val_derivs),
-            )
-        case _:
-            raise NotAType(f"constructor not part of the suspension calculus: {t!r}")
+def _s_infer(ctx: Ctx, t: Term, b: Budget) -> Derivation:
+    return infer(SIGMA, ctx, t, b)
 
 
 def ccs_infer(ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Derivation:
-    if not is_ccs_term(t):
-        raise NotAType("term uses constructors outside the suspension calculus")
-    return _s_infer(ctx, t, _Budget(budget))
+    SIGMA.check_term(t)
+    return _s_infer(ctx, t, Budget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +258,23 @@ def check_diagram(
         if raise_on_failure and not ok:
             raise DiagramFailure(name, detail)
 
+    def steps_edge(name: str, states: list, related, kind: str, failure: str) -> None:
+        """An edge that holds when every state is related to the next one."""
+        n = len(states) - 1
+        bad = next((i for i in range(n) if not related(states[i], states[i + 1])), None)
+        detail = f"{n} {kind}step(s)" if bad is None else f"step {bad}: {failure}"
+        edge(name, bad is None, detail)
+
     deriv = cc_infer(ctx, term, budget)
     cc_trace = cc_reduce_trace(term, budget)
     s_trace = ccs_reduce_trace(sigma_embed(term), budget)
 
-    bad = next(
-        (
-            i
-            for i in range(len(cc_trace) - 1)
-            if not ccs_equiv(cc_trace[i], cc_trace[i + 1], budget)
-        ),
-        None,
-    )
-    edge(
+    steps_edge(
         "sigma-simulates-cc-step",
-        bad is None,
-        f"{len(cc_trace) - 1} source step(s)"
-        if bad is None
-        else f"step {bad}: embedded redex and reduct are not sigma-equivalent",
+        cc_trace,
+        lambda a, b: ccs_equiv(a, b, budget),
+        "source ",
+        "embedded redex and reduct are not sigma-equivalent",
     )
     edge(
         "sigma-reaches-cc-normal-form",
@@ -522,7 +282,7 @@ def check_diagram(
         "sigma-normal form of the embedding vs the source normal form",
     )
 
-    run = Translation(infer=lambda c, t: _s_infer(c, t, _Budget(budget)))
+    run = Translation(infer=lambda c, t: _s_infer(c, t, Budget(budget)))
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_cc_t, term_cc_pids = run.translate(deriv)
     nf_deriv = cc_infer(ctx, cc_trace[-1], budget, check_ctx=False)
@@ -531,7 +291,7 @@ def check_diagram(
     state_ts: list[Term] = []
     state_pids: list[tuple[int, ...]] = []
     for x in s_trace:
-        dx = _s_infer(ctx, x, _Budget(budget))
+        dx = _s_infer(ctx, x, Budget(budget))
         tx, px = run.translate(dx)
         state_ts.append(tx)
         state_pids.append(px)
@@ -541,49 +301,30 @@ def check_diagram(
         alpha_eq(term_cc_t, state_ts[0]),
         "translation of the source derivation vs the embedded derivation",
     )
-    bad = next(
-        (
-            j
-            for j in range(len(s_trace) - 1)
-            if not set(state_pids[j + 1]) <= set(state_pids[j])
-        ),
-        None,
-    )
-    edge(
+    steps_edge(
         "defs-monotone-along-sigma-step",
-        bad is None,
-        f"{len(s_trace) - 1} suspension step(s)"
-        if bad is None
-        else f"step {bad}: reduct mints definitions the redex lacked",
+        state_pids,
+        lambda redex, reduct: set(reduct) <= set(redex),
+        "suspension ",
+        "reduct mints definitions the redex lacked",
     )
 
     all_pids = _union(ctx_pids, term_cc_pids, nf_pids, *state_pids)
     ren = run.finalize()
     defs = ren.label_ctx(all_pids)
     f_ctx = ren.ctx(dcc_ctx)
-    from .errors import DefunccError
-
     try:
         dcc_check(defs, f_ctx, budget)
         edge("dcc-context-well-formed", True, f"{len(defs)} label(s)")
     except DefunccError as exc:
         edge("dcc-context-well-formed", False, str(exc))
 
-    f_states = [ren.term(t) for t in state_ts]
-    bad = next(
-        (
-            j
-            for j in range(len(f_states) - 1)
-            if not dcc_equiv(defs, f_states[j], f_states[j + 1], budget)
-        ),
-        None,
-    )
-    edge(
+    steps_edge(
         "dcc-preserves-sigma-step",
-        bad is None,
-        f"{len(f_states) - 1} step(s)"
-        if bad is None
-        else f"step {bad}: translated redex and reduct differ",
+        [ren.term(t) for t in state_ts],
+        lambda a, b: dcc_equiv(defs, a, b, budget),
+        "",
+        "translated redex and reduct differ",
     )
 
     f_term = ren.term(term_cc_t)

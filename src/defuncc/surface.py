@@ -194,7 +194,6 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.allow_labels = allow_labels
-        self.next_tag = 0
 
     # -- token plumbing
 
@@ -241,8 +240,6 @@ class _Parser:
 
     def term(self) -> Term:
         if self.at_keyword("fun"):
-            tag = self.next_tag
-            self.next_tag += 1
             self.advance()
             self.expect_sym("(")
             binder = self.ident("binder")
@@ -251,7 +248,7 @@ class _Parser:
             self.expect_sym(")")
             self.expect("darrow")
             body = self.term()
-            return Lam(binder, domain, body, tag)
+            return Lam(binder, domain, body)
         if (
             self.peek().kind == "sym"
             and self.peek().text == "("
@@ -389,7 +386,10 @@ class _Parser:
         while self.peek().kind != "eof":
             if self.at_keyword("axiom"):
                 self.advance()
+                where = self.peek()
                 name = self.ident("axiom name")
+                if any(name == n for n, _ in axioms):
+                    raise ParseError(f"duplicate axiom {name!r}", where.line, where.col)
                 self.expect_sym(":")
                 ty = self.term()
                 self.expect_sym(";")

@@ -1,6 +1,6 @@
 """Shared term syntax for the three calculi plus contexts and binding operations.
 
-One node family covers all calculi; each kernel restricts the constructors it
+One node family covers all calculi; each calculus restricts the constructors it
 accepts.  Source terms never contain Label; defunctionalized terms never
 contain Lam or ESubst; the explicit-substitution calculus is the source
 calculus plus ESubst nodes.
@@ -8,7 +8,7 @@ calculus plus ESubst nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 
@@ -34,8 +34,6 @@ class Lam:
     binder: str
     domain: "Term"
     body: "Term"
-    # Provenance only (parser position); never affects equality or typing.
-    tag: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -99,46 +97,66 @@ Term = Union[Var, Universe, Pi, Lam, App, NatType, NatLit, Add, Label, ESubst]
 NAT = NatType()
 
 
-def is_cc_term(t: Term) -> bool:
-    """True if t uses only source-calculus constructors (no labels)."""
-    match t:
-        case Var() | Universe() | NatType() | NatLit():
-            return True
-        case Pi(_, a, b) | App(a, b) | Add(a, b):
-            return is_cc_term(a) and is_cc_term(b)
-        case Lam(_, a, b):
-            return is_cc_term(a) and is_cc_term(b)
-        case ESubst():
-            return False
-        case Label():
-            return False
-    raise TypeError(f"not a term: {t!r}")
+# ---------------------------------------------------------------------------
+# The child map: every structural walk that treats binders uniformly
 
 
-def is_dcc_term(t: Term) -> bool:
-    """True if t uses only target-calculus constructors (no lambdas)."""
-    match t:
-        case Var() | Universe() | NatType() | NatLit():
-            return True
-        case Pi(_, a, b) | App(a, b) | Add(a, b):
-            return is_dcc_term(a) and is_dcc_term(b)
-        case Label(_, args):
-            return all(is_dcc_term(a) for a in args)
-        case Lam() | ESubst():
-            return False
-    raise TypeError(f"not a term: {t!r}")
+def _suspension_children(t: ESubst) -> tuple[Term, ...]:
+    return (t.subject, *(sb.value for sb in t.bindings), *(sb.domain for sb in t.bindings))
 
 
-def has_esubst(t: Term) -> bool:
-    match t:
-        case ESubst():
-            return True
-        case Pi(_, a, b) | App(a, b) | Add(a, b) | Lam(_, a, b):
-            return has_esubst(a) or has_esubst(b)
-        case Label(_, args):
-            return any(has_esubst(a) for a in args)
-        case _:
+def _rebuild_suspension(t: ESubst, kids) -> ESubst:
+    k = len(t.bindings)
+    values, domains = kids[1 : k + 1], kids[k + 1 :]
+    return ESubst(
+        kids[0], tuple(SBind(sb.name, d, v) for sb, v, d in zip(t.bindings, values, domains))
+    )
+
+
+# constructor -> (its children, the node rebuilt from new children)
+_CHILD_MAP = {
+    Pi: (lambda t: (t.domain, t.codomain), lambda t, k: Pi(t.binder, *k)),
+    Lam: (lambda t: (t.domain, t.body), lambda t, k: Lam(t.binder, *k)),
+    App: (lambda t: (t.fn, t.arg), lambda t, k: App(*k)),
+    Add: (lambda t: (t.lhs, t.rhs), lambda t, k: Add(*k)),
+    Label: (lambda t: t.args, lambda t, k: Label(t.label_id, tuple(k))),
+    ESubst: (_suspension_children, _rebuild_suspension),
+}
+_LEAF = (lambda t: (), lambda t, k: t)
+
+
+def children(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of t.  A suspension lists its subject, then its
+    values, then its domains, so the positions evaluation may enter (subject
+    and values) form a prefix."""
+    return _CHILD_MAP.get(type(t), _LEAF)[0](t)
+
+
+def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
+    """t with its children, in the order `children` lists them, replaced."""
+    return _CHILD_MAP.get(type(t), _LEAF)[1](t, kids)
+
+
+def map_children(f, t: Term) -> Term:
+    """t with f applied to each of its children."""
+    entry = _CHILD_MAP.get(type(t))
+    if entry is None:
+        return t
+    kids, rebuilt = entry
+    return rebuilt(t, tuple(map(f, kids(t))))
+
+
+def uses_only(t: Term, allowed: frozenset[type]) -> bool:
+    """True if every node of t is built from the allowed constructors."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) not in allowed:
             return False
+        entry = _CHILD_MAP.get(type(t))
+        if entry is not None:
+            stack.extend(entry[0](t))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +174,12 @@ def free_vars(t: Term) -> tuple[str, ...]:
                 if name not in bound and name not in seen:
                     seen.add(name)
                     out.append(name)
-            case Universe() | NatType() | NatLit():
-                pass
-            case Pi(binder, domain, codomain):
-                walk(domain, bound)
-                walk(codomain, bound | {binder})
-            case Lam(binder, domain, body):
+            case Pi(binder, domain, body) | Lam(binder, domain, body):
                 walk(domain, bound)
                 walk(body, bound | {binder})
-            case App(fn, arg):
-                walk(fn, bound)
-                walk(arg, bound)
-            case Add(lhs, rhs):
-                walk(lhs, bound)
-                walk(rhs, bound)
-            case Label(_, args):
-                for a in args:
-                    walk(a, bound)
+            case App() | Add() | Label():
+                for c in children(t):
+                    walk(c, bound)
             case ESubst(subject, bindings):
                 inner = bound
                 for sb in bindings:
@@ -242,21 +249,27 @@ def _subst_suspension(
         name = sb.name
         nxt = {k: v for k, v in inner.items() if k != name}
         if any(name in free_var_set(v) for v in nxt.values()):
-            avoid = set().union(*(free_var_set(v) for v in nxt.values()))
-            avoid |= free_var_set(subj) | set(nxt) | {name}
-            for later in binds[i + 1 :]:
-                avoid |= free_var_set(later.domain) | {later.name}
-            fresh = fresh_name(name, avoid)
-            ren = {name: Var(fresh)}
-            for j in range(i + 1, len(binds)):
-                binds[j] = SBind(
-                    binds[j].name, _subst(binds[j].domain, ren), binds[j].value
-                )
-            subj = _subst(subj, ren)
-            name = fresh
+            avoid = set().union(*(free_var_set(v) for v in nxt.values())) | set(nxt)
+            name, subj = rename_binding(binds, i, subj, avoid)
         out.append(SBind(name, dom2, vals2[i]))
         inner = nxt
     return tuple(out), _subst(subj, inner)
+
+
+def rename_binding(
+    binds: list[SBind], i: int, subj: Term, avoid: set[str]
+) -> tuple[str, Term]:
+    """A fresh name for binds[i], outside avoid, the subject and the later
+    entries; the later domains (in place) and the subject follow the rename."""
+    name = binds[i].name
+    avoid = avoid | free_var_set(subj) | {name}
+    for later in binds[i + 1 :]:
+        avoid |= free_var_set(later.domain) | {later.name}
+    fresh = fresh_name(name, avoid)
+    for j in range(i + 1, len(binds)):
+        later = binds[j]
+        binds[j] = SBind(later.name, rename_free(later.domain, name, fresh), later.value)
+    return fresh, rename_free(subj, name, fresh)
 
 
 def _subst(t: Term, mapping: Mapping) -> Term:
@@ -266,26 +279,14 @@ def _subst(t: Term, mapping: Mapping) -> Term:
     match t:
         case Var(name):
             return mapping.get(name, t)
-        case Universe() | NatType() | NatLit():
-            return t
-        case Pi(binder, domain, codomain):
-            domain2 = _subst(domain, mapping)
-            binder2, codomain2 = _under_binder(binder, codomain, mapping)
-            return Pi(binder2, domain2, codomain2)
-        case Lam(binder, domain, body, tag):
+        case Pi(binder, domain, body) | Lam(binder, domain, body):
             domain2 = _subst(domain, mapping)
             binder2, body2 = _under_binder(binder, body, mapping)
-            return Lam(binder2, domain2, body2, tag)
-        case App(fn, arg):
-            return App(_subst(fn, mapping), _subst(arg, mapping))
-        case Add(lhs, rhs):
-            return Add(_subst(lhs, mapping), _subst(rhs, mapping))
-        case Label(label_id, args):
-            return Label(label_id, tuple(_subst(a, mapping) for a in args))
+            return type(t)(binder2, domain2, body2)
         case ESubst(subject, bindings):
             bindings2, subject2 = _subst_suspension(bindings, subject, mapping)
             return ESubst(subject2, bindings2)
-    raise TypeError(f"not a term: {t!r}")
+    return map_children(lambda c: _subst(c, mapping), t)
 
 
 def subst_many(t: Term, mapping: Mapping) -> Term:
@@ -323,24 +324,14 @@ def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: in
             if x in enva or y in envb:
                 return enva.get(x) == envb.get(y) and enva.get(x) is not None
             return x == y
-        case Universe(i), Universe(j):
-            return i == j
-        case NatType(), NatType():
-            return True
-        case NatLit(m), NatLit(n):
-            return m == n
-        case Pi(x, a1, b1), Pi(y, a2, b2):
+        case (Universe(), Universe()) | (NatType(), NatType()) | (NatLit(), NatLit()):
+            return a == b
+        case (Pi(x, a1, b1), Pi(y, a2, b2)) | (Lam(x, a1, b1), Lam(y, a2, b2)):
             return _aeq(a1, a2, enva, envb, depth) and _aeq(
                 b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1
             )
-        case Lam(x, a1, b1), Lam(y, a2, b2):
-            return _aeq(a1, a2, enva, envb, depth) and _aeq(
-                b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1
-            )
-        case App(f1, x1), App(f2, x2):
+        case (App(f1, x1), App(f2, x2)) | (Add(f1, x1), Add(f2, x2)):
             return _aeq(f1, f2, enva, envb, depth) and _aeq(x1, x2, enva, envb, depth)
-        case Add(l1, r1), Add(l2, r2):
-            return _aeq(l1, l2, enva, envb, depth) and _aeq(r1, r2, enva, envb, depth)
         case Label(i, args1), Label(j, args2):
             return (
                 i == j
@@ -382,28 +373,16 @@ def canon(t: Term, env: dict[str, int] | None = None, depth: int = 0):
                 if name in env:
                     return ("b", env[name])
                 return ("f", name)
-            case Universe(level):
-                return ("U", level)
-            case NatType():
-                return ("nat",)
-            case NatLit(value):
-                return ("lit", value)
-            case Pi(binder, domain, codomain):
+            case Universe() | NatType() | NatLit():
+                return t  # closed, and hashable as it stands
+            case Pi(binder, domain, body) | Lam(binder, domain, body):
                 return (
-                    "pi",
-                    go(domain, env, depth),
-                    go(codomain, {**env, binder: depth}, depth + 1),
-                )
-            case Lam(binder, domain, body):
-                return (
-                    "lam",
+                    type(t).__name__,
                     go(domain, env, depth),
                     go(body, {**env, binder: depth}, depth + 1),
                 )
-            case App(fn, arg):
-                return ("app", go(fn, env, depth), go(arg, env, depth))
-            case Add(lhs, rhs):
-                return ("add", go(lhs, env, depth), go(rhs, env, depth))
+            case App() | Add():
+                return (type(t).__name__, *(go(c, env, depth) for c in children(t)))
             case Label(label_id, args):
                 return ("label", label_id, tuple(go(a, env, depth) for a in args))
             case ESubst(subject, bindings):
@@ -423,8 +402,23 @@ def canon(t: Term, env: dict[str, int] | None = None, depth: int = 0):
 # Type contexts
 
 
+class _Entries:
+    """Ordered entries looked up by key (a name, or a label id)."""
+
+    entries: tuple
+
+    def __contains__(self, key) -> bool:
+        return self.lookup(key) is not None
+
+    def __iter__(self) -> Iterator:
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
 @dataclass(frozen=True)
-class Ctx:
+class Ctx(_Entries):
     """An ordered telescope of (name, type) assumptions; names are distinct."""
 
     entries: tuple[tuple[str, Term], ...] = ()
@@ -442,15 +436,6 @@ class Ctx:
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return self.lookup(name) is not None
-
-    def __iter__(self) -> Iterator[tuple[str, Term]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +461,6 @@ class LabelEntry:
         return len(self.telescope)
 
 
-def entry_alpha_eq(e1: LabelEntry, e2: LabelEntry) -> bool:
-    """Entry equality modulo telescope and argument names (ids must agree)."""
-    if e1.label_id != e2.label_id or e1.arity() != e2.arity():
-        return False
-    pairs: tuple[tuple[str, str], ...] = ()
-    for (x1, a1), (x2, a2) in zip(e1.telescope, e2.telescope):
-        if not alpha_eq(a1, a2, pairs):
-            return False
-        pairs += ((x1, x2),)
-    if not alpha_eq(e1.arg_type, e2.arg_type, pairs):
-        return False
-    pairs += ((e1.arg_name, e2.arg_name),)
-    return alpha_eq(e1.body, e2.body, pairs) and alpha_eq(e1.ret_type, e2.ret_type, pairs)
-
-
 def entry_canon(e: LabelEntry):
     """Alpha-invariant shape of an entry, keyed for minting and comparison."""
     env: dict[str, int] = {}
@@ -509,8 +479,13 @@ def entry_canon(e: LabelEntry):
     )
 
 
+def entry_alpha_eq(e1: LabelEntry, e2: LabelEntry) -> bool:
+    """Entry equality modulo telescope and argument names (ids must agree)."""
+    return e1.label_id == e2.label_id and entry_canon(e1) == entry_canon(e2)
+
+
 @dataclass(frozen=True)
-class LabelCtx:
+class LabelCtx(_Entries):
     """Ordered label definitions; later entries may reference earlier labels."""
 
     entries: tuple[LabelEntry, ...] = ()
@@ -523,12 +498,3 @@ class LabelCtx:
 
     def ids(self) -> tuple[int, ...]:
         return tuple(e.label_id for e in self.entries)
-
-    def __contains__(self, label_id: int) -> bool:
-        return self.lookup(label_id) is not None
-
-    def __iter__(self) -> Iterator[LabelEntry]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -102,3 +102,22 @@ def test_verify_failure_exits_three(capsys):
     )
     assert code == 3
     assert "verification failed" in err
+
+
+@pytest.mark.parametrize("suffix", [".cc", ".dcc"])
+def test_duplicate_axiom_is_a_parse_error(capsys, tmp_path, suffix):
+    dup = tmp_path / f"dup{suffix}"
+    dup.write_text("axiom A : Type 0;\naxiom A : Type 0;\nA\n")
+    command = "check" if suffix == ".cc" else "checkdcc"
+    code, _, err = run(capsys, command, str(dup))
+    assert code == 2
+    assert "parse error: 2:7: duplicate axiom 'A'" in err
+
+
+def test_input_nested_too_deeply_exits_one(capsys, tmp_path):
+    deep = tmp_path / "deep.cc"
+    deep.write_text("add 1 (" * 1200 + "0" + ")" * 1200 + "\n")
+    code, _, err = run(capsys, "check", str(deep))
+    assert code == 1
+    assert err.startswith("error: input nests too deeply")
+    assert "Traceback" not in err

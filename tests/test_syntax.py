@@ -16,13 +16,49 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    children,
     free_var_set,
     free_vars,
     fresh_name,
+    map_children,
+    rebuild,
     rename_free,
     subst,
     subst_many,
+    uses_only,
 )
+
+ONE_OF_EACH = [
+    Var("x"),
+    Universe(1),
+    NatType(),
+    NatLit(2),
+    Pi("x", NatType(), Var("x")),
+    Lam("x", NatType(), Var("x")),
+    App(Var("f"), NatLit(1)),
+    Add(NatLit(1), Var("n")),
+    Label(4, (Var("a"), NatLit(0))),
+    ESubst(Var("y"), (SBind("x", NatType(), NatLit(1)), SBind("y", Var("x"), Var("x")))),
+]
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_child_map_rebuilds_every_constructor(t):
+    assert rebuild(t, children(t)) == t
+    assert map_children(lambda c: c, t) == t
+    renamed = map_children(lambda c: rename_free(c, "x", "z"), t)
+    assert children(renamed) == tuple(rename_free(c, "x", "z") for c in children(t))
+
+
+def test_suspension_children_put_subject_and_values_first():
+    t = ONE_OF_EACH[-1]
+    assert children(t) == (Var("y"), NatLit(1), Var("x"), NatType(), Var("x"))
+
+
+def test_uses_only_finds_a_constructor_deep_inside():
+    t = App(Lam("x", NatType(), Add(Var("x"), Label(0, ()))), NatLit(1))
+    assert not uses_only(t, frozenset({App, Lam, Add, Var, NatType, NatLit}))
+    assert uses_only(t, frozenset({App, Lam, Add, Var, NatType, NatLit, Label}))
 
 
 def test_subst_replaces_matching_variable():
