@@ -1,7 +1,7 @@
 """Command line driver.
 
 Exit codes: 0 success, 1 type error (or input nested too deeply to check),
-2 parse error (including a duplicate axiom), 3 verification failure.
+2 parse error (including a name declared twice), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -10,11 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
+# cc_equiv stays a module attribute: perfbench/tracing.py wraps it at this call site
+from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize  # noqa: F401
 from .dcc import dcc_infer, dcc_normalize
-from .defun import defun, label_union
+from .defun import defun
 from .errors import DefunccError, ParseError
-from .harness import load_file, verify_dcc, verify_path
+from .harness import check_annotations, load_file, verify_dcc, verify_path
 from .kernel import DEFAULT_BUDGET
 from .refun import refun
 from .surface import emit_json, emit_text, show_ctx, show_term
@@ -32,21 +33,17 @@ def _require_main(elab) -> Term:
     return elab.main
 
 
-def _check_source(elab, budget: int) -> None:
+def _check_source(elab, budget: int):
+    """The elaborated file, once its context and every definition check."""
     cc_check_context(elab.ctx, budget)
-    for name, annot, body in elab.defs:
-        d = cc_infer(elab.ctx, body, budget, check_ctx=False)
-        cc_infer(elab.ctx, annot, budget, check_ctx=False)
-        if not cc_equiv(d.type, annot, budget):
-            raise DefunccError(
-                f"def {name}: body has type {show_term(d.type)}, "
-                f"annotation says {show_term(annot)}"
-            )
+    for _, error in check_annotations(elab, budget):
+        if error is not None:
+            raise error
+    return elab
 
 
 def _cmd_check(args) -> int:
-    elab = load_file(args.file)
-    _check_source(elab, args.budget)
+    elab = _check_source(load_file(args.file), args.budget)
     if elab.main is not None:
         d = cc_infer(elab.ctx, elab.main, args.budget, check_ctx=False)
         print(show_term(d.type))
@@ -56,15 +53,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_defun(args) -> int:
-    elab = load_file(args.file)
-    _check_source(elab, args.budget)
+    elab = _check_source(load_file(args.file), args.budget)
     term = _require_main(elab)
     res = defun(elab.ctx, term, args.budget)
-    defs_all = label_union(res.ctx_defs, res.defs)
-    if args.emit == "json":
-        out = emit_json(defs_all, res.dcc_ctx, res.term)
-    else:
-        out = emit_text(defs_all, res.dcc_ctx, res.term)
+    emit = emit_json if args.emit == "json" else emit_text
+    out = emit(res.labels, res.dcc_ctx, res.term)
     if args.out:
         Path(args.out).write_text(out if out.endswith("\n") else out + "\n")
     else:
@@ -92,8 +85,7 @@ def _cmd_eval(args) -> int:
     _check_source(elab, args.budget)
     if args.target == "dcc":
         res = defun(elab.ctx, term, args.budget)
-        defs_all = label_union(res.ctx_defs, res.defs)
-        print(show_term(dcc_normalize(defs_all, res.term, args.budget)))
+        print(show_term(dcc_normalize(res.labels, res.term, args.budget)))
     else:
         cc_infer(elab.ctx, term, args.budget, check_ctx=False)
         print(show_term(cc_normalize(term, args.budget)))

@@ -46,6 +46,7 @@ class TranslationResult:
     type_defs: LabelCtx  # label definitions extracted from the type's derivation
     ctx_defs: LabelCtx  # label definitions extracted from the context
     dcc_ctx: Ctx  # pointwise-translated context
+    labels: LabelCtx  # the judgement's label context: ctx_defs, then the rest of defs
 
 
 class Translation:
@@ -63,7 +64,7 @@ class Translation:
         self._entries: list[LabelEntry] = []
         self._first_stamp: dict[int, int] = {}
         self._stamp = 0
-        self._subst_nodes = 0  # translated explicit-substitution nodes
+        self.subst_nodes = 0  # translated explicit-substitution nodes
         self._infer = infer or (lambda ctx, t: cc_infer(ctx, t, check_ctx=False))
 
     # -- minting
@@ -119,7 +120,7 @@ class Translation:
                 mapping[sb.name] = tv
                 parts.append(dv)
             result = subst_many(tm, mapping)
-            self._subst_nodes += 1
+            self.subst_nodes += 1
             return result, _union(*parts)
         raise ValueError(f"cannot translate derivation rule {rule!r}")
 
@@ -164,10 +165,6 @@ class Translation:
         final = {pid: rank for rank, pid in enumerate(order)}
         return Renumbering(final, self._entries)
 
-    @property
-    def subst_nodes(self) -> int:
-        return self._subst_nodes
-
 
 class Renumbering:
     """Applies the provisional-to-final id mapping to run artifacts."""
@@ -175,6 +172,7 @@ class Renumbering:
     def __init__(self, mapping: dict[int, int], entries: list[LabelEntry]):
         self._map = mapping
         self._entries = entries
+        self._done: dict[int, LabelEntry] = {}  # renumbered entries, shared by every label_ctx
 
     def term(self, t: Term) -> Term:
         if isinstance(t, Label):
@@ -182,15 +180,17 @@ class Renumbering:
         return map_children(self.term, t)
 
     def entry(self, pid: int) -> LabelEntry:
-        e = self._entries[pid]
-        return LabelEntry(
-            self._map[pid],
-            tuple((x, self.term(a)) for x, a in e.telescope),
-            e.arg_name,
-            self.term(e.arg_type),
-            self.term(e.body),
-            self.term(e.ret_type),
-        )
+        if pid not in self._done:
+            e = self._entries[pid]
+            self._done[pid] = LabelEntry(
+                self._map[pid],
+                tuple((x, self.term(a)) for x, a in e.telescope),
+                e.arg_name,
+                self.term(e.arg_type),
+                self.term(e.body),
+                self.term(e.ret_type),
+            )
+        return self._done[pid]
 
     def label_ctx(self, pids: tuple[int, ...]) -> LabelCtx:
         return LabelCtx(tuple(self.entry(pid) for pid in pids))
@@ -230,6 +230,7 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
         type_defs=ren.label_ctx(type_pids),
         ctx_defs=ren.label_ctx(ctx_pids),
         dcc_ctx=ren.ctx(dcc_ctx),
+        labels=ren.label_ctx(_union(ctx_pids, term_pids)),
     )
 
 

@@ -46,6 +46,12 @@ class NotAType(TypeCheckError):
         super().__init__(f"expected a type (a term of some universe): {detail}")
 
 
+class AnnotationMismatch(TypeCheckError):
+    def __init__(self, name: str, body_type: str, annotation: str):
+        self.body_type = body_type
+        super().__init__(f"def {name}: body has type {body_type}, annotation says {annotation}")
+
+
 class UnknownLabel(TypeCheckError):
     def __init__(self, label: str):
         self.label = label

@@ -5,14 +5,16 @@ enumerated small terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
 from .defun import Translation, _union, defun, label_subset, label_union
-from .errors import DefunccError, StepBudgetExceeded, TypeCheckError
+from .errors import AnnotationMismatch, DefunccError, StepBudgetExceeded, TypeCheckError
 from .kernel import DEFAULT_BUDGET
 from .refun import refun_context, refun_expr
 from .sigma import check_diagram
@@ -54,14 +56,32 @@ class CheckResult:
 # Single-judgement checks
 
 
+class _Judgement:
+    """One judgement as its six checks share it: the source derivation,
+    checked with the context, and the translation, each built on first use
+    (a failure is not kept, so each check that reads the part meets it)."""
+
+    def __init__(self, ctx: Ctx, term: Term, budget: int, infer, translate) -> None:
+        self.ctx, self.term, self.budget = ctx, term, budget
+        self.derivation = functools.cache(lambda: infer(ctx, term, budget))
+        self.translation = functools.cache(lambda: translate(ctx, term, budget))
+
+
+# One entry: a judgement's checks run back to back.  The `cc_infer` and `defun`
+# in use are part of the key, so a replaced one (a tracer, a test's counter)
+# never reads what another built.
+_judgement = functools.lru_cache(maxsize=1)(_Judgement)
+
+
 def _check(name: str):
-    """Make a judgement check from a body returning (ok, detail); any
-    DefunccError the body raises fails the check with its message."""
+    """Make a judgement check from a body returning (ok, detail) for the shared
+    judgement; any DefunccError the body raises fails the check with its
+    message."""
 
     def wrap(body):
         def check(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> CheckResult:
             try:
-                return CheckResult(name, *body(ctx, term, budget))
+                return CheckResult(name, *body(_judgement(ctx, term, budget, cc_infer, defun)))
             except DefunccError as exc:
                 return CheckResult(name, False, str(exc))
 
@@ -72,28 +92,27 @@ def _check(name: str):
 
 
 @_check("type-preservation")
-def check_type_preservation(ctx: Ctx, term: Term, budget: int):
+def check_type_preservation(j: _Judgement):
     """Translate a judgement and re-check it in the target calculus."""
-    res = defun(ctx, term, budget)
-    defs_all = label_union(res.ctx_defs, res.defs)
-    dcc_check(defs_all, res.dcc_ctx, budget)
-    ty = dcc_infer(defs_all, res.dcc_ctx, res.term, budget, check_ctx=False)
-    if not dcc_equiv(defs_all, ty, res.type_term, budget):
+    res, budget = j.translation(), j.budget
+    dcc_check(res.labels, res.dcc_ctx, budget)
+    ty = dcc_infer(res.labels, res.dcc_ctx, res.term, budget, check_ctx=False)
+    if not dcc_equiv(res.labels, ty, res.type_term, budget):
         return False, f"target type {show_term(ty)} differs from {show_term(res.type_term)}"
     if not label_subset(res.type_defs, res.defs):
         return False, "type definitions escape the term definitions"
-    return True, f"{len(defs_all)} label(s)"
+    return True, f"{len(res.labels)} label(s)"
 
 
 @_check("reduction-preservation")
-def check_reduction_preservation(ctx: Ctx, term: Term, budget: int):
+def check_reduction_preservation(j: _Judgement):
     """Normalize on both sides of the translation and compare results."""
-    deriv = cc_infer(ctx, term, budget)
-    nf = cc_normalize(term, budget)
+    deriv, budget = j.derivation(), j.budget
+    nf = cc_normalize(j.term, budget)
     run = Translation()
-    dcc_ctx, cp = run.translate_context(ctx)
+    dcc_ctx, cp = run.translate_context(j.ctx)
     tt, tp = run.translate(deriv)
-    dnf = cc_infer(ctx, nf, budget, check_ctx=False)
+    dnf = cc_infer(j.ctx, nf, budget, check_ctx=False)
     tn, npids = run.translate(dnf)
     ren = run.finalize()
     defs = ren.label_ctx(_union(cp, tp, npids))
@@ -111,27 +130,25 @@ def check_reduction_preservation(ctx: Ctx, term: Term, budget: int):
 
 
 @_check("round-trip")
-def check_round_trip(ctx: Ctx, term: Term, budget: int):
+def check_round_trip(j: _Judgement):
     """defun then refun must return an equivalent source term and context."""
-    res = defun(ctx, term, budget)
-    defs_all = label_union(res.ctx_defs, res.defs)
-    back = refun_expr(defs_all, res.term)
-    if not cc_equiv(back, term, budget):
+    res, budget = j.translation(), j.budget
+    back = refun_expr(res.labels, res.term)
+    if not cc_equiv(back, j.term, budget):
         return False, f"returned {show_term(back)}"
-    back_ctx = refun_context(defs_all, res.dcc_ctx)
-    for (x, a), (_, a0) in zip(back_ctx, ctx):
+    back_ctx = refun_context(res.labels, res.dcc_ctx)
+    for (x, a), (_, a0) in zip(back_ctx, j.ctx):
         if not cc_equiv(a, a0, budget):
             return False, f"context entry {x!r} came back changed"
     return True, ""
 
 
 @_check("type-safety")
-def check_type_safety(ctx: Ctx, term: Term, budget: int):
+def check_type_safety(j: _Judgement):
     """The translated term normalizes in budget; closed results are values."""
-    res = defun(ctx, term, budget)
-    defs_all = label_union(res.ctx_defs, res.defs)
-    nf = dcc_normalize(defs_all, res.term, budget)
-    closed = len(ctx) == 0 and not free_var_set(term)
+    res = j.translation()
+    nf = dcc_normalize(res.labels, res.term, j.budget)
+    closed = len(j.ctx) == 0 and not free_var_set(j.term)
     if closed:
         match nf:
             case Universe() | Pi() | NatType() | NatLit() | Label():
@@ -142,21 +159,20 @@ def check_type_safety(ctx: Ctx, term: Term, budget: int):
 
 
 @_check("weakening")
-def check_weakening(ctx: Ctx, term: Term, budget: int):
+def check_weakening(j: _Judgement):
     """Appending unused assumptions or labels must not change types."""
-    deriv = cc_infer(ctx, term, budget)
-    z = fresh_name("zw", set(ctx.names()) | free_var_set(term))
-    d2 = cc_infer(ctx.extend(z, Universe(0)), term, budget, check_ctx=False)
+    deriv, budget = j.derivation(), j.budget
+    z = fresh_name("zw", set(j.ctx.names()) | free_var_set(j.term))
+    d2 = cc_infer(j.ctx.extend(z, Universe(0)), j.term, budget, check_ctx=False)
     if not cc_equiv(d2.type, deriv.type, budget):
         return False, "source type changed under a longer context"
-    res = defun(ctx, term, budget)
-    defs_all = label_union(res.ctx_defs, res.defs)
-    extra_id = max([e.label_id for e in defs_all], default=-1) + 1
+    res = j.translation()
+    extra_id = max([e.label_id for e in res.labels], default=-1) + 1
     extra = LabelEntry(extra_id, (), "x", NAT, Var("x"), NAT)
-    defs2 = label_union(defs_all, LabelCtx((extra,)))
-    if not label_subset(defs_all, defs2):
+    defs2 = label_union(res.labels, LabelCtx((extra,)))
+    if not label_subset(res.labels, defs2):
         return False, "label union is not monotone"
-    ty1 = dcc_infer(defs_all, res.dcc_ctx, res.term, budget, check_ctx=False)
+    ty1 = dcc_infer(res.labels, res.dcc_ctx, res.term, budget, check_ctx=False)
     ty2 = dcc_infer(defs2, res.dcc_ctx, res.term, budget, check_ctx=False)
     if not dcc_equiv(defs2, ty1, ty2, budget):
         return False, "target type changed under a longer label context"
@@ -164,9 +180,9 @@ def check_weakening(ctx: Ctx, term: Term, budget: int):
 
 
 @_check("commuting-diagram")
-def check_diagram_result(ctx: Ctx, term: Term, budget: int):
+def check_diagram_result(j: _Judgement):
     """Reduction and translation commute (see sigma.check_diagram)."""
-    report = check_diagram(ctx, term, budget, raise_on_failure=True)
+    report = check_diagram(j.ctx, j.term, j.budget, raise_on_failure=True)
     return True, (
         f"{report.cc_steps} source / {report.sigma_steps} suspension step(s), "
         f"{report.labels} label(s)"
@@ -302,29 +318,34 @@ def source_judgements(elab: Elaborated) -> list[tuple[str, Ctx, Term]]:
     return out
 
 
-def verify_source(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
-    lines: list[str] = []
-    ok = True
-    try:
-        cc_check_context(elab.ctx, budget)
-        lines.append("context: ok")
-    except DefunccError as exc:
-        lines.append(f"context: FAIL ({exc})")
-        return False, lines
+def check_annotations(
+    elab: Elaborated, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[str, DefunccError | None]]:
+    """Each definition body checked against its annotation under the axiom
+    context, lazily and in file order: (name, None) or (name, error)."""
     for name, annot, body in elab.defs:
+        error = None
         try:
             d = cc_infer(elab.ctx, body, budget, check_ctx=False)
             cc_infer(elab.ctx, annot, budget, check_ctx=False)
-            if cc_equiv(d.type, annot, budget):
-                lines.append(f"def {name}: annotation: ok")
-            else:
-                ok = False
-                lines.append(
-                    f"def {name}: annotation: FAIL (body has type {show_term(d.type)})"
-                )
+            if not cc_equiv(d.type, annot, budget):
+                error = AnnotationMismatch(name, show_term(d.type), show_term(annot))
         except DefunccError as exc:
-            ok = False
-            lines.append(f"def {name}: annotation: FAIL ({exc})")
+            error = exc
+        yield name, error
+
+
+def verify_source(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
+    try:
+        cc_check_context(elab.ctx, budget)
+    except DefunccError as exc:
+        return False, [f"context: FAIL ({exc})"]
+    ok, lines = True, ["context: ok"]
+    for name, error in check_annotations(elab, budget):
+        if isinstance(error, AnnotationMismatch):
+            error = f"body has type {error.body_type}"
+        ok = ok and error is None
+        lines.append(f"def {name}: annotation: " + ("ok" if error is None else f"FAIL ({error})"))
     for name, ctx, term in source_judgements(elab):
         for check in ALL_CHECKS:
             r = check(ctx, term, budget)
@@ -334,43 +355,33 @@ def verify_source(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool,
 
 
 def verify_dcc(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
-    lines: list[str] = []
     try:
         dcc_check(elab.labels, elab.ctx, budget)
-        lines.append("label context: ok")
     except DefunccError as exc:
-        lines.append(f"label context: FAIL ({exc})")
-        return False, lines
-    ok = True
-    if elab.main is not None:
-        try:
-            ty = dcc_infer(elab.labels, elab.ctx, elab.main, budget, check_ctx=False)
-            lines.append(f"main: {show_term(ty)}")
-        except DefunccError as exc:
-            ok = False
-            lines.append(f"main: FAIL ({exc})")
-    return ok, lines
+        return False, [f"label context: FAIL ({exc})"]
+    if elab.main is None:
+        return True, ["label context: ok"]
+    try:
+        ty = dcc_infer(elab.labels, elab.ctx, elab.main, budget, check_ctx=False)
+    except DefunccError as exc:
+        return False, ["label context: ok", f"main: FAIL ({exc})"]
+    return True, ["label context: ok", f"main: {show_term(ty)}"]
 
 
 def verify_file(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
-    path = Path(path)
-    elab = load_file(path)
-    if path.suffix == ".dcc":
-        return verify_dcc(elab, budget)
-    return verify_source(elab, budget)
+    verify = verify_dcc if Path(path).suffix == ".dcc" else verify_source
+    return verify(load_file(path), budget)
 
 
 def verify_path(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
     """Verify one file, or every .cc/.dcc file directly inside a directory."""
     path = Path(path)
+    files = [path]
     if path.is_dir():
-        ok = True
-        lines: list[str] = []
-        for child in sorted(path.iterdir()):
-            if child.suffix in (".cc", ".dcc") and child.is_file():
-                sub_ok, sub_lines = verify_file(child, budget)
-                ok = ok and sub_ok
-                lines.extend(f"{child.name}: {line}" for line in sub_lines)
-        return ok, lines
-    ok, lines = verify_file(path, budget)
-    return ok, [f"{path.name}: {line}" for line in lines]
+        files = [f for f in sorted(path.iterdir()) if f.suffix in (".cc", ".dcc") and f.is_file()]
+    ok, lines = True, []
+    for f in files:
+        sub_ok, sub_lines = verify_file(f, budget)
+        ok = ok and sub_ok
+        lines.extend(f"{f.name}: {line}" for line in sub_lines)
+    return ok, lines

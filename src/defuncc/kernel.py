@@ -250,7 +250,7 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
     gets the same judgement without the premises that merely re-derive a
     type."""
     if type(t) not in calc.allowed:
-        raise NotAType(f"constructor not part of the {calc.name} calculus: {t!r}")
+        raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
     match t:
         case Var(name):
             ty = ctx.lookup(name)

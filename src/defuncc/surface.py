@@ -194,6 +194,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.allow_labels = allow_labels
+        self.declared: dict[str, str] = {}  # name -> kind of its declaration
 
     # -- token plumbing
 
@@ -346,13 +347,27 @@ class _Parser:
 
     # -- declarations
 
+    def declared_name(self, kind: str) -> str:
+        """The name a declaration introduces; a file declares each name once."""
+        where = self.peek()
+        if kind != "label":
+            name = self.ident(f"{kind} name")
+        elif where.kind == "ident" and _LABEL_RE.match(where.text):
+            name = self.advance().text
+        else:
+            raise self.fail("expected a label name like l0")
+        prior = self.declared.get(name)
+        if prior == kind:
+            raise ParseError(f"duplicate {kind} {name!r}", where.line, where.col)
+        if prior is not None:
+            message = f"{kind} {name!r} reuses the name of an earlier {prior}"
+            raise ParseError(message, where.line, where.col)
+        self.declared[name] = kind
+        return name
+
     def label_block(self) -> LabelEntry:
         self.expect("ident", "label")
-        tok = self.peek()
-        if tok.kind != "ident" or not _LABEL_RE.match(tok.text):
-            raise self.fail("expected a label name like l0")
-        self.advance()
-        label_id = int(tok.text[1:])
+        label_id = int(self.declared_name("label")[1:])
         self.expect_sym("{")
         telescope: list[tuple[str, Term]] = []
         if not (self.peek().kind == "sym" and self.peek().text == "}"):
@@ -378,37 +393,24 @@ class _Parser:
         return LabelEntry(label_id, tuple(telescope), arg, arg_type, body, ret_type)
 
     def file(self) -> "SourceFile":
-        axioms: list[tuple[str, Term]] = []
-        defs: list[tuple[str, Term, Term]] = []
+        decls: list[tuple[str, Term, Term | None]] = []
         labels: list[LabelEntry] = []
-        order: list[tuple[str, int]] = []
         main: Term | None = None
         while self.peek().kind != "eof":
-            if self.at_keyword("axiom"):
-                self.advance()
-                where = self.peek()
-                name = self.ident("axiom name")
-                if any(name == n for n, _ in axioms):
-                    raise ParseError(f"duplicate axiom {name!r}", where.line, where.col)
+            if self.at_keyword("axiom") or self.at_keyword("def"):
+                kind = "axiom" if self.advance().text == "axiom" else "definition"
+                name = self.declared_name(kind)
                 self.expect_sym(":")
                 ty = self.term()
+                body = None
+                if kind == "definition":
+                    self.expect("assign")
+                    body = self.term()
                 self.expect_sym(";")
-                order.append(("axiom", len(axioms)))
-                axioms.append((name, ty))
-            elif self.at_keyword("def"):
-                self.advance()
-                name = self.ident("definition name")
-                self.expect_sym(":")
-                ty = self.term()
-                self.expect("assign")
-                body = self.term()
-                self.expect_sym(";")
-                order.append(("def", len(defs)))
-                defs.append((name, ty, body))
+                decls.append((name, ty, body))
             elif self.at_keyword("label"):
                 if not self.allow_labels:
                     raise self.fail("label blocks are not allowed in source files")
-                order.append(("label", len(labels)))
                 labels.append(self.label_block())
             else:
                 main = self.term()
@@ -417,26 +419,15 @@ class _Parser:
                 if self.peek().kind != "eof":
                     raise self.fail("the main term must be the last item in the file")
                 break
-        seen_ids = [e.label_id for e in labels]
-        if len(seen_ids) != len(set(seen_ids)):
-            raise ParseError("duplicate label block")
-        return SourceFile(
-            axioms=tuple(axioms),
-            defs=tuple(defs),
-            labels=LabelCtx(tuple(labels)),
-            order=tuple(order),
-            main=main,
-        )
+        return SourceFile(tuple(decls), LabelCtx(tuple(labels)), main)
 
 
 @dataclass(frozen=True)
 class SourceFile:
     """Parsed declarations in file order plus the optional main term."""
 
-    axioms: tuple[tuple[str, Term], ...]
-    defs: tuple[tuple[str, Term, Term], ...]
+    decls: tuple[tuple[str, Term, Term | None], ...]  # (name, type, body); axioms have no body
     labels: LabelCtx
-    order: tuple[tuple[str, int], ...]
     main: Term | None
 
     def elaborate(self) -> "Elaborated":
@@ -448,13 +439,11 @@ class SourceFile:
         expansion: dict[str, Term] = {}
         ctx = Ctx()
         checked: list[tuple[str, Term, Term]] = []
-        for kind, i in self.order:
-            if kind == "axiom":
-                name, ty = self.axioms[i]
-                ctx = ctx.extend(name, subst_many(ty, expansion))
-            elif kind == "def":
-                name, ty, body = self.defs[i]
-                ty = subst_many(ty, expansion)
+        for name, ty, body in self.decls:
+            ty = subst_many(ty, expansion)
+            if body is None:
+                ctx = ctx.extend(name, ty)
+            else:
                 body = subst_many(body, expansion)
                 checked.append((name, ty, body))
                 expansion[name] = body

@@ -8,7 +8,7 @@ import pytest
 
 from defuncc.cc import cc_normalize, cc_reduce_trace
 from defuncc.dcc import dcc_normalize, dcc_reduce_trace
-from defuncc.defun import defun, label_union
+from defuncc.defun import defun
 from defuncc.errors import StepBudgetExceeded
 from defuncc.sigma import ccs_normalize, ccs_reduce_trace
 
@@ -30,7 +30,7 @@ RUNNERS = (
 
 def _runners(ctx, term):
     res = defun(ctx, term)
-    defs = label_union(res.ctx_defs, res.defs)
+    defs = res.labels
     return {
         "cc_normalize": lambda b: cc_normalize(term, b),
         "dcc_normalize": lambda b: dcc_normalize(defs, res.term, b),

@@ -121,3 +121,76 @@ def test_input_nested_too_deeply_exits_one(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: input nests too deeply")
     assert "Traceback" not in err
+
+
+DEFS = (
+    "def f : Nat := 1;\n"
+    "def g : Type 0 := 2;\n"
+    "def k : Nat := add 1 Nat;\n"
+    "def h : Nat := Nat;\n"
+    "h\n"
+)
+
+
+@pytest.mark.parametrize("command", ["check", "defun", "eval"])
+def test_commands_stop_at_the_first_failing_definition(capsys, tmp_path, command):
+    path = tmp_path / "defs.cc"
+    path.write_text(DEFS)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: def g: body has type Nat, annotation says Type 0\n"
+
+
+def test_verify_reports_every_definition(capsys, tmp_path):
+    path = tmp_path / "defs.cc"
+    path.write_text(DEFS)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 3
+    assert [line for line in out.splitlines() if "annotation" in line] == [
+        "defs.cc: def f: annotation: ok",
+        "defs.cc: def g: annotation: FAIL (body has type Nat)",
+        "defs.cc: def k: annotation: FAIL (type mismatch in right operand of add: "
+        "expected Nat, got Type 0)",
+        "defs.cc: def h: annotation: FAIL (body has type Type 0)",
+    ]
+
+
+def test_foreign_constructor_is_printed_as_a_term(capsys, tmp_path):
+    path = tmp_path / "lam.dcc"
+    path.write_text("label l0 {} (y : Nat) -> Nat := (fun (y : Nat) => y) y;\nl0{}\n")
+    code, out, _ = run(capsys, "checkdcc", str(path))
+    assert code == 1
+    assert out == (
+        "label context: FAIL (expected a type (a term of some universe): constructor "
+        "not part of the target calculus: fun (y : Nat) => y)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("def f : Nat := 1;\ndef f : Nat := 2;\nf\n", "2:5: duplicate definition 'f'"),
+        ("axiom f : Nat;\ndef f : Nat := 2;\nf\n", "2:5: definition 'f' reuses the name of an earlier axiom"),
+        ("def f : Nat := 2;\naxiom f : Nat;\nf\n", "2:7: axiom 'f' reuses the name of an earlier definition"),
+    ],
+)
+@pytest.mark.parametrize("suffix", [".cc", ".dcc"])
+def test_repeated_declaration_is_a_parse_error(capsys, tmp_path, suffix, text, message):
+    path = tmp_path / f"dup{suffix}"
+    path.write_text(text)
+    command = "eval" if suffix == ".cc" else "checkdcc"
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+def test_repeated_label_block_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "dup.dcc"
+    path.write_text(
+        "label l0 {} (y : Nat) -> Nat := y;\n"
+        "label l1 {} (y : Nat) -> Nat := y;\n"
+        "label l0 {} (y : Nat) -> Nat := y;\n"
+        "l0{}\n"
+    )
+    code, _, err = run(capsys, "checkdcc", str(path))
+    assert (code, err) == (2, "parse error: 3:7: duplicate label 'l0'\n")

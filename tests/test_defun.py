@@ -184,6 +184,11 @@ class TestSmallPrograms:
         assert closure_names(entry) == ["f"]
         assert alpha_eq(entry.body, parse_term("add 1 (f n)"))
 
+    def test_label_context_is_context_labels_then_term_labels(self, corpus_judgements):
+        for name, ctx, term in corpus_judgements:
+            result = defun(ctx, term)
+            assert result.labels == label_union(result.ctx_defs, result.defs), name
+
 
 class TestDefunContext:
     def test_empty(self):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from defuncc import harness
 from defuncc.cc import cc_reduce_step
 from defuncc.harness import (
     ALL_CHECKS,
@@ -60,6 +61,60 @@ class TestChecks:
         ctx = Ctx().extend("A", Universe(0)).extend("x", Var("A"))
         r = check_type_preservation(ctx, Var("x"))
         assert r.ok
+
+
+# (file, budget): budgets small enough that some checks run out and others
+# do not, so a verdict that leaked from one check to another would show
+SHARED_CASES = (
+    ("poly_id.cc", 1_000_000),
+    ("defs_expansion.cc", 1_000_000),
+    ("twice.cc", 8),
+    ("church_pairs.cc", 8),
+    ("compose_nat_ground.cc", 8),
+    ("compose_nat_ground.cc", 12),
+    ("bad/illtyped.cc", 1_000_000),
+)
+
+
+def _shared_case(name, budget):
+    elab = load_file(CORPUS / name)
+    return elab.ctx, elab.main, budget
+
+
+class TestSharedArtifact:
+    """The six checks share one derivation and one translation per judgement;
+    no verdict may depend on which checks ran before."""
+
+    OTHER = (Ctx(), parse_term("(fun (x : Nat) => add x 1) 3"), 1_000_000)
+
+    @pytest.mark.parametrize("name,budget", SHARED_CASES)
+    def test_verdicts_do_not_depend_on_call_order(self, name, budget):
+        case = _shared_case(name, budget)
+        alone = []
+        for check in ALL_CHECKS:
+            ALL_CHECKS[0](*self.OTHER)
+            alone.append(check(*case))
+        in_order = [check(*case) for check in ALL_CHECKS]
+        interleaved = []
+        for check in ALL_CHECKS:
+            interleaved.append(check(*case))
+            check(*self.OTHER)
+        backwards = [check(*case) for check in reversed(ALL_CHECKS)][::-1]
+        assert alone == in_order == interleaved == backwards
+
+    def test_one_pass_translates_once(self, monkeypatch):
+        calls = []
+        real = harness.defun
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "defun", counting)
+        ctx, term, budget = _shared_case("compose_dependent.cc", 1_000_000)
+        results = [check(ctx, term, budget) for check in ALL_CHECKS]
+        assert all(r.ok for r in results), [r.line() for r in results]
+        assert len(calls) == 1
 
 
 class TestJoinable:
