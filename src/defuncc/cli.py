@@ -59,9 +59,9 @@ def _cmd_defun(args) -> int:
     emit = emit_json if args.emit == "json" else emit_text
     out = emit(res.labels, res.dcc_ctx, res.term)
     if args.out:
-        Path(args.out).write_text(out if out.endswith("\n") else out + "\n")
+        Path(args.out).write_text(out)
     else:
-        print(out)
+        print(out, end="")
     return EXIT_OK
 
 

@@ -40,6 +40,7 @@ from .syntax import (
 class TranslationResult:
     """Everything one translation run produces for a judgement ctx |- term : type."""
 
+    derivation: Derivation  # the source derivation the translation walked
     term: Term  # translated term
     type_term: Term  # translated type
     defs: LabelCtx  # label definitions extracted from the term's derivation
@@ -53,19 +54,21 @@ class Translation:
     """One minting scope.  All artifacts meant to share label ids must be
     produced by the same Translation and finalized together.
 
-    `infer` builds derivations for re-inferred components (closure telescope
-    types, return types, context entries); the explicit-substitution oracle
-    passes its own judgement builder here.
+    `infer(ctx, type)` derives the types the translation reads but a
+    derivation does not hold (a variable's, an application's, a conversion
+    target's, closure telescope types, return types, context entries); the
+    caller passes it with the caller's budget, and the explicit-substitution
+    oracle passes its own judgement builder.
     """
 
-    def __init__(self, infer=None) -> None:
+    def __init__(self, infer) -> None:
         self._by_key: dict[object, int] = {}
         # provisional id = list index; Renumbering gives each entry its final id
         self._entries: list[LabelEntry] = []
         self._first_stamp: dict[int, int] = {}
         self._stamp = 0
         self.subst_nodes = 0  # translated explicit-substitution nodes
-        self._infer = infer or (lambda ctx, t: cc_infer(ctx, t, check_ctx=False))
+        self._infer = infer
 
     # -- minting
 
@@ -86,8 +89,7 @@ class Translation:
         rule = deriv.rule
         ch = deriv.children
         if rule == "ty-Var":
-            _, d = self.translate(ch[0])
-            return deriv.subject, d
+            return deriv.subject, self._translate_type(deriv.ctx, deriv.type)[1]
         if rule in ("ty-Universe", "ty-Nat", "ty-NatLit"):
             return deriv.subject, ()
         if rule == "ty-Add":
@@ -104,11 +106,11 @@ class Translation:
         if rule == "ty-Apply":
             tm, dm = self.translate(ch[0])
             tn, dn = self.translate(ch[1])
-            _, dsub = self.translate(ch[2])
-            return App(tm, tn), _union(dm, dn, dsub)
+            dty = self._translate_type(deriv.ctx, deriv.type)[1]
+            return App(tm, tn), _union(dm, dn, dty)
         if rule == "ty-Equiv":
             tm, dm = self.translate(ch[0])
-            _, dty = self.translate(ch[1])
+            dty = self._translate_type(deriv.ctx, deriv.type)[1]
             return tm, _union(dm, dty)
         if rule == "s-ty-Subst":
             tm, dm = self.translate(ch[0])
@@ -133,12 +135,8 @@ class Translation:
         subject = deriv.subject
         assert isinstance(subject, Lam)
         tele = fv_telescope(deriv.ctx, subject, deriv.type)
-        tele_t = tuple(
-            (x, self.translate(self._infer(deriv.ctx, a))[0]) for x, a in tele
-        )
-        body_ctx = dm_deriv.ctx
-        ret = dm_deriv.type
-        tb, _ = self.translate(self._infer(body_ctx, ret))
+        tele_t = tuple((x, self._translate_type(deriv.ctx, a)[0]) for x, a in tele)
+        tb, _ = self._translate_type(dm_deriv.ctx, dm_deriv.type)
         pid = self._mint(
             LabelEntry(-1, tele_t, subject.binder, ta, tm, tb), stamp
         )
@@ -151,12 +149,15 @@ class Translation:
         defs: tuple[int, ...] = ()
         prefix = Ctx()
         for x, a in ctx:
-            d = self._infer(prefix, a)
-            ta, da = self.translate(d)
+            ta, da = self._translate_type(prefix, a)
             out = out.extend(x, ta)
             defs = _union(defs, da)
             prefix = prefix.extend(x, a)
         return out, defs
+
+    def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
+        """Translate a type the walk reads, through its own derivation."""
+        return self.translate(self._infer(ctx, ty))
 
     # -- finalization
 
@@ -214,16 +215,22 @@ def _union(*parts: tuple[int, ...]) -> tuple[int, ...]:
 # Public entry points
 
 
+def source_infer(budget: int):
+    """Source-calculus inference within `budget`, as a Translation takes it."""
+    return lambda ctx, t: cc_infer(ctx, t, budget, check_ctx=False)
+
+
 def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResult:
     """Translate a judgement: context first, then the term, then its type."""
     deriv = cc_infer(ctx, term, budget)
-    run = Translation()
+    run = Translation(source_infer(budget))
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
     type_deriv = cc_infer(ctx, deriv.type, budget, check_ctx=False)
     type_t, type_pids = run.translate(type_deriv)
     ren = run.finalize()
     return TranslationResult(
+        derivation=deriv,
         term=ren.term(term_t),
         type_term=ren.term(type_t),
         defs=ren.label_ctx(term_pids),
@@ -243,7 +250,7 @@ def defun_defs(ctx: Ctx, term: Term) -> LabelCtx:
 
 
 def defun_context(ctx: Ctx) -> tuple[Ctx, LabelCtx]:
-    run = Translation()
+    run = Translation(source_infer(DEFAULT_BUDGET))
     dcc_ctx, pids = run.translate_context(ctx)
     ren = run.finalize()
     return ren.ctx(dcc_ctx), ren.label_ctx(pids)

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
-from .defun import Translation, _union, defun, label_subset, label_union
+from .defun import Translation, _union, defun, label_subset, label_union, source_infer
 from .errors import AnnotationMismatch, DefunccError, StepBudgetExceeded, TypeCheckError
 from .kernel import DEFAULT_BUDGET
 from .refun import refun_context, refun_expr
@@ -57,19 +57,18 @@ class CheckResult:
 
 
 class _Judgement:
-    """One judgement as its six checks share it: the source derivation,
-    checked with the context, and the translation, each built on first use
-    (a failure is not kept, so each check that reads the part meets it)."""
+    """One judgement as its six checks share it: the translation, with the
+    source derivation it walked (checked with the context), built on first use
+    (a failure is not kept, so each check that reads it meets it)."""
 
-    def __init__(self, ctx: Ctx, term: Term, budget: int, infer, translate) -> None:
+    def __init__(self, ctx: Ctx, term: Term, budget: int, translate) -> None:
         self.ctx, self.term, self.budget = ctx, term, budget
-        self.derivation = functools.cache(lambda: infer(ctx, term, budget))
         self.translation = functools.cache(lambda: translate(ctx, term, budget))
 
 
-# One entry: a judgement's checks run back to back.  The `cc_infer` and `defun`
-# in use are part of the key, so a replaced one (a tracer, a test's counter)
-# never reads what another built.
+# One entry: a judgement's checks run back to back.  The `defun` in use is part
+# of the key, so a replaced one (a tracer, a test's counter) never reads what
+# another built.
 _judgement = functools.lru_cache(maxsize=1)(_Judgement)
 
 
@@ -81,7 +80,7 @@ def _check(name: str):
     def wrap(body):
         def check(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> CheckResult:
             try:
-                return CheckResult(name, *body(_judgement(ctx, term, budget, cc_infer, defun)))
+                return CheckResult(name, *body(_judgement(ctx, term, budget, defun)))
             except DefunccError as exc:
                 return CheckResult(name, False, str(exc))
 
@@ -107,9 +106,9 @@ def check_type_preservation(j: _Judgement):
 @_check("reduction-preservation")
 def check_reduction_preservation(j: _Judgement):
     """Normalize on both sides of the translation and compare results."""
-    deriv, budget = j.derivation(), j.budget
+    deriv, budget = j.translation().derivation, j.budget
     nf = cc_normalize(j.term, budget)
-    run = Translation()
+    run = Translation(source_infer(budget))
     dcc_ctx, cp = run.translate_context(j.ctx)
     tt, tp = run.translate(deriv)
     dnf = cc_infer(j.ctx, nf, budget, check_ctx=False)
@@ -161,12 +160,11 @@ def check_type_safety(j: _Judgement):
 @_check("weakening")
 def check_weakening(j: _Judgement):
     """Appending unused assumptions or labels must not change types."""
-    deriv, budget = j.derivation(), j.budget
+    res, budget = j.translation(), j.budget
     z = fresh_name("zw", set(j.ctx.names()) | free_var_set(j.term))
     d2 = cc_infer(j.ctx.extend(z, Universe(0)), j.term, budget, check_ctx=False)
-    if not cc_equiv(d2.type, deriv.type, budget):
+    if not cc_equiv(d2.type, res.derivation.type, budget):
         return False, "source type changed under a longer context"
-    res = j.translation()
     extra_id = max([e.label_id for e in res.labels], default=-1) + 1
     extra = LabelEntry(extra_id, (), "x", NAT, Var("x"), NAT)
     defs2 = label_union(res.labels, LabelCtx((extra,)))
@@ -231,9 +229,13 @@ def joinable(step, a: Term, b: Term, max_steps: int = 200) -> bool:
 @dataclass(frozen=True)
 class EnumConfig:
     size_budget: int = 8
-    universe_levels: tuple[int, ...] = (0, 1)
-    nat_literals: tuple[int, ...] = (1,)
-    infer_budget: int = 20_000
+
+
+# the atoms of enumerated terms besides variables and Nat, and the budget that
+# decides whether a candidate typechecks
+ENUM_UNIVERSE_LEVELS = (0, 1)
+ENUM_NAT_LITERALS = (1,)
+ENUM_INFER_BUDGET = 20_000
 
 
 def seed_contexts() -> tuple[Ctx, ...]:
@@ -248,7 +250,7 @@ def seed_contexts() -> tuple[Ctx, ...]:
 
 
 def _raw_terms(
-    names: tuple[str, ...], size: int, depth: int, cfg: EnumConfig, memo: dict
+    names: tuple[str, ...], size: int, depth: int, memo: dict
 ) -> list[Term]:
     key = (names, size, depth)
     cached = memo.get(key)
@@ -257,19 +259,19 @@ def _raw_terms(
     out: list[Term] = []
     if size == 1:
         out.extend(Var(n) for n in names)
-        out.extend(Universe(lvl) for lvl in cfg.universe_levels)
+        out.extend(Universe(lvl) for lvl in ENUM_UNIVERSE_LEVELS)
         out.append(NAT)
-        out.extend(NatLit(v) for v in cfg.nat_literals)
+        out.extend(NatLit(v) for v in ENUM_NAT_LITERALS)
     elif size >= 3:
         for left in range(1, size - 1):
             right = size - 1 - left
-            ls = _raw_terms(names, left, depth, cfg, memo)
-            rs = _raw_terms(names, right, depth, cfg, memo)
+            ls = _raw_terms(names, left, depth, memo)
+            rs = _raw_terms(names, right, depth, memo)
             for f, a in itertools.product(ls, rs):
                 out.append(App(f, a))
                 out.append(Add(f, a))
             binder = f"b{depth}"
-            bodies = _raw_terms(names + (binder,), right, depth + 1, cfg, memo)
+            bodies = _raw_terms(names + (binder,), right, depth + 1, memo)
             for dom, body in itertools.product(ls, bodies):
                 out.append(Pi(binder, dom, body))
                 out.append(Lam(binder, dom, body))
@@ -287,9 +289,9 @@ def enumerate_small_terms(cfg: EnumConfig = EnumConfig()) -> list[tuple[Ctx, Ter
     memo: dict = {}
     for ctx in seed_contexts():
         for size in range(1, cfg.size_budget + 1):
-            for t in _raw_terms(ctx.names(), size, 0, cfg, memo):
+            for t in _raw_terms(ctx.names(), size, 0, memo):
                 try:
-                    cc_infer(ctx, t, cfg.infer_budget, check_ctx=False)
+                    cc_infer(ctx, t, ENUM_INFER_BUDGET, check_ctx=False)
                 except (TypeCheckError, StepBudgetExceeded):
                     continue
                 out.append((ctx, t))

@@ -102,8 +102,7 @@ class Calculus:
     unfold: Callable[["Calculus", Term, str, Budget], Term | None] = apply_fresh
     instantiate: Callable[[Pi, Term], Term] = _substitute  # the type of an application
     rules: dict = field(default_factory=dict)  # typing rules only it has, by constructor
-    # Infer only the type: no premises that re-derive a variable's, a
-    # result's or a conversion target's type; function types read in normal form.
+    # read function types in normal form
     type_only: bool = False
 
     def check_term(self, t: Term) -> None:
@@ -246,9 +245,9 @@ def _equiv_nf(calc: Calculus, a: Term, b: Term, depth: int, bud: Budget) -> bool
 
 
 def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
-    """The derivation of ctx |- t : T; its .type is T.  A type-only calculus
-    gets the same judgement without the premises that merely re-derive a
-    type."""
+    """The derivation of ctx |- t : T; its .type is T.  Its premises are about
+    the parts of t only: a variable has none, an application has the function
+    and the argument, a conversion the converted derivation."""
     if type(t) not in calc.allowed:
         raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
     match t:
@@ -256,7 +255,7 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
             ty = ctx.lookup(name)
             if ty is None:
                 raise UnboundVariable(name)
-            return Derivation("ty-Var", ctx, t, ty, _type_premise(calc, ctx, ty, b))
+            return Derivation("ty-Var", ctx, t, ty)
         case Universe(i):
             return Derivation("ty-Universe", ctx, t, Universe(i + 1))
         case NatType():
@@ -290,25 +289,16 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
                 w = normalize(calc, fn_ty, b)
                 if not isinstance(w, Pi):
                     raise NotAFunction(f"{show_term(fn)} has type {show_term(fn_ty)}")
-                dm = _conversion(calc, ctx, dm, fn, w, b)
+                dm = _conversion(ctx, dm, fn, w)
                 fn_ty = w
             dn = coerce(calc, ctx, infer(calc, ctx, arg, b), fn_ty.domain, b, "argument")
-            result = calc.instantiate(fn_ty, arg)
-            premises = (dm, dn, *_type_premise(calc, ctx, result, b))
-            return Derivation("ty-Apply", ctx, t, result, premises)
+            return Derivation("ty-Apply", ctx, t, calc.instantiate(fn_ty, arg), (dm, dn))
     return calc.rules[type(t)](calc, ctx, t, b)
 
 
-def _type_premise(calc: Calculus, ctx: Ctx, ty: Term, b: Budget) -> tuple[Derivation, ...]:
-    return () if calc.type_only else (infer(calc, ctx, ty, b),)
-
-
-def _conversion(
-    calc: Calculus, ctx: Ctx, d: Derivation, subject: Term, target: Term, b: Budget
-) -> Derivation:
+def _conversion(ctx: Ctx, d: Derivation, subject: Term, target: Term) -> Derivation:
     """ctx |- subject : target, from d by conversion."""
-    premises = (d, *_type_premise(calc, ctx, target, b))
-    return Derivation("ty-Equiv", ctx, subject, target, premises)
+    return Derivation("ty-Equiv", ctx, subject, target, (d,))
 
 
 def _freshen(ctx: Ctx, x: str, body: Term) -> tuple[str, Term]:
@@ -324,7 +314,7 @@ def infer_type(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> tuple[Derivation
         return d, d.type.level
     w = normalize(calc, d.type, b)
     if isinstance(w, Universe):
-        return _conversion(calc, ctx, d, t, w, b), w.level
+        return _conversion(ctx, d, t, w), w.level
     raise NotAType(f"{show_term(t)} has type {show_term(d.type)}")
 
 
@@ -336,7 +326,7 @@ def coerce(
         return d
     if not convertible(calc, d.type, want, b):
         raise TypeMismatch(show_term(want), show_term(d.type), where)
-    return _conversion(calc, ctx, d, d.subject, want, b)
+    return _conversion(ctx, d, d.subject, want)
 
 
 def check_context(calc: Calculus, ctx: Ctx, b: Budget) -> None:

@@ -307,15 +307,9 @@ def rename_free(t: Term, old: str, new: str) -> Term:
 # Alpha equivalence
 
 
-def alpha_eq(a: Term, b: Term, pairs: tuple[tuple[str, str], ...] = ()) -> bool:
-    """Structural equality modulo bound-variable names.
-
-    `pairs` pre-identifies free names of the left term with free names of the
-    right (used when comparing open components of label entries).
-    """
-    enva = {x: i for i, (x, _) in enumerate(pairs)}
-    envb = {y: i for i, (_, y) in enumerate(pairs)}
-    return _aeq(a, b, enva, envb, len(pairs))
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Structural equality modulo bound-variable names."""
+    return _aeq(a, b, {}, {}, 0)
 
 
 def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: int) -> bool:

@@ -19,6 +19,7 @@ from defuncc.errors import (
     TypeMismatch,
     UnboundVariable,
 )
+from defuncc.sigma import ccs_infer
 from defuncc.surface import parse_term
 from defuncc.syntax import (
     Add,
@@ -248,3 +249,44 @@ class TestMetatheorySmoke:
         ctx = ctx_of(("A", "Type 0"), ("f", "A -> A"), ("x", "A"))
         d = cc_infer(ctx, parse_term("f (f x)"))
         assert cc_infer(ctx, d.type).type == Universe(0)
+
+
+def _premise_counts(deriv) -> dict[str, set[int]]:
+    """For each rule in a derivation, the numbers of premises it was given."""
+    counts: dict[str, set[int]] = {}
+    stack = [deriv]
+    while stack:
+        d = stack.pop()
+        counts.setdefault(d.rule, set()).add(len(d.children))
+        stack.extend(d.children)
+    return counts
+
+
+class TestDerivationShape:
+    """A derivation holds the premises about its subject's parts only: the
+    type a variable, an application or a conversion assigns is not re-derived."""
+
+    @pytest.mark.parametrize("infer", [cc_infer, ccs_infer], ids=["source", "suspension"])
+    def test_premises_are_the_subject_parts(self, infer, corpus_judgements):
+        counts: dict[str, set[int]] = {}
+        for _, ctx, term in corpus_judgements:
+            for rule, ns in _premise_counts(infer(ctx, term)).items():
+                counts.setdefault(rule, set()).update(ns)
+        assert counts["ty-Var"] == {0}
+        assert counts["ty-Apply"] == {2}
+        assert counts["ty-Equiv"] == {1}
+
+    def test_application_premises_are_function_and_argument(self):
+        d = cc_infer(ctx_of(("f", "Nat -> Nat")), parse_term("f 1"))
+        assert d.rule == "ty-Apply"
+        assert [c.subject for c in d.children] == [Var("f"), NatLit(1)]
+        assert [c.rule for c in d.children] == ["ty-Var", "ty-NatLit"]
+
+    def test_conversion_premise_is_the_converted_derivation(self):
+        ctx = ctx_of(("P", "Nat -> Type 0"), ("p", "P 2"), ("g", "P (add 1 1) -> Nat"))
+        d = cc_infer(ctx, parse_term("g p"))
+        conv = d.children[1]
+        assert conv.rule == "ty-Equiv"
+        assert alpha_eq(conv.type, parse_term("P (add 1 1)"))
+        (inner,) = conv.children
+        assert inner.rule == "ty-Var" and inner.subject == Var("p")

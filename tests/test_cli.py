@@ -56,6 +56,18 @@ def test_defun_emits_json(capsys, tmp_path):
     assert [e["name"] for e in data["labels"]] == ["l2", "l1", "l0"]
 
 
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_defun_stdout_is_the_out_file(capsys, tmp_path, emit):
+    src = str(CORPUS / "compose_dependent.cc")
+    target = tmp_path / "out"
+    code, printed, _ = run(capsys, "defun", "--emit", emit, src)
+    assert code == 0
+    code, quiet, _ = run(capsys, "defun", "--emit", emit, "--out", str(target), src)
+    assert code == 0 and quiet == ""
+    assert printed == target.read_text()
+    assert printed.endswith("\n") and not printed.endswith("\n\n")
+
+
 def test_defun_output_round_trips_through_checkdcc_and_refun(capsys, tmp_path):
     target = tmp_path / "compose.dcc"
     code, _, _ = run(

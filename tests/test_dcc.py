@@ -14,13 +14,14 @@ from defuncc.dcc import (
     label_beta,
     label_pi_type,
 )
-from defuncc.defun import Translation, defun, label_union
+from defuncc.defun import Translation, defun, label_union, source_infer
 from defuncc.errors import (
     ClosureArity,
     ClosureTypeMismatch,
     UnboundVariable,
     UnknownLabel,
 )
+from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
@@ -54,7 +55,7 @@ def compose_st(elaborated):
 
 def shared_run(ctx, t1, t2):
     """Translate two judgements in one minting scope so label ids agree."""
-    run = Translation()
+    run = Translation(source_infer(DEFAULT_BUDGET))
     run.translate_context(ctx)
     a, p1 = run.translate(cc_infer(ctx, t1))
     b, p2 = run.translate(cc_infer(ctx, t2))

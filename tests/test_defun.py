@@ -1,5 +1,8 @@
 """Forward translation: lambdas become labels carrying their closures."""
 
+import importlib
+import inspect
+
 import pytest
 
 from defuncc.defun import (
@@ -26,6 +29,8 @@ from defuncc.syntax import (
 )
 
 EMPTY = Ctx()
+# the module, which the package's `defun` function shadows as an attribute
+defun_module = importlib.import_module("defuncc.defun")
 
 
 def closure_names(entry) -> list[str]:
@@ -251,3 +256,24 @@ class TestDeterminism:
         result = defun(elab.ctx, elab.main)
         assert defun_expr(elab.ctx, elab.main) == result.term
         assert defun_defs(elab.ctx, elab.main) == result.defs
+
+
+class TestBudget:
+    def test_every_derivation_gets_the_callers_budget(self, elaborated, monkeypatch):
+        """The derivations the translation walks, including the types it
+        re-derives, are built within the budget `defun` was given."""
+        real = defun_module.cc_infer
+        signature = inspect.signature(real)
+        budgets = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            budgets.append(bound.arguments["budget"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(defun_module, "cc_infer", spy)
+        elab = elaborated("typelevel_nat")
+        defun(elab.ctx, elab.main, budget=5000)
+        assert len(budgets) > 2
+        assert set(budgets) == {5000}

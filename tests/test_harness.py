@@ -1,5 +1,6 @@
 """Judgement checks, term enumeration, and file verification."""
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from defuncc.syntax import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# the module, which the package's `defun` function shadows as an attribute
+defun_module = importlib.import_module("defuncc.defun")
 
 
 class TestChecks:
@@ -115,6 +118,25 @@ class TestSharedArtifact:
         results = [check(ctx, term, budget) for check in ALL_CHECKS]
         assert all(r.ok for r in results), [r.line() for r in results]
         assert len(calls) == 1
+
+    def test_one_pass_derives_the_judgement_once(self, monkeypatch):
+        """The checks read the derivation `defun` walked instead of deriving
+        the judgement again (reduction preservation and weakening)."""
+        ctx, term, budget = _shared_case("compose_nat_ground.cc", 1_000_000)
+        harness._judgement.cache_clear()  # an earlier test may hold this judgement
+        own = []
+        for module in (harness, defun_module):
+            real = module.cc_infer
+
+            def counting(c, t, *args, _real=real, **kwargs):
+                if (c, t) == (ctx, term):
+                    own.append(c)
+                return _real(c, t, *args, **kwargs)
+
+            monkeypatch.setattr(module, "cc_infer", counting)
+        results = [check(ctx, term, budget) for check in ALL_CHECKS]
+        assert all(r.ok for r in results), [r.line() for r in results]
+        assert len(own) == 1
 
 
 class TestJoinable:
