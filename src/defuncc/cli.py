@@ -1,7 +1,8 @@
 """Command line driver.
 
 Exit codes: 0 success, 1 type error (or input nested too deeply to check),
-2 parse error (including a name declared twice), 3 verification failure.
+2 parse error (including a name declared twice) or a file that cannot be read
+or written (missing, a directory, not UTF-8 text), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -163,8 +164,11 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text ({exc})", file=sys.stderr)
         return EXIT_PARSE
     except DefunccError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,14 @@ class Translation:
     target's, closure telescope types, return types, context entries); the
     caller passes it with the caller's budget, and the explicit-substitution
     oracle passes its own judgement builder.
+
+    The run derives and translates each distinct `(ctx, type)` once and
+    reuses the result.  That is exact: every caller's `infer` derives each
+    type under a fresh budget, so a derivation is a function of
+    `(ctx, type)` alone, and a repeat translation would mint only entries
+    whose first stamp already exists, so skipping it leaves the order of
+    first stamps, and with it every final id, unchanged.  Provisional ids
+    belong to one run, so the memo does too.
     """
 
     def __init__(self, infer) -> None:
@@ -67,8 +75,11 @@ class Translation:
         self._entries: list[LabelEntry] = []
         self._first_stamp: dict[int, int] = {}
         self._stamp = 0
-        self.subst_nodes = 0  # translated explicit-substitution nodes
+        # translated explicit-substitution nodes; a memo hit adds none for the
+        # suspensions inside that type
+        self.subst_nodes = 0
         self._infer = infer
+        self._types: dict[tuple[Ctx, Term], list[tuple[Term, tuple[int, ...]]]] = {}
 
     # -- minting
 
@@ -156,8 +167,12 @@ class Translation:
         return out, defs
 
     def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
-        """Translate a type the walk reads, through its own derivation."""
-        return self.translate(self._infer(ctx, ty))
+        """Translate a type the walk reads, through its own derivation, once
+        per run."""
+        done = self._types.setdefault((ctx, ty), [])  # one hash of the key per call
+        if not done:
+            done.append(self.translate(self._infer(ctx, ty)))
+        return done[0]
 
     # -- finalization
 
@@ -226,8 +241,7 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
     run = Translation(source_infer(budget))
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
-    type_deriv = cc_infer(ctx, deriv.type, budget, check_ctx=False)
-    type_t, type_pids = run.translate(type_deriv)
+    type_t, type_pids = run._translate_type(ctx, deriv.type)
     ren = run.finalize()
     return TranslationResult(
         derivation=deriv,

@@ -5,10 +5,36 @@ from pathlib import Path
 import pytest
 
 from defuncc.harness import load_file, source_judgements
+from defuncc.surface import parse_source
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 BAD = CORPUS / "bad"
+
+_TWICE = (
+    "def twice : (A : Type 0) -> (A -> A) -> A -> A :=\n"
+    "  fun (A : Type 0) => fun (f : A -> A) => fun (x : A) => f (f x);\n"
+)
+
+
+def _vec_source(n: int) -> str:
+    """`cons (n-1) (... (cons 0 nil))`: a length-n vector whose index type
+    computes with add."""
+    body = "nil"
+    for i in range(n):
+        body = f"cons {i} ({body})"
+    return (
+        "axiom V : Nat -> Type 0;\naxiom nil : V 0;\n"
+        f"axiom cons : (n : Nat) -> V n -> V (add n 1);\n{body}\n"
+    )
+
+
+def _twice_source(k: int) -> str:
+    """The polymorphic twice nested k times around a successor, applied to 0."""
+    f = "(fun (n : Nat) => add n 1)"
+    for _ in range(k):
+        f = f"(twice Nat {f})"
+    return f"{_TWICE}{f} 0\n"
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +70,16 @@ def elaborated():
         return load_file(CORPUS / f"{stem}.cc")
 
     return load
+
+
+@pytest.fixture(scope="session")
+def scaling():
+    """Builder for the scaling families: ("vec", n) or ("twice", k) gives
+    the program's (ctx, main term)."""
+    sources = {"vec": _vec_source, "twice": _twice_source}
+
+    def build(family: str, size: int):
+        elab = parse_source(sources[family](size)).elaborate()
+        return elab.ctx, elab.main
+
+    return build

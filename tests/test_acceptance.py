@@ -16,6 +16,7 @@ from defuncc.cc import cc_infer, cc_normalize
 from defuncc.cli import main as cli_main
 from defuncc.defun import defun
 from defuncc.harness import (
+    ALL_CHECKS,
     EnumConfig,
     check_reduction_preservation,
     check_round_trip,
@@ -71,15 +72,15 @@ l0{}
 """
 
 
-def _report(number: int, title: str, ok: bool, started: float, bound: float,
+def _report(gate: str, title: str, ok: bool, started: float, bound: float,
             detail: str = "") -> None:
     elapsed = time.perf_counter() - started
     status = "PASS" if ok else "FAIL"
     extra = f" - {detail}" if detail else ""
-    print(f"criterion {number} ({title}): {status} [{elapsed:.2f}s]{extra}")
-    assert ok, f"criterion {number}: {detail}"
+    print(f"{gate} ({title}): {status} [{elapsed:.2f}s]{extra}")
+    assert ok, f"{gate}: {detail}"
     assert elapsed < bound, (
-        f"criterion {number} exceeded its {bound:.0f}s bound: {elapsed:.2f}s"
+        f"{gate} exceeded its {bound:.0f}s bound: {elapsed:.2f}s"
     )
 
 
@@ -160,7 +161,7 @@ def test_criterion_1_dependent_compose_golden_translation(elaborated):
             result.defs, result.term, ref.labels, ref.main
         )
     )
-    _report(1, "dependent compose golden translation", ok, started, 1.0,
+    _report("criterion 1", "dependent compose golden translation", ok, started, 1.0,
             "six labels with telescoping closures, term l0{}")
 
 
@@ -177,7 +178,7 @@ def test_criterion_2_simply_typed_compose_translation(elaborated):
         and [n for n, _ in entries[2].telescope]
         == ["B", "C", "A", "f", "g"]
     )
-    _report(2, "simply typed compose translation", ok, started, 1.0,
+    _report("criterion 2", "simply typed compose translation", ok, started, 1.0,
             "three labels, innermost body f (g x)")
 
 
@@ -195,7 +196,7 @@ def test_criterion_3_type_preservation(corpus_judgements, enumerated):
         if not r.ok:
             failures.append(f"enumerated[{i}]: {r.detail}")
     _report(
-        3, "type preservation", not failures, started, 60.0,
+        "criterion 3", "type preservation", not failures, started, 60.0,
         f"{len(corpus_judgements)} corpus + {len(enumerated)} enumerated "
         f"judgements" + (f"; first failure {failures[0]}" if failures else ""),
     )
@@ -219,7 +220,7 @@ def test_criterion_4_reduction_preservation(corpus_judgements, elaborated):
     if not alpha_eq(cc_normalize(ty), want):
         failures.append("type-level normal form mismatch")
     _report(
-        4, "reduction preservation", not failures, started, 30.0,
+        "criterion 4", "reduction preservation", not failures, started, 30.0,
         f"{len(corpus_judgements)} judgements, normal forms agree"
         + (f"; first failure {failures[0]}" if failures else ""),
     )
@@ -239,7 +240,7 @@ def test_criterion_5_commuting_diagram(corpus_judgements, elaborated):
     focused = check_diagram(elab.ctx, elab.main, raise_on_failure=False)
     ok = not failures and focused.ok and focused.subst_nodes > 0
     _report(
-        5, "machine and translation commute", ok, started, 60.0,
+        "criterion 5", "machine and translation commute", ok, started, 60.0,
         f"{len(corpus_judgements)} traces, {total_subst} suspension "
         f"translations" + (f"; first failure {failures[0]}" if failures else ""),
     )
@@ -257,7 +258,7 @@ def test_criterion_6_round_trip(corpus_judgements, enumerated):
         if not r.ok:
             failures.append(f"enumerated[{i}]: {r.detail}")
     _report(
-        6, "round trip returns to the source", not failures, started, 60.0,
+        "criterion 6", "round trip returns to the source", not failures, started, 60.0,
         f"{len(corpus_judgements)} corpus + {len(enumerated)} enumerated "
         f"judgements" + (f"; first failure {failures[0]}" if failures else ""),
     )
@@ -289,9 +290,28 @@ def test_criterion_7_type_safety_and_rejection(corpus_judgements,
     if proc.returncode != 1:
         failures.append(f"subprocess exit {proc.returncode}, wanted 1")
     _report(
-        7, "translated programs run; ill-typed inputs are rejected",
+        "criterion 7", "translated programs run; ill-typed inputs are rejected",
         not failures, started, 30.0,
         f"{len(corpus_judgements)} safety checks, "
         f"{len(bad_dcc_paths) + 1} rejections"
+        + (f"; first failure {failures[0]}" if failures else ""),
+    )
+
+
+def test_scaling_families_pass_every_check(scaling):
+    """The six checks hold beyond the corpus: Vec chains of length 20 and 40
+    and twice nested three deep, at the default budget."""
+    started = time.perf_counter()
+    failures = []
+    sizes = [("vec", 20), ("vec", 40), ("twice", 3)]
+    for family, size in sizes:
+        ctx, term = scaling(family, size)
+        for check in ALL_CHECKS:
+            r = check(ctx, term)
+            if not r.ok:
+                failures.append(f"{family} {size}: {r.line()}")
+    _report(
+        "scaling", "larger inputs pass every check", not failures, started, 20.0,
+        f"{len(sizes)} programs x {len(ALL_CHECKS)} checks"
         + (f"; first failure {failures[0]}" if failures else ""),
     )

@@ -108,6 +108,22 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "defun", "checkdcc", "eval", "refun", "verify"])
+def test_non_utf8_file_exits_two(capsys, tmp_path, command):
+    garbled = tmp_path / "garbled.cc"
+    garbled.write_bytes(b"axiom A : Type 0;\n\xff\xfe\n")
+    code, _, err = run(capsys, command, str(garbled))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "defun", "checkdcc", "eval", "refun"])
+def test_directory_as_file_exits_two(capsys, tmp_path, command):
+    code, _, err = run(capsys, command, str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_failure_exits_three(capsys):
     code, _, err = run(
         capsys, "verify", str(CORPUS / "bad" / "unknown_label.dcc")

@@ -1,11 +1,13 @@
 """Forward translation: lambdas become labels carrying their closures."""
 
+import dataclasses
 import importlib
 import inspect
 
 import pytest
 
 from defuncc.defun import (
+    Translation,
     defun,
     defun_context,
     defun_defs,
@@ -14,6 +16,12 @@ from defuncc.defun import (
     label_union,
 )
 from defuncc.errors import LabelClash
+from defuncc.harness import (
+    EnumConfig,
+    check_reduction_preservation,
+    enumerate_small_terms,
+)
+from defuncc.sigma import check_diagram
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
@@ -31,6 +39,8 @@ from defuncc.syntax import (
 EMPTY = Ctx()
 # the module, which the package's `defun` function shadows as an attribute
 defun_module = importlib.import_module("defuncc.defun")
+harness_module = importlib.import_module("defuncc.harness")
+sigma_module = importlib.import_module("defuncc.sigma")
 
 
 def closure_names(entry) -> list[str]:
@@ -277,3 +287,71 @@ class TestBudget:
         defun(elab.ctx, elab.main, budget=5000)
         assert len(budgets) > 2
         assert set(budgets) == {5000}
+
+
+class _AlwaysDerive(Translation):
+    """The translation without its type memo: every type it reads is derived
+    and translated again."""
+
+    def _translate_type(self, ctx, ty):
+        return self.translate(self._infer(ctx, ty))
+
+
+def _use_translation(monkeypatch, cls) -> None:
+    for module in (defun_module, harness_module, sigma_module):
+        monkeypatch.setattr(module, "Translation", cls)
+
+
+class TestTypeMemo:
+    def test_each_type_is_derived_once_per_run(self, corpus_judgements, monkeypatch):
+        """defun, reduction preservation and the diagram check each ask
+        their run's `infer` for every distinct (ctx, type) at most once."""
+        runs: list[list] = []
+
+        class Spy(Translation):
+            def __init__(self, infer):
+                seen: list = []
+                runs.append(seen)
+
+                def spy(ctx, ty):
+                    seen.append((ctx, ty))
+                    return infer(ctx, ty)
+
+                super().__init__(spy)
+
+        _use_translation(monkeypatch, Spy)
+        repeated = []
+        for name, ctx, term in corpus_judgements:
+            start = len(runs)
+            defun(ctx, term)
+            check_reduction_preservation(ctx, term)
+            check_diagram(ctx, term)
+            assert len(runs) - start >= 3
+            repeated += [name for seen in runs[start:] if len(set(seen)) < len(seen)]
+        assert repeated == []
+        assert sum(map(len, runs)) > 0
+
+    def test_memo_changes_no_output(self, corpus_judgements, scaling, monkeypatch):
+        """With and without the memo, every translation result is equal, and
+        every diagram report is equal apart from its suspension count."""
+        judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
+        judgements += enumerate_small_terms(EnumConfig(size_budget=6))
+        judgements += [scaling("vec", n) for n in range(2, 9)]
+        judgements += [scaling("twice", k) for k in (1, 2)]
+
+        def outputs():
+            return [
+                (
+                    defun(ctx, term),
+                    dataclasses.replace(
+                        check_diagram(ctx, term, raise_on_failure=False), subst_nodes=0
+                    ),
+                )
+                for ctx, term in judgements
+            ]
+
+        memo = outputs()
+        _use_translation(monkeypatch, _AlwaysDerive)
+        plain = outputs()
+        assert len(plain) == len(memo) > 2525
+        assert [i for i, (a, b) in enumerate(zip(memo, plain)) if a != b] == []
