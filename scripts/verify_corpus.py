@@ -15,7 +15,7 @@ from defuncc.harness import verify_path
 def main() -> int:
     default = Path(__file__).resolve().parent.parent / "corpus"
     target = Path(sys.argv[1]) if len(sys.argv) > 1 else default
-    ok, lines = verify_path(target)
+    ok, lines, _ = verify_path(target)
     for line in lines:
         print(line)
     checks = sum(": ok" in line for line in lines)

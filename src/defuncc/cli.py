@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 type error (or input nested too deeply to check),
 2 parse error (including a name declared twice) or a file that cannot be read
 or written (missing, a directory, not UTF-8 text), 3 verification failure.
+`verify DIR` reports each file it cannot read or parse on its own line and
+goes on: it exits 2 if any file failed to read or parse, else 3 if any check
+failed, else 0.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize  # noqa: F401
 from .dcc import dcc_infer, dcc_normalize
 from .defun import defun
-from .errors import DefunccError, ParseError
+from .errors import INPUT_ERRORS, DefunccError, input_error_message
 from .harness import check_annotations, load_file, verify_dcc, verify_path
 from .kernel import DEFAULT_BUDGET
 from .refun import refun
@@ -105,9 +108,11 @@ def _cmd_refun(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok, lines = verify_path(args.path, args.budget)
+    ok, lines, all_read = verify_path(args.path, args.budget)
     for line in lines:
         print(line)
+    if not all_read:
+        return EXIT_PARSE
     if not ok:
         print("verification failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -161,14 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8 text ({exc})", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        print(input_error_message(exc), file=sys.stderr)
         return EXIT_PARSE
     except DefunccError as exc:
         print(f"error: {exc}", file=sys.stderr)

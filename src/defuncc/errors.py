@@ -18,6 +18,20 @@ class ParseError(DefunccError):
         super().__init__(message)
 
 
+# What a file that cannot be read (missing, a directory, not UTF-8), written or
+# parsed raises
+INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
+
+
+def input_error_message(exc: Exception) -> str:
+    """The one-line report of an input error."""
+    if isinstance(exc, ParseError):
+        return f"parse error: {exc}"
+    if isinstance(exc, UnicodeDecodeError):
+        return f"error: input is not UTF-8 text ({exc})"
+    return f"error: {exc}"
+
+
 class TypeCheckError(DefunccError):
     """Base class for judgement failures in any of the calculi."""
 

@@ -14,7 +14,14 @@ from typing import Iterator
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
 from .defun import Translation, _union, defun, label_subset, label_union, source_infer
-from .errors import AnnotationMismatch, DefunccError, StepBudgetExceeded, TypeCheckError
+from .errors import (
+    INPUT_ERRORS,
+    AnnotationMismatch,
+    DefunccError,
+    StepBudgetExceeded,
+    TypeCheckError,
+    input_error_message,
+)
 from .kernel import DEFAULT_BUDGET
 from .refun import refun_context, refun_expr
 from .sigma import check_diagram
@@ -304,7 +311,7 @@ def enumerate_small_terms(cfg: EnumConfig = EnumConfig()) -> list[tuple[Ctx, Ter
 
 def load_file(path: str | Path) -> Elaborated:
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     parsed = parse_dcc(text) if path.suffix == ".dcc" else parse_source(text)
     return parsed.elaborate()
 
@@ -375,15 +382,27 @@ def verify_file(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, l
     return verify(load_file(path), budget)
 
 
-def verify_path(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
-    """Verify one file, or every .cc/.dcc file directly inside a directory."""
+def verify_path(
+    path: str | Path, budget: int = DEFAULT_BUDGET
+) -> tuple[bool, list[str], bool]:
+    """Verify one file, or every .cc/.dcc file directly inside a directory:
+    (every check passed, the report lines, every file was read and parsed).
+
+    A single file that cannot be read or parsed raises.  Inside a directory
+    such a file gives one `name: error: ...` or `name: parse error: ...`
+    line in its sorted place, and the other files are still verified."""
     path = Path(path)
     files = [path]
     if path.is_dir():
         files = [f for f in sorted(path.iterdir()) if f.suffix in (".cc", ".dcc") and f.is_file()]
-    ok, lines = True, []
+    ok, lines, all_read = True, [], True
     for f in files:
-        sub_ok, sub_lines = verify_file(f, budget)
+        try:
+            sub_ok, sub_lines = verify_file(f, budget)
+        except INPUT_ERRORS as exc:
+            if f is path:
+                raise
+            sub_ok, sub_lines, all_read = False, [input_error_message(exc)], False
         ok = ok and sub_ok
         lines.extend(f"{f.name}: {line}" for line in sub_lines)
-    return ok, lines
+    return ok, lines, all_read

@@ -4,6 +4,9 @@ One node family covers all calculi; each calculus restricts the constructors it
 accepts.  Source terms never contain Label; defunctionalized terms never
 contain Lam or ESubst; the explicit-substitution calculus is the source
 calculus plus ESubst nodes.
+
+Nodes are immutable: a node's children never change after it is built.  That
+is what makes the per-node free-variable cache (`free_vars`) exact.
 """
 
 from __future__ import annotations
@@ -12,61 +15,68 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Base of every term constructor: one slot, outside the dataclass
+    fields, caching the node's free variables (filled by `free_vars`)."""
+
+    __slots__ = ("_fv",)
+
+
+@dataclass(frozen=True, slots=True)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Universe:
+@dataclass(frozen=True, slots=True)
+class Universe(_Node):
     level: int
 
 
-@dataclass(frozen=True)
-class Pi:
+@dataclass(frozen=True, slots=True)
+class Pi(_Node):
     binder: str
     domain: "Term"
     codomain: "Term"
 
 
-@dataclass(frozen=True)
-class Lam:
+@dataclass(frozen=True, slots=True)
+class Lam(_Node):
     binder: str
     domain: "Term"
     body: "Term"
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, slots=True)
+class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class NatType:
+@dataclass(frozen=True, slots=True)
+class NatType(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class NatLit:
+@dataclass(frozen=True, slots=True)
+class NatLit(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, slots=True)
+class Add(_Node):
     lhs: "Term"
     rhs: "Term"
 
 
-@dataclass(frozen=True)
-class Label:
+@dataclass(frozen=True, slots=True)
+class Label(_Node):
     """A first-class function label applied to its closure arguments."""
 
     label_id: int
     args: tuple["Term", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBind:
     """One entry of a suspended substitution: name, declared type, value.
 
@@ -80,8 +90,8 @@ class SBind:
     value: "Term"
 
 
-@dataclass(frozen=True)
-class ESubst:
+@dataclass(frozen=True, slots=True)
+class ESubst(_Node):
     """Suspended parallel substitution subject{x1:A1 |-> N1, ..., xk:Ak |-> Nk}.
 
     The names bind in the subject (and in later domains); they are distinct
@@ -164,32 +174,46 @@ def uses_only(t: Term, allowed: frozenset[type]) -> bool:
 
 
 def free_vars(t: Term) -> tuple[str, ...]:
-    """Free variable names in first-occurrence (left-to-right) order."""
-    out: list[str] = []
-    seen: set[str] = set()
+    """Free variable names in first-occurrence (left-to-right) order.
 
-    def walk(t: Term, bound: frozenset[str]) -> None:
-        match t:
-            case Var(name):
-                if name not in bound and name not in seen:
-                    seen.add(name)
-                    out.append(name)
-            case Pi(binder, domain, body) | Lam(binder, domain, body):
-                walk(domain, bound)
-                walk(body, bound | {binder})
-            case App() | Add() | Label():
-                for c in children(t):
-                    walk(c, bound)
-            case ESubst(subject, bindings):
-                inner = bound
-                for sb in bindings:
-                    walk(sb.domain, inner)
-                    walk(sb.value, bound)
-                    inner = inner | {sb.name}
-                walk(subject, inner)
+    Computed once per node, from its children's cached tuples, and kept on
+    the node."""
+    try:
+        return t._fv
+    except AttributeError:
+        pass
+    match t:
+        case Var(name):
+            fv = (name,)
+        case Pi(binder, domain, body) | Lam(binder, domain, body):
+            fv = _ordered_union(free_vars(domain), _without(free_vars(body), (binder,)))
+        case ESubst(subject, bindings):
+            parts, names = [], ()
+            for sb in bindings:
+                parts.append(_without(free_vars(sb.domain), names))
+                parts.append(free_vars(sb.value))
+                names += (sb.name,)
+            fv = _ordered_union(*parts, _without(free_vars(subject), names))
+        case _:
+            fv = _ordered_union(*map(free_vars, children(t)))
+    object.__setattr__(t, "_fv", fv)
+    return fv
 
-    walk(t, frozenset())
-    return tuple(out)
+
+def _without(names: tuple[str, ...], bound: tuple[str, ...]) -> tuple[str, ...]:
+    """names less the bound ones; names itself when none is bound."""
+    if not any(b in names for b in bound):
+        return names
+    return tuple(n for n in names if n not in bound)
+
+
+def _ordered_union(*parts: tuple[str, ...]) -> tuple[str, ...]:
+    """The names of parts in first-occurrence order; a lone non-empty part
+    is returned as it is, so nodes share their child's tuple."""
+    nonempty = [p for p in parts if p]
+    if len(nonempty) <= 1:
+        return nonempty[0] if nonempty else ()
+    return tuple(dict.fromkeys(n for p in nonempty for n in p))
 
 
 def free_var_set(t: Term) -> frozenset[str]:
@@ -212,7 +236,7 @@ Mapping = dict[str, Term]
 
 def _narrow(mapping: Mapping, t: Term) -> Mapping:
     """Restrict a substitution to the keys actually free in t."""
-    fv = free_var_set(t)
+    fv = free_vars(t)
     return {k: v for k, v in mapping.items() if k in fv}
 
 
@@ -222,7 +246,7 @@ def _under_binder(binder: str, body: Term, mapping: Mapping) -> tuple[str, Term]
     inner = _narrow(inner, body)
     if not inner:
         return binder, body
-    clash = any(binder in free_var_set(v) for v in inner.values())
+    clash = any(binder in free_vars(v) for v in inner.values())
     if clash:
         avoid = set().union(*(free_var_set(v) for v in inner.values()))
         avoid |= free_var_set(body)
@@ -248,7 +272,7 @@ def _subst_suspension(
         dom2 = _subst(sb.domain, inner)
         name = sb.name
         nxt = {k: v for k, v in inner.items() if k != name}
-        if any(name in free_var_set(v) for v in nxt.values()):
+        if any(name in free_vars(v) for v in nxt.values()):
             avoid = set().union(*(free_var_set(v) for v in nxt.values())) | set(nxt)
             name, subj = rename_binding(binds, i, subj, avoid)
         out.append(SBind(name, dom2, vals2[i]))

@@ -1,6 +1,9 @@
 """Command line driver: commands, emitters, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,41 @@ def test_directory_as_file_exits_two(capsys, tmp_path, command):
     code, _, err = run(capsys, command, str(tmp_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_reads_utf8_under_the_c_locale(tmp_path):
+    path = tmp_path / "accent.cc"
+    path.write_text("-- café\nadd 2 2\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "defuncc.cli", "check", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Nat\n", "")
+
+
+def test_verify_directory_goes_on_past_bad_files(capsys, tmp_path):
+    (tmp_path / "two_plus_two.cc").write_text((CORPUS / "two_plus_two.cc").read_text())
+    (tmp_path / "garbled.cc").write_bytes(b"axiom A : Type 0;\n\xff\xfe\n")
+    (tmp_path / "broken.cc").write_text("add 1 1\n)\n")
+    code, out, _ = run(capsys, "verify", str(tmp_path))
+    lines = out.splitlines()
+    assert code == 2
+    assert lines[0].startswith("broken.cc: parse error: 2:1: ")
+    assert lines[1].startswith("garbled.cc: error: input is not UTF-8 text (")
+    assert lines[2:] and all(line.startswith("two_plus_two.cc: ") for line in lines[2:])
+    assert lines[-1].startswith("two_plus_two.cc: main: commuting-diagram: ok")
+
+
+def test_verify_directory_with_a_failing_check_exits_three(capsys, tmp_path):
+    (tmp_path / "unknown_label.dcc").write_text((CORPUS / "bad" / "unknown_label.dcc").read_text())
+    (tmp_path / "two_plus_two.cc").write_text((CORPUS / "two_plus_two.cc").read_text())
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 3
+    assert "verification failed" in err
+    assert "unknown_label.dcc: main: FAIL (label l1 is not declared in the label context)" in out
 
 
 def test_verify_failure_exits_three(capsys):

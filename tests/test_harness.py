@@ -216,7 +216,7 @@ class TestVerification:
     def test_verify_path_over_directory(self, tmp_path):
         (tmp_path / "one.cc").write_text("add 1 1\n")
         (tmp_path / "two.cc").write_text("fun (x : Nat) => x\n")
-        ok, lines = verify_path(tmp_path)
+        ok, lines, _ = verify_path(tmp_path)
         assert ok
         assert sum("one.cc" in line for line in lines) >= 1
 

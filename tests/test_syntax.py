@@ -1,7 +1,12 @@
 """Substitution, alpha-equivalence, and free-variable bookkeeping."""
 
+import dataclasses
+
 import pytest
 
+from defuncc.defun import defun
+from defuncc.harness import EnumConfig, enumerate_small_terms
+from defuncc.sigma import ccs_reduce_trace, sigma_embed
 from defuncc.surface import parse_term
 from defuncc.syntax import (
     Add,
@@ -222,3 +227,110 @@ class TestSuspension:
 def test_alpha_eq_reflexive_on_parsed_terms(source):
     t = parse_term(source)
     assert alpha_eq(t, t)
+
+
+# ---------------------------------------------------------------------------
+# The per-node free-variable cache against the walker it replaced
+
+
+def reference_free_vars(t) -> tuple[str, ...]:
+    """Free variables in first-occurrence order, by walking the whole term."""
+    out: list[str] = []
+    seen: set[str] = set()
+
+    def walk(t, bound: frozenset[str]) -> None:
+        match t:
+            case Var(name):
+                if name not in bound and name not in seen:
+                    seen.add(name)
+                    out.append(name)
+            case Pi(binder, domain, body) | Lam(binder, domain, body):
+                walk(domain, bound)
+                walk(body, bound | {binder})
+            case App() | Add() | Label():
+                for c in children(t):
+                    walk(c, bound)
+            case ESubst(subject, bindings):
+                inner = bound
+                for sb in bindings:
+                    walk(sb.domain, inner)
+                    walk(sb.value, bound)
+                    inner = inner | {sb.name}
+                walk(subject, inner)
+
+    walk(t, frozenset())
+    return tuple(out)
+
+
+def assert_cache_matches_reference(*roots) -> set[type]:
+    """Check free_vars on every subterm of the roots; the constructors seen."""
+    seen: set[type] = set()
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        seen.add(type(t))
+        assert free_vars(t) == reference_free_vars(t), t
+        stack.extend(children(t))
+    return seen
+
+
+class TestFreeVariableCache:
+    def test_corpus_judgements_and_their_translations(self, corpus_judgements):
+        seen = set()
+        for _, ctx, term in corpus_judgements:
+            seen |= assert_cache_matches_reference(term, *(ty for _, ty in ctx))
+            res = defun(ctx, term)
+            seen |= assert_cache_matches_reference(res.term, *(ty for _, ty in res.dcc_ctx))
+            for e in res.labels:
+                seen |= assert_cache_matches_reference(
+                    *(a for _, a in e.telescope), e.arg_type, e.body, e.ret_type
+                )
+        assert Label in seen
+
+    def test_enumerated_terms(self):
+        judgements = enumerate_small_terms(EnumConfig(size_budget=6))
+        assert len(judgements) == 2525
+        for ctx, term in judgements:
+            assert_cache_matches_reference(term, *(ty for _, ty in ctx))
+
+    def test_sigma_states_of_diagram_traces(self, corpus_judgements, scaling):
+        _, twice = scaling("twice", 2)
+        terms = [twice] + [term for _, _, term in corpus_judgements]
+        seen = set()
+        for term in terms:
+            seen |= assert_cache_matches_reference(*ccs_reduce_trace(sigma_embed(term)))
+        assert ESubst in seen
+
+    @pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+    def test_second_call_returns_the_same_tuple(self, t):
+        assert free_vars(t) is free_vars(t)
+
+    @pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+    def test_the_cache_is_not_part_of_the_value(self, t):
+        values = tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+        twin = type(t)(*values)
+        free_vars(t)
+        assert t == twin and hash(t) == hash(twin) == hash(values)
+        assert repr(t) == f"{type(t).__name__}(" + ", ".join(
+            f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(t), values)
+        ) + ")"
+        assert not hasattr(t, "__dict__")
+        for f in dataclasses.fields(t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, None)
+
+    def test_fields_are_unchanged(self):
+        assert {type(t).__name__: tuple(f.name for f in dataclasses.fields(t))
+                for t in ONE_OF_EACH + [SBind("x", NatType(), NatLit(1))]} == {
+            "Var": ("name",),
+            "Universe": ("level",),
+            "NatType": (),
+            "NatLit": ("value",),
+            "Pi": ("binder", "domain", "codomain"),
+            "Lam": ("binder", "domain", "body"),
+            "App": ("fn", "arg"),
+            "Add": ("lhs", "rhs"),
+            "Label": ("label_id", "args"),
+            "ESubst": ("subject", "bindings"),
+            "SBind": ("name", "domain", "value"),
+        }
