@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 type error (or input nested too deeply to check),
 2 parse error (including a name declared twice) or a file that cannot be read
 or written (missing, a directory, not UTF-8 text), 3 verification failure.
-`verify DIR` reports each file it cannot read or parse on its own line and
-goes on: it exits 2 if any file failed to read or parse, else 3 if any check
-failed, else 0.
+`verify DIR` reports each file it cannot read, parse or check for nesting too
+deeply on its own line and goes on: it exits 2 if any file failed so, else 3
+if any check failed, else 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize  # noqa: F401
 from .dcc import dcc_infer, dcc_normalize
 from .defun import defun
-from .errors import INPUT_ERRORS, DefunccError, input_error_message
+from .errors import INPUT_ERRORS, DefunccError, NestingTooDeep, input_error_message
 from .harness import check_annotations, load_file, verify_dcc, verify_path
 from .kernel import DEFAULT_BUDGET
 from .refun import refun
@@ -108,10 +108,10 @@ def _cmd_refun(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok, lines, all_read = verify_path(args.path, args.budget)
+    ok, lines, unread = verify_path(args.path, args.budget)
     for line in lines:
         print(line)
-    if not all_read:
+    if unread:
         return EXIT_PARSE
     if not ok:
         print("verification failed", file=sys.stderr)
@@ -173,10 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TYPE
     except RecursionError:
-        print(
-            "error: input nests too deeply to check (recursion limit reached)",
-            file=sys.stderr,
-        )
+        print(f"error: {NestingTooDeep()}", file=sys.stderr)
         return EXIT_TYPE
 
 

@@ -11,7 +11,7 @@ which keeps every reference pointing at an earlier entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cc import cc_infer, fv_telescope
 from .errors import LabelClash
@@ -48,11 +48,22 @@ class TranslationResult:
     ctx_defs: LabelCtx  # label definitions extracted from the context
     dcc_ctx: Ctx  # pointwise-translated context
     labels: LabelCtx  # the judgement's label context: ctx_defs, then the rest of defs
+    _run: "Translation" = field(compare=False, repr=False)  # the run, still open
+    _pids: tuple[int, ...] = field(compare=False, repr=False)  # `labels`, provisional
+
+    def translate(self, deriv: Derivation) -> tuple[Term, LabelCtx]:
+        """Translate another derivation in this result's run: the term, and
+        `labels` followed by the definitions it adds (no id here moves)."""
+        term, pids = self._run.translate(deriv)
+        ren = self._run.finalize()
+        return ren.term(term), ren.label_ctx(_union(self._pids, pids))
 
 
 class Translation:
     """One minting scope.  All artifacts meant to share label ids must be
-    produced by the same Translation and finalized together.
+    produced by the same Translation and finalized together.  A finalized run
+    may go on translating and be finalized again: a later lambda's stamp ranks
+    after every earlier one, so the ids given out before never move.
 
     `infer(ctx, type)` derives the types the translation reads but a
     derivation does not hold (a variable's, an application's, a conversion
@@ -242,6 +253,7 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
     type_t, type_pids = run._translate_type(ctx, deriv.type)
+    label_pids = _union(ctx_pids, term_pids)
     ren = run.finalize()
     return TranslationResult(
         derivation=deriv,
@@ -251,7 +263,9 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
         type_defs=ren.label_ctx(type_pids),
         ctx_defs=ren.label_ctx(ctx_pids),
         dcc_ctx=ren.ctx(dcc_ctx),
-        labels=ren.label_ctx(_union(ctx_pids, term_pids)),
+        labels=ren.label_ctx(label_pids),
+        _run=run,
+        _pids=label_pids,
     )
 
 

@@ -32,6 +32,11 @@ def input_error_message(exc: Exception) -> str:
     return f"error: {exc}"
 
 
+class NestingTooDeep(DefunccError):
+    def __init__(self) -> None:
+        super().__init__("input nests too deeply to check (recursion limit reached)")
+
+
 class TypeCheckError(DefunccError):
     """Base class for judgement failures in any of the calculi."""
 

@@ -13,18 +13,20 @@ from typing import Iterator
 
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
-from .defun import Translation, _union, defun, label_subset, label_union, source_infer
+# Translation stays a module attribute: perfbench/tracing.py and the tests replace it here
+from .defun import Translation, defun, label_subset, label_union  # noqa: F401
 from .errors import (
     INPUT_ERRORS,
     AnnotationMismatch,
     DefunccError,
+    NestingTooDeep,
     StepBudgetExceeded,
     TypeCheckError,
     input_error_message,
 )
 from .kernel import DEFAULT_BUDGET
 from .refun import refun_context, refun_expr
-from .sigma import check_diagram
+from .sigma import Judgement, check_diagram
 from .surface import Elaborated, parse_dcc, parse_source, show_term
 from .syntax import (
     NAT,
@@ -63,20 +65,10 @@ class CheckResult:
 # Single-judgement checks
 
 
-class _Judgement:
-    """One judgement as its six checks share it: the translation, with the
-    source derivation it walked (checked with the context), built on first use
-    (a failure is not kept, so each check that reads it meets it)."""
-
-    def __init__(self, ctx: Ctx, term: Term, budget: int, translate) -> None:
-        self.ctx, self.term, self.budget = ctx, term, budget
-        self.translation = functools.cache(lambda: translate(ctx, term, budget))
-
-
 # One entry: a judgement's checks run back to back.  The `defun` in use is part
 # of the key, so a replaced one (a tracer, a test's counter) never reads what
 # another built.
-_judgement = functools.lru_cache(maxsize=1)(_Judgement)
+_judgement = functools.lru_cache(maxsize=1)(Judgement)
 
 
 def _check(name: str):
@@ -98,7 +90,7 @@ def _check(name: str):
 
 
 @_check("type-preservation")
-def check_type_preservation(j: _Judgement):
+def check_type_preservation(j: Judgement):
     """Translate a judgement and re-check it in the target calculus."""
     res, budget = j.translation(), j.budget
     dcc_check(res.labels, res.dcc_ctx, budget)
@@ -111,32 +103,25 @@ def check_type_preservation(j: _Judgement):
 
 
 @_check("reduction-preservation")
-def check_reduction_preservation(j: _Judgement):
-    """Normalize on both sides of the translation and compare results."""
-    deriv, budget = j.translation().derivation, j.budget
-    nf = cc_normalize(j.term, budget)
-    run = Translation(source_infer(budget))
-    dcc_ctx, cp = run.translate_context(j.ctx)
-    tt, tp = run.translate(deriv)
-    dnf = cc_infer(j.ctx, nf, budget, check_ctx=False)
-    tn, npids = run.translate(dnf)
-    ren = run.finalize()
-    defs = ren.label_ctx(_union(cp, tp, npids))
-    f_term = ren.term(tt)
-    f_nf = ren.term(tn)
-    dcc_nf = dcc_normalize(defs, f_term, budget)
-    ground = isinstance(cc_normalize(deriv.type, budget), NatType)
+def check_reduction_preservation(j: Judgement):
+    """Normalize on both sides of the translation and compare results: the
+    normal form is translated in the term's own run."""
+    res, budget = j.translation(), j.budget
+    nf = j.trace()[-1]
+    f_nf, defs = res.translate(j.nf_derivation())
+    dcc_nf = dcc_normalize(defs, res.term, budget)
+    ground = isinstance(cc_normalize(res.derivation.type, budget), NatType)
     if ground:
         if not alpha_eq(dcc_nf, nf):
             return False, f"ground values differ: {show_term(dcc_nf)} vs {show_term(nf)}"
         return True, f"ground value {show_term(nf)}"
-    if not dcc_equiv(defs, f_term, f_nf, budget):
+    if not dcc_equiv(defs, res.term, f_nf, budget):
         return False, "translated term and translated normal form differ"
     return True, ""
 
 
 @_check("round-trip")
-def check_round_trip(j: _Judgement):
+def check_round_trip(j: Judgement):
     """defun then refun must return an equivalent source term and context."""
     res, budget = j.translation(), j.budget
     back = refun_expr(res.labels, res.term)
@@ -150,7 +135,7 @@ def check_round_trip(j: _Judgement):
 
 
 @_check("type-safety")
-def check_type_safety(j: _Judgement):
+def check_type_safety(j: Judgement):
     """The translated term normalizes in budget; closed results are values."""
     res = j.translation()
     nf = dcc_normalize(res.labels, res.term, j.budget)
@@ -165,7 +150,7 @@ def check_type_safety(j: _Judgement):
 
 
 @_check("weakening")
-def check_weakening(j: _Judgement):
+def check_weakening(j: Judgement):
     """Appending unused assumptions or labels must not change types."""
     res, budget = j.translation(), j.budget
     z = fresh_name("zw", set(j.ctx.names()) | free_var_set(j.term))
@@ -185,9 +170,9 @@ def check_weakening(j: _Judgement):
 
 
 @_check("commuting-diagram")
-def check_diagram_result(j: _Judgement):
+def check_diagram_result(j: Judgement):
     """Reduction and translation commute (see sigma.check_diagram)."""
-    report = check_diagram(j.ctx, j.term, j.budget, raise_on_failure=True)
+    report = check_diagram(j, raise_on_failure=True)
     return True, (
         f"{report.cc_steps} source / {report.sigma_steps} suspension step(s), "
         f"{report.labels} label(s)"
@@ -378,31 +363,36 @@ def verify_dcc(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, li
 
 
 def verify_file(path: str | Path, budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
+    """Verify one file; input nested too deeply raises NestingTooDeep."""
     verify = verify_dcc if Path(path).suffix == ".dcc" else verify_source
-    return verify(load_file(path), budget)
+    try:
+        return verify(load_file(path), budget)
+    except RecursionError:
+        raise NestingTooDeep() from None
 
 
 def verify_path(
     path: str | Path, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, list[str], bool]:
+) -> tuple[bool, list[str], int]:
     """Verify one file, or every .cc/.dcc file directly inside a directory:
-    (every check passed, the report lines, every file was read and parsed).
+    (every check passed, the report lines, how many files could not be read,
+    parsed or followed for nesting too deeply).
 
-    A single file that cannot be read or parsed raises.  Inside a directory
-    such a file gives one `name: error: ...` or `name: parse error: ...`
-    line in its sorted place, and the other files are still verified."""
+    A single such file raises.  Inside a directory it gives one
+    `name: error: ...` or `name: parse error: ...` line in its sorted place,
+    and the other files are still verified."""
     path = Path(path)
     files = [path]
     if path.is_dir():
         files = [f for f in sorted(path.iterdir()) if f.suffix in (".cc", ".dcc") and f.is_file()]
-    ok, lines, all_read = True, [], True
+    ok, lines, unread = True, [], 0
     for f in files:
         try:
             sub_ok, sub_lines = verify_file(f, budget)
-        except INPUT_ERRORS as exc:
+        except (*INPUT_ERRORS, NestingTooDeep) as exc:
             if f is path:
                 raise
-            sub_ok, sub_lines, all_read = False, [input_error_message(exc)], False
+            sub_ok, sub_lines, unread = False, [input_error_message(exc)], unread + 1
         ok = ok and sub_ok
         lines.extend(f"{f.name}: {line}" for line in sub_lines)
-    return ok, lines, all_read
+    return ok, lines, unread

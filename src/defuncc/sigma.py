@@ -10,11 +10,12 @@ compared against the direct translation, which is what check_diagram does.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cc import CC_TERMS, cc_infer, cc_reduce_trace
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
-from .defun import Translation, _union
+from .defun import Translation, _union, defun
 from .errors import DefunccError, DiagramFailure, StepBudgetExceeded
 from .kernel import (
     DEFAULT_BUDGET,
@@ -220,6 +221,23 @@ def ccs_infer(ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Derivation:
 # The commuting diagram
 
 
+class Judgement:
+    """One judgement as the metatheory checks share it: `translation()` (with
+    the source derivation it walked, checked with the context), the source
+    reduction `trace()` ending in the normal form, and that normal form's
+    `nf_derivation()`.  Each is built on first use; a failure is not kept,
+    so each check that reads it meets it."""
+
+    def __init__(self, ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET, translate=defun):
+        self.ctx, self.term, self.budget = ctx, term, budget
+        self.translation = functools.cache(lambda: translate(ctx, term, budget))
+        # no closure refers to the judgement, so dropping it frees them at once
+        trace = self.trace = functools.cache(lambda: cc_reduce_trace(term, budget))
+        self.nf_derivation = functools.cache(
+            lambda: cc_infer(ctx, trace()[-1], budget, check_ctx=False)
+        )
+
+
 @dataclass(frozen=True)
 class DiagramEdge:
     name: str
@@ -237,13 +255,8 @@ class DiagramReport:
     subst_nodes: int
 
 
-def check_diagram(
-    ctx: Ctx,
-    term: Term,
-    budget: int = DEFAULT_BUDGET,
-    raise_on_failure: bool = True,
-) -> DiagramReport:
-    """Check, for one program, that reduction and translation commute.
+def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
+    """Check, for one judgement, that reduction and translation commute.
 
     Edges: the suspension calculus simulates every source step; translating
     the embedded term agrees with translating the source term; definitions
@@ -265,8 +278,9 @@ def check_diagram(
         detail = f"{n} {kind}step(s)" if bad is None else f"step {bad}: {failure}"
         edge(name, bad is None, detail)
 
-    deriv = cc_infer(ctx, term, budget)
-    cc_trace = cc_reduce_trace(term, budget)
+    ctx, term, budget = j.ctx, j.term, j.budget
+    deriv = j.translation().derivation
+    cc_trace = j.trace()
     s_trace = ccs_reduce_trace(sigma_embed(term), budget)
 
     steps_edge(
@@ -285,8 +299,7 @@ def check_diagram(
     run = Translation(infer=lambda c, t: _s_infer(c, t, Budget(budget)))
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_cc_t, term_cc_pids = run.translate(deriv)
-    nf_deriv = cc_infer(ctx, cc_trace[-1], budget, check_ctx=False)
-    nf_t, nf_pids = run.translate(nf_deriv)
+    nf_t, nf_pids = run.translate(j.nf_derivation())
 
     state_ts: list[Term] = []
     state_pids: list[tuple[int, ...]] = []

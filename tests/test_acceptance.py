@@ -24,7 +24,7 @@ from defuncc.harness import (
     check_type_safety,
     enumerate_small_terms,
 )
-from defuncc.sigma import check_diagram
+from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
@@ -231,13 +231,13 @@ def test_criterion_5_commuting_diagram(corpus_judgements, elaborated):
     failures = []
     total_subst = 0
     for name, ctx, term in corpus_judgements:
-        report = check_diagram(ctx, term, raise_on_failure=False)
+        report = check_diagram(Judgement(ctx, term), raise_on_failure=False)
         total_subst += report.subst_nodes
         if not report.ok:
             bad = [e.name for e in report.edges if not e.ok]
             failures.append(f"{name}: {bad}")
     elab = elaborated("typelevel_nat")
-    focused = check_diagram(elab.ctx, elab.main, raise_on_failure=False)
+    focused = check_diagram(Judgement(elab.ctx, elab.main), raise_on_failure=False)
     ok = not failures and focused.ok and focused.subst_nodes > 0
     _report(
         "criterion 5", "machine and translation commute", ok, started, 60.0,

@@ -180,6 +180,26 @@ def test_duplicate_axiom_is_a_parse_error(capsys, tmp_path, suffix):
     assert "parse error: 2:7: duplicate axiom 'A'" in err
 
 
+DEEP = "add 1 (" * 1200 + "0" + ")" * 1200 + "\n"
+TOO_DEEP = "error: input nests too deeply to check (recursion limit reached)"
+
+
+def test_verify_file_nested_too_deeply_exits_one(capsys, tmp_path):
+    deep = tmp_path / "deep.cc"
+    deep.write_text(DEEP)
+    assert run(capsys, "verify", str(deep)) == (1, "", f"{TOO_DEEP}\n")
+
+
+def test_verify_directory_goes_on_past_a_file_nested_too_deeply(capsys, tmp_path):
+    (tmp_path / "deep.cc").write_text(DEEP)
+    (tmp_path / "two_plus_two.cc").write_text((CORPUS / "two_plus_two.cc").read_text())
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    lines = out.splitlines()
+    assert (code, err) == (2, "")
+    assert lines[0] == f"deep.cc: {TOO_DEEP}"
+    assert lines[-1].startswith("two_plus_two.cc: main: commuting-diagram: ok")
+
+
 def test_input_nested_too_deeply_exits_one(capsys, tmp_path):
     deep = tmp_path / "deep.cc"
     deep.write_text("add 1 (" * 1200 + "0" + ")" * 1200 + "\n")

@@ -21,7 +21,7 @@ from defuncc.harness import (
     check_reduction_preservation,
     enumerate_small_terms,
 )
-from defuncc.sigma import check_diagram
+from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
@@ -304,8 +304,9 @@ def _use_translation(monkeypatch, cls) -> None:
 
 class TestTypeMemo:
     def test_each_type_is_derived_once_per_run(self, corpus_judgements, monkeypatch):
-        """defun, reduction preservation and the diagram check each ask
-        their run's `infer` for every distinct (ctx, type) at most once."""
+        """defun, reduction preservation (which goes on in its judgement's
+        defun run) and the diagram check each ask their run's `infer` for
+        every distinct (ctx, type) at most once."""
         runs: list[list] = []
 
         class Spy(Translation):
@@ -323,9 +324,10 @@ class TestTypeMemo:
         repeated = []
         for name, ctx, term in corpus_judgements:
             start = len(runs)
+            harness_module._judgement.cache_clear()  # its defun run must be spied on
             defun(ctx, term)
             check_reduction_preservation(ctx, term)
-            check_diagram(ctx, term)
+            check_diagram(Judgement(ctx, term))
             assert len(runs) - start >= 3
             repeated += [name for seen in runs[start:] if len(set(seen)) < len(seen)]
         assert repeated == []
@@ -344,7 +346,8 @@ class TestTypeMemo:
                 (
                     defun(ctx, term),
                     dataclasses.replace(
-                        check_diagram(ctx, term, raise_on_failure=False), subst_nodes=0
+                        check_diagram(Judgement(ctx, term), raise_on_failure=False),
+                        subst_nodes=0,
                     ),
                 )
                 for ctx, term in judgements

@@ -7,6 +7,12 @@ For every ill-typed file under corpus/bad/, tests/golden/bad/ holds the
 too.  Any moved label number, fresh-name prime, printed type, step count or
 failure message shows up as a diff here.
 
+tests/golden/budget_verdicts.txt holds, for every corpus judgement at each of
+the small budgets in BUDGETS, the six checks' verdicts (ok or FAIL, in
+ALL_CHECKS order).  At these budgets some checks run out of steps and others
+do not, so a change that makes a check reduce, derive or translate more (or
+less) than before shows up as a moved flag.
+
 Regenerate (only when a change of output is intended and recorded in
 CHANGES.md): PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from defuncc.cli import main
+from defuncc.harness import ALL_CHECKS, load_file, source_judgements
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -27,6 +34,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PROGRAMS = sorted(CORPUS.glob("*.cc"))
 BAD = sorted((CORPUS / "bad").iterdir())
 KINDS = ("dcc", "checkdcc", "verify")
+BUDGETS = (3, 5, 8, 12, 20, 30)
+VERDICTS = GOLDEN / "budget_verdicts.txt"
 
 
 def _run(*argv: str) -> tuple[int, str]:
@@ -58,6 +67,20 @@ def render_bad(path: Path) -> str:
     return f"{out}exit {code}\n"
 
 
+def render_budget_verdicts() -> str:
+    """One line per corpus judgement and budget: `file:judgement @budget:`
+    then the six verdicts."""
+    lines = []
+    for path in PROGRAMS:
+        for name, ctx, term in source_judgements(load_file(path)):
+            for budget in BUDGETS:
+                flags = " ".join(
+                    "ok" if check(ctx, term, budget).ok else "FAIL" for check in ALL_CHECKS
+                )
+                lines.append(f"{path.name}:{name} @{budget}: {flags}\n")
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
 def test_corpus_output_matches_golden(path):
     got = render(path)
@@ -72,6 +95,10 @@ def test_bad_verify_output_matches_golden(path):
     assert render_bad(path) == want, f"bad/{path.name}: verify output changed"
 
 
+def test_small_budget_verdicts_match_golden():
+    assert render_budget_verdicts() == VERDICTS.read_text(), "a verdict moved"
+
+
 if __name__ == "__main__":
     (GOLDEN / "bad").mkdir(parents=True, exist_ok=True)
     for path in PROGRAMS:
@@ -79,5 +106,6 @@ if __name__ == "__main__":
             (GOLDEN / f"{path.stem}.{kind}").write_text(text)
     for path in BAD:
         (GOLDEN / "bad" / f"{path.name}.verify").write_text(render_bad(path))
-    print(f"wrote {len(PROGRAMS) * len(KINDS) + len(BAD)} files to {GOLDEN}",
+    VERDICTS.write_text(render_budget_verdicts())
+    print(f"wrote {len(PROGRAMS) * len(KINDS) + len(BAD) + 1} files to {GOLDEN}",
           file=sys.stderr)

@@ -6,11 +6,14 @@ from pathlib import Path
 import pytest
 
 from defuncc import harness
-from defuncc.cc import cc_reduce_step
+from defuncc.cc import cc_infer, cc_normalize, cc_reduce_step
+from defuncc.dcc import dcc_equiv, dcc_normalize
+from defuncc.errors import DefunccError, NestingTooDeep
 from defuncc.harness import (
     ALL_CHECKS,
     CheckResult,
     EnumConfig,
+    check_reduction_preservation,
     check_round_trip,
     check_type_preservation,
     enumerate_small_terms,
@@ -21,7 +24,8 @@ from defuncc.harness import (
     verify_file,
     verify_path,
 )
-from defuncc.surface import parse_term
+from defuncc.kernel import DEFAULT_BUDGET
+from defuncc.surface import parse_term, show_term
 from defuncc.syntax import (
     Ctx,
     Lam,
@@ -35,6 +39,10 @@ from defuncc.syntax import (
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # the module, which the package's `defun` function shadows as an attribute
 defun_module = importlib.import_module("defuncc.defun")
+sigma_module = importlib.import_module("defuncc.sigma")
+defun, source_infer = defun_module.defun, defun_module.source_infer
+DEEP = "add 1 (" * 1200 + "0" + ")" * 1200 + "\n"
+TOO_DEEP = "error: input nests too deeply to check (recursion limit reached)"
 
 
 class TestChecks:
@@ -120,23 +128,116 @@ class TestSharedArtifact:
         assert len(calls) == 1
 
     def test_one_pass_derives_the_judgement_once(self, monkeypatch):
-        """The checks read the derivation `defun` walked instead of deriving
-        the judgement again (reduction preservation and weakening)."""
+        """The checks read the derivations of the term and of its normal form
+        that the judgement holds instead of deriving them again (reduction
+        preservation, weakening and the diagram check)."""
         ctx, term, budget = _shared_case("compose_nat_ground.cc", 1_000_000)
+        nf = cc_normalize(term)
+        assert nf != term
         harness._judgement.cache_clear()  # an earlier test may hold this judgement
-        own = []
-        for module in (harness, defun_module):
+        derived = []
+        for module in (harness, defun_module, sigma_module):
             real = module.cc_infer
 
             def counting(c, t, *args, _real=real, **kwargs):
-                if (c, t) == (ctx, term):
-                    own.append(c)
+                if c == ctx and t in (term, nf):
+                    derived.append(t)
                 return _real(c, t, *args, **kwargs)
 
             monkeypatch.setattr(module, "cc_infer", counting)
         results = [check(ctx, term, budget) for check in ALL_CHECKS]
         assert all(r.ok for r in results), [r.line() for r in results]
-        assert len(own) == 1
+        assert (derived.count(term), derived.count(nf)) == (1, 1)
+
+    def test_one_pass_runs_two_translations_and_one_normalization(self, monkeypatch):
+        """defun's run, which reduction preservation goes on in, and the
+        diagram check's σ run; the source normal form is the last state of
+        the one reduction trace."""
+        ctx, term, budget = _shared_case("compose_nat_ground.cc", 1_000_000)
+        harness._judgement.cache_clear()
+        runs, normalized = [], []
+
+        class Counting(defun_module.Translation):
+            def __init__(self, infer):
+                runs.append(infer)
+                super().__init__(infer)
+
+        for module in (harness, defun_module, sigma_module):
+            monkeypatch.setattr(module, "Translation", Counting)
+            for name in ("cc_normalize", "cc_reduce_trace"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def counting(t, *args, _real=real, **kwargs):
+                        if t == term:
+                            normalized.append(t)
+                        return _real(t, *args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counting)
+        results = [check(ctx, term, budget) for check in ALL_CHECKS]
+        assert all(r.ok for r in results), [r.line() for r in results]
+        assert (len(runs), len(normalized)) == (2, 1)
+
+
+def _private_run_reduction_preservation(ctx, term, budget=DEFAULT_BUDGET) -> CheckResult:
+    """Reduction preservation as it was before it shared the judgement: its
+    own translation run over the term and its normal form, and the normal
+    form from cc_normalize."""
+    name = "reduction-preservation"
+    try:
+        deriv = defun(ctx, term, budget).derivation
+        nf = cc_normalize(term, budget)
+        run = defun_module.Translation(source_infer(budget))
+        _, cp = run.translate_context(ctx)
+        tt, tp = run.translate(deriv)
+        tn, npids = run.translate(cc_infer(ctx, nf, budget, check_ctx=False))
+        ren = run.finalize()
+        defs = ren.label_ctx(defun_module._union(cp, tp, npids))
+        f_term, f_nf = ren.term(tt), ren.term(tn)
+        dcc_nf = dcc_normalize(defs, f_term, budget)
+        if isinstance(cc_normalize(deriv.type, budget), NatType):
+            if not alpha_eq(dcc_nf, nf):
+                detail = f"ground values differ: {show_term(dcc_nf)} vs {show_term(nf)}"
+                return CheckResult(name, False, detail)
+            return CheckResult(name, True, f"ground value {show_term(nf)}")
+        if not dcc_equiv(defs, f_term, f_nf, budget):
+            detail = "translated term and translated normal form differ"
+            return CheckResult(name, False, detail)
+        return CheckResult(name, True, "")
+    except DefunccError as exc:
+        return CheckResult(name, False, str(exc))
+
+
+class TestReductionPreservation:
+    """Translating the normal form in the term's own run, and reading it off
+    the reduction trace, gives the verdicts and details of a private run."""
+
+    def _assert_unchanged(self, cases):
+        changed = []
+        for ctx, term, budget in cases:
+            harness._judgement.cache_clear()
+            got = check_reduction_preservation(ctx, term, budget)
+            want = _private_run_reduction_preservation(ctx, term, budget)
+            if got != want:
+                changed.append((term, budget, got, want))
+        assert changed == []
+
+    def test_corpus_at_small_budgets(self, corpus_judgements):
+        budgets = (3, 5, 8, 12, 20, 30, DEFAULT_BUDGET)
+        cases = [(c, t, b) for _, c, t in corpus_judgements for b in budgets]
+        self._assert_unchanged(cases)
+
+    def test_scaling_families(self, scaling):
+        programs = [scaling("vec", n) for n in range(2, 9)]
+        programs += [scaling("twice", k) for k in (1, 2)]
+        self._assert_unchanged(
+            [(c, t, b) for c, t in programs for b in (5, 30, 100, DEFAULT_BUDGET)]
+        )
+
+    def test_enumerated_judgements(self):
+        pairs = enumerate_small_terms(EnumConfig(size_budget=6))
+        assert len(pairs) == 2525
+        self._assert_unchanged([(c, t, DEFAULT_BUDGET) for c, t in pairs])
 
 
 class TestJoinable:
@@ -219,6 +320,25 @@ class TestVerification:
         ok, lines, _ = verify_path(tmp_path)
         assert ok
         assert sum("one.cc" in line for line in lines) >= 1
+
+    def test_input_nested_too_deeply_raises_a_defuncc_error(self, tmp_path):
+        deep = tmp_path / "deep.cc"
+        deep.write_text(DEEP)
+        for verify in (verify_file, verify_path):
+            with pytest.raises(NestingTooDeep) as caught:
+                verify(deep)
+            assert f"error: {caught.value}" == TOO_DEEP
+
+    def test_verify_path_goes_on_past_files_it_cannot_check(self, tmp_path):
+        (tmp_path / "deep.cc").write_text(DEEP)
+        (tmp_path / "garbled.cc").write_bytes(b"\xff\n")
+        (tmp_path / "two_plus_two.cc").write_text((CORPUS / "two_plus_two.cc").read_text())
+        ok, lines, unread = verify_path(tmp_path)
+        assert (ok, unread) == (False, 2)
+        assert lines[0] == f"deep.cc: {TOO_DEEP}"
+        assert lines[1].startswith("garbled.cc: error: input is not UTF-8 text (")
+        assert len(lines) == 9  # two_plus_two.cc: the context and the six checks
+        assert all(line.endswith(": ok") or ": ok (" in line for line in lines[2:])
 
     def test_all_bad_targets_fail_verification(self, bad_dcc_paths):
         for path in bad_dcc_paths:

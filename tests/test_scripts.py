@@ -1,0 +1,40 @@
+"""The scripts under scripts/, run as a user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_verify_corpus_passes_on_the_corpus():
+    proc = _run_script("verify_corpus.py")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "all good: 350 checks passed"
+
+
+def test_verify_corpus_counts_files_it_cannot_check(tmp_path):
+    (tmp_path / "two_plus_two.cc").write_text((ROOT / "corpus" / "two_plus_two.cc").read_text())
+    (tmp_path / "garbled.cc").write_bytes(b"axiom A : Type 0;\n\xff\xfe\n")
+    (tmp_path / "broken.cc").write_text("add 1 1\n)\n")
+    proc = _run_script("verify_corpus.py", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == "2 file(s) could not be checked, 0 failure(s) among 7 checks\n"
+
+
+def test_verify_corpus_exits_one_on_a_failing_check(tmp_path):
+    bad = (ROOT / "corpus" / "bad" / "unknown_label.dcc").read_text()
+    (tmp_path / "unknown_label.dcc").write_text(bad)
+    proc = _run_script("verify_corpus.py", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (1, "1 failure(s) among 2 checks\n")

@@ -10,6 +10,7 @@ from defuncc.sigma import (
     ccs_infer,
     ccs_normalize,
     ccs_reduce_step,
+    Judgement,
     ccs_reduce_trace,
     check_diagram,
     is_ccs_term,
@@ -206,25 +207,25 @@ class TestDiagram:
             "fun (x : Nat) => f (g x)) (fun (a : Nat) => add a 1) "
             "(fun (b : Nat) => add b 2) 1"
         )
-        report = check_diagram(EMPTY, t)
+        report = check_diagram(Judgement(EMPTY, t))
         assert report.ok
         assert report.cc_steps > 0
         assert report.sigma_steps >= report.cc_steps
         assert report.labels > 0
 
     def test_single_step_program(self):
-        report = check_diagram(EMPTY, parse_term("(fun (x : Nat) => x) 1"))
+        report = check_diagram(Judgement(EMPTY, parse_term("(fun (x : Nat) => x) 1")))
         assert report.ok
         assert report.cc_steps == 1
 
     def test_type_level_program_counts_suspension_nodes(self, elaborated):
         elab = elaborated("typelevel_nat")
-        report = check_diagram(elab.ctx, elab.main)
+        report = check_diagram(Judgement(elab.ctx, elab.main))
         assert report.ok
         assert report.subst_nodes > 0
 
     def test_all_edges_are_reported(self):
-        report = check_diagram(EMPTY, parse_term("(fun (x : Nat) => x) 1"))
+        report = check_diagram(Judgement(EMPTY, parse_term("(fun (x : Nat) => x) 1")))
         names = {e.name for e in report.edges}
         assert "sigma-simulates-cc-step" in names
         assert "defs-monotone-along-sigma-step" in names
@@ -235,7 +236,7 @@ class TestDiagram:
         # raise_on_failure=False returns a report instead of raising; a
         # healthy program still reports ok and DiagramFailure stays unused.
         report = check_diagram(
-            EMPTY, parse_term("add 1 1"), raise_on_failure=False
+            Judgement(EMPTY, parse_term("add 1 1")), raise_on_failure=False
         )
         assert report.ok
         assert isinstance(DiagramFailure("edge", "detail"), Exception)
