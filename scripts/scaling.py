@@ -3,8 +3,9 @@
 
 Usage: PYTHONPATH=src python scripts/scaling.py
 
-Prints one table for each of these, each time the best of 3 runs of
-`time.process_time`:
+Prints the line count of `src/defuncc/*.py` (as `wc -l` counts it), so the
+curves and the size of the code are read together, then one table for each
+of these, each time the best of 3 runs of `time.process_time`:
 
 - `defun` on nested lambdas `fun (x1 : Nat) => ... => add x1 xn`;
 - the translate-emit CLI pipeline on the same programs: `defun` as text and
@@ -26,6 +27,12 @@ from defuncc.defun import defun
 from defuncc.surface import parse_source
 
 REPEATS = 3
+SRC = Path(__file__).resolve().parent.parent / "src" / "defuncc"
+
+
+def src_lines() -> int:
+    """The newlines in src/defuncc/*.py: the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
 
 
 def lambda_source(n: int) -> str:
@@ -122,6 +129,7 @@ FAMILIES = [
 
 def main() -> int:
     failed = False
+    print(f"src/defuncc/*.py: {src_lines()} lines\n")
     with tempfile.TemporaryDirectory() as tmp:
         for title, make, sizes in FAMILIES:
             print(f"{title}\n{'n':>5}  {'cpu_s':>8}")

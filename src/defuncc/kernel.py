@@ -41,6 +41,7 @@ from .syntax import (
     children,
     free_var_set,
     fresh_name,
+    freshen_binder,
     rebuild,
     rename_free,
     subst,
@@ -250,6 +251,8 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
     and the argument, a conversion the converted derivation."""
     if type(t) not in calc.allowed:
         raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
+    if type(t) in (Pi, Lam) and t.binder in ctx:
+        t = freshen_binder(t, 0, ctx.names())
     match t:
         case Var(name):
             ty = ctx.lookup(name)
@@ -270,16 +273,10 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
             return Derivation("ty-Add", ctx, t, NAT, premises)
         case Pi(x, domain, codomain):
             da, i = infer_type(calc, ctx, domain, b)
-            if x in ctx:
-                x, codomain = _freshen(ctx, x, codomain)
-                t = Pi(x, domain, codomain)
             db, j = infer_type(calc, ctx.extend(x, domain), codomain, b)
             return Derivation("ty-Pi", ctx, t, Universe(max(i, j)), (da, db))
         case Lam(x, domain, body):
             da, _ = infer_type(calc, ctx, domain, b)
-            if x in ctx:
-                x, body = _freshen(ctx, x, body)
-                t = Lam(x, domain, body)
             dm = infer(calc, ctx.extend(x, domain), body, b)
             return Derivation("ty-Lambda", ctx, t, Pi(x, domain, dm.type), (da, dm))
         case App(fn, arg):
@@ -299,12 +296,6 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
 def _conversion(ctx: Ctx, d: Derivation, subject: Term, target: Term) -> Derivation:
     """ctx |- subject : target, from d by conversion."""
     return Derivation("ty-Equiv", ctx, subject, target, (d,))
-
-
-def _freshen(ctx: Ctx, x: str, body: Term) -> tuple[str, Term]:
-    """Rename the binder x of body away from the names ctx already binds."""
-    x2 = fresh_name(x, set(ctx.names()) | free_var_set(body))
-    return x2, rename_free(body, x, x2)
 
 
 def infer_type(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> tuple[Derivation, int]:

@@ -45,9 +45,8 @@ from .syntax import (
     Var,
     alpha_eq,
     free_var_set,
-    fresh_name,
-    rename_binding,
-    rename_free,
+    freshen_binder,
+    map_children,
     subst_many,
     uses_only,
 )
@@ -82,27 +81,21 @@ def _apply_closure(c: Term, arg: Term) -> Term:
     cur = c
     while isinstance(cur, ESubst):
         prefix = tuple(acc)
-        subj = cur.subject
-        layer = list(cur.bindings)
-        for i in range(len(layer)):
-            sb = layer[i]
+        for i in range(len(cur.bindings)):
+            if cur.bindings[i].name in names:
+                cur = freshen_binder(cur, i, names)
+            sb = cur.bindings[i]
             value = sb.value
             if names and free_var_set(value) & names:
                 value = ESubst(value, prefix)
-            name = sb.name
-            if name in names:
-                name, subj = rename_binding(layer, i, subj, names)
-            acc.append(SBind(name, sb.domain, value))
-            names.add(name)
-        cur = subj
+            acc.append(SBind(sb.name, sb.domain, value))
+            names.add(sb.name)
+        cur = cur.subject
     assert isinstance(cur, Lam)
-    z = cur.binder
-    body = cur.body
-    if z in names:
-        z = fresh_name(z, names | free_var_set(body))
-        body = rename_free(body, cur.binder, z)
-    acc.append(SBind(z, cur.domain, arg))
-    return ESubst(body, tuple(acc))
+    if cur.binder in names:
+        cur = freshen_binder(cur, 0, names)
+    acc.append(SBind(cur.binder, cur.domain, arg))
+    return ESubst(cur.body, tuple(acc))
 
 
 def _head(t: Term) -> Term | None:
@@ -124,19 +117,14 @@ def _head(t: Term) -> Term | None:
                     return subject
                 case Universe() | NatType() | NatLit():
                     return subject
-                case Pi(y, dom, cod):
-                    avoid = {sb.name for sb in bindings}
-                    for sb in bindings:
-                        avoid |= free_var_set(sb.value) | free_var_set(sb.domain)
-                    if y in avoid:
-                        z = fresh_name(y, avoid | free_var_set(cod))
-                        cod = rename_free(cod, y, z)
-                        y = z
-                    return Pi(y, ESubst(dom, bindings), ESubst(cod, bindings))
-                case App(f, a):
-                    return App(ESubst(f, bindings), ESubst(a, bindings))
-                case Add(l, r):
-                    return Add(ESubst(l, bindings), ESubst(r, bindings))
+                case Pi() | App() | Add():
+                    if type(subject) is Pi:  # its binder must not capture what the push carries
+                        avoid = {sb.name for sb in bindings}
+                        for sb in bindings:
+                            avoid |= free_var_set(sb.value) | free_var_set(sb.domain)
+                        if subject.binder in avoid:
+                            subject = freshen_binder(subject, 0, avoid)
+                    return map_children(lambda c: ESubst(c, bindings), subject)
     return None  # no redex, a stuck closure, or a subject to reduce first
 
 
@@ -145,28 +133,22 @@ def _ty_subst(calc: Calculus, ctx: Ctx, t: ESubst, b: Budget) -> Derivation:
     the outer context against its declared type with the earlier values
     substituted in, and the subject is typed under the declared types
     themselves."""
-    binds = list(t.bindings)
-    subj = t.subject
     inner_ctx = ctx
     seen: dict[str, Term] = {}
     val_derivs: list[Derivation] = []
-    for i in range(len(binds)):
-        sb = binds[i]
+    for i in range(len(t.bindings)):
+        sb = t.bindings[i]
         infer_type(calc, inner_ctx, sb.domain, b)
         want = subst_many(sb.domain, seen)
         dv = coerce(calc, ctx, infer(calc, ctx, sb.value, b), want, b, "suspended value")
-        name = sb.name
-        if name in inner_ctx:
-            name, subj = rename_binding(binds, i, subj, set(inner_ctx.names()))
-            binds[i] = SBind(name, sb.domain, sb.value)
-        inner_ctx = inner_ctx.extend(name, sb.domain)
-        seen[name] = sb.value
+        if sb.name in inner_ctx:
+            t = freshen_binder(t, i, inner_ctx.names())
+            sb = t.bindings[i]
+        inner_ctx = inner_ctx.extend(sb.name, sb.domain)
+        seen[sb.name] = sb.value
         val_derivs.append(dv)
-    dm = infer(calc, inner_ctx, subj, b)
-    binds_t = tuple(binds)
-    return Derivation(
-        "s-ty-Subst", ctx, ESubst(subj, binds_t), ESubst(dm.type, binds_t), (dm, *val_derivs)
-    )
+    dm = infer(calc, inner_ctx, t.subject, b)
+    return Derivation("s-ty-Subst", ctx, t, ESubst(dm.type, t.bindings), (dm, *val_derivs))
 
 
 SIGMA = Calculus(
@@ -223,14 +205,19 @@ def ccs_infer(ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Derivation:
 
 class Judgement:
     """One judgement as the metatheory checks share it: `translation()` (with
-    the source derivation it walked, checked with the context), the source
-    reduction `trace()` ending in the normal form, and that normal form's
-    `nf_derivation()`.  Each is built on first use; a failure is not kept,
-    so each check that reads it meets it."""
+    the source derivation it walked, checked with the context), the translated
+    term's `target_type()` and `target_nf()` under the translation's labels,
+    the source reduction `trace()` ending in the normal form, and that normal
+    form's `nf_derivation()`.  Each is built on first use; a failure is not
+    kept, so each check that reads it meets it."""
 
     def __init__(self, ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET, translate=defun):
         self.ctx, self.term, self.budget = ctx, term, budget
-        self.translation = functools.cache(lambda: translate(ctx, term, budget))
+        res = self.translation = functools.cache(lambda: translate(ctx, term, budget))
+        self.target_type = functools.cache(
+            lambda: dcc_infer(res().labels, res().dcc_ctx, res().term, budget, check_ctx=False)
+        )
+        self.target_nf = functools.cache(lambda: dcc_normalize(res().labels, res().term, budget))
         # no closure refers to the judgement, so dropping it frees them at once
         trace = self.trace = functools.cache(lambda: cc_reduce_trace(term, budget))
         self.nf_derivation = functools.cache(

@@ -170,6 +170,58 @@ def uses_only(t: Term, allowed: frozenset[type]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The binding table: every walk that must know which names scope where
+
+
+def _split_suspension(t: ESubst):
+    """Domain i under the first i names, each value under none, the subject
+    under all of them."""
+    kids: list[tuple[int, Term]] = []
+    for i, sb in enumerate(t.bindings):
+        kids += ((i, sb.domain), (0, sb.value))
+    kids.append((len(t.bindings), t.subject))
+    return None, tuple(sb.name for sb in t.bindings), kids
+
+
+def _build_suspension(t: ESubst, names, kids) -> ESubst:
+    return ESubst(kids[-1], tuple(SBind(x, *kids[2 * i : 2 * i + 2]) for i, x in enumerate(names)))
+
+
+# constructor -> (split, build).  split(t) gives t's data that is neither a
+# name nor a child (a label's id), the names t binds, and t's children in
+# textual order, each with how many of those names (a prefix) scope over it;
+# build(t, names, children) is t with new names and children.
+_BINDING = {
+    Pi: (
+        lambda t: (None, (t.binder,), ((0, t.domain), (1, t.codomain))),
+        lambda t, xs, k: Pi(xs[0], *k),
+    ),
+    Lam: (
+        lambda t: (None, (t.binder,), ((0, t.domain), (1, t.body))),
+        lambda t, xs, k: Lam(xs[0], *k),
+    ),
+    App: (lambda t: (None, (), ((0, t.fn), (0, t.arg))), lambda t, xs, k: App(*k)),
+    Add: (lambda t: (None, (), ((0, t.lhs), (0, t.rhs))), lambda t, xs, k: Add(*k)),
+    Label: (
+        lambda t: (t.label_id, (), tuple((0, a) for a in t.args)),
+        lambda t, xs, k: Label(t.label_id, tuple(k)),
+    ),
+    ESubst: (_split_suspension, _build_suspension),
+}
+
+
+def _scopes(env: dict[str, int], names: tuple[str, ...], depth: int):
+    """env, then env extended by each longer prefix of names, the j-th name
+    bound at level depth + j."""
+    if not names:
+        return (env,)
+    envs = [env]
+    for j, x in enumerate(names):
+        envs.append({**envs[-1], x: depth + j})
+    return envs
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 
 
@@ -182,20 +234,15 @@ def free_vars(t: Term) -> tuple[str, ...]:
         return t._fv
     except AttributeError:
         pass
-    match t:
-        case Var(name):
-            fv = (name,)
-        case Pi(binder, domain, body) | Lam(binder, domain, body):
-            fv = _ordered_union(free_vars(domain), _without(free_vars(body), (binder,)))
-        case ESubst(subject, bindings):
-            parts, names = [], ()
-            for sb in bindings:
-                parts.append(_without(free_vars(sb.domain), names))
-                parts.append(free_vars(sb.value))
-                names += (sb.name,)
-            fv = _ordered_union(*parts, _without(free_vars(subject), names))
-        case _:
-            fv = _ordered_union(*map(free_vars, children(t)))
+    entry = _BINDING.get(type(t))
+    if entry is None:
+        fv = (t.name,) if type(t) is Var else ()
+    else:
+        _, names, kids = entry[0](t)
+        parts = []
+        for n, c in kids:
+            parts.append(_without(free_vars(c), names[:n]) if n else free_vars(c))
+        fv = _ordered_union(*parts)
     object.__setattr__(t, "_fv", fv)
     return fv
 
@@ -228,89 +275,49 @@ def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
     return candidate
 
 
+def freshen_binder(t: Term, i: int, avoid) -> Term:
+    """t with its i-th binder renamed to a name outside avoid, outside the
+    names free where that binder binds, and outside t's other binders; the
+    children it binds over follow the rename."""
+    split, build = _BINDING[type(t)]
+    _, names, kids = split(t)
+    taken = set(avoid).union(names, *(free_vars(c) for n, c in kids if n > i))
+    old, new = names[i], fresh_name(names[i], taken)
+    kids = [_subst(c, {old: Var(new)}) if n > i else c for n, c in kids]
+    return build(t, names[:i] + (new,) + names[i + 1 :], kids)
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 
 Mapping = dict[str, Term]
 
 
-def _narrow(mapping: Mapping, t: Term) -> Mapping:
-    """Restrict a substitution to the keys actually free in t."""
-    fv = free_vars(t)
-    return {k: v for k, v in mapping.items() if k in fv}
-
-
-def _under_binder(binder: str, body: Term, mapping: Mapping) -> tuple[str, Term]:
-    """Apply mapping below a binder, freshening it to avoid capture."""
-    inner = {k: v for k, v in mapping.items() if k != binder}
-    inner = _narrow(inner, body)
-    if not inner:
-        return binder, body
-    clash = any(binder in free_vars(v) for v in inner.values())
-    if clash:
-        avoid = set().union(*(free_var_set(v) for v in inner.values()))
-        avoid |= free_var_set(body)
-        avoid |= set(inner)
-        fresh = fresh_name(binder, avoid)
-        body = _subst(body, {binder: Var(fresh)})
-        binder = fresh
-    return binder, _subst(body, inner)
-
-
-def _subst_suspension(
-    bindings: tuple[SBind, ...], subject: Term, mapping: Mapping
-) -> tuple[tuple[SBind, ...], Term]:
-    """Apply mapping to a suspension node: values see the outer scope in
-    full; domains and the subject see it below the binding names."""
-    vals2 = [_subst(sb.value, mapping) for sb in bindings]
-    binds = list(bindings)
-    subj = subject
-    out: list[SBind] = []
-    inner = dict(mapping)
-    for i, _ in enumerate(binds):
-        sb = binds[i]
-        dom2 = _subst(sb.domain, inner)
-        name = sb.name
-        nxt = {k: v for k, v in inner.items() if k != name}
-        if any(name in free_vars(v) for v in nxt.values()):
-            avoid = set().union(*(free_var_set(v) for v in nxt.values())) | set(nxt)
-            name, subj = rename_binding(binds, i, subj, avoid)
-        out.append(SBind(name, dom2, vals2[i]))
-        inner = nxt
-    return tuple(out), _subst(subj, inner)
-
-
-def rename_binding(
-    binds: list[SBind], i: int, subj: Term, avoid: set[str]
-) -> tuple[str, Term]:
-    """A fresh name for binds[i], outside avoid, the subject and the later
-    entries; the later domains (in place) and the subject follow the rename."""
-    name = binds[i].name
-    avoid = avoid | free_var_set(subj) | {name}
-    for later in binds[i + 1 :]:
-        avoid |= free_var_set(later.domain) | {later.name}
-    fresh = fresh_name(name, avoid)
-    for j in range(i + 1, len(binds)):
-        later = binds[j]
-        binds[j] = SBind(later.name, rename_free(later.domain, name, fresh), later.value)
-    return fresh, rename_free(subj, name, fresh)
-
-
 def _subst(t: Term, mapping: Mapping) -> Term:
-    mapping = _narrow(mapping, t)
+    fv = free_vars(t)
+    mapping = {k: v for k, v in mapping.items() if k in fv}
     if not mapping:
         return t
-    match t:
-        case Var(name):
-            return mapping.get(name, t)
-        case Pi(binder, domain, body) | Lam(binder, domain, body):
-            domain2 = _subst(domain, mapping)
-            binder2, body2 = _under_binder(binder, body, mapping)
-            return type(t)(binder2, domain2, body2)
-        case ESubst(subject, bindings):
-            bindings2, subject2 = _subst_suspension(bindings, subject, mapping)
-            return ESubst(subject2, bindings2)
-    return map_children(lambda c: _subst(c, mapping), t)
+    if type(t) is Var:
+        return mapping[t.name]
+    split, build = _BINDING[type(t)]
+    _, names, kids = split(t)
+    for i, x in enumerate(names):
+        if not any(x in free_vars(v) for v in mapping.values()):
+            continue
+        # the entries that land where binder i binds; rename it if it would capture one
+        landing = {
+            k: v for n, c in kids if n > i
+            for k, v in mapping.items() if k not in names[:n] and k in free_vars(c)
+        }
+        if any(x in free_vars(v) for v in landing.values()):
+            t = freshen_binder(t, i, set(landing).union(*map(free_vars, landing.values())))
+            _, names, kids = split(t)
+    out = []
+    for n, c in kids:
+        inner = {k: v for k, v in mapping.items() if k not in names[:n]} if n else mapping
+        out.append(_subst(c, inner))
+    return build(t, names, out)
 
 
 def subst_many(t: Term, mapping: Mapping) -> Term:
@@ -337,40 +344,24 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: int) -> bool:
-    match a, b:
-        case Var(x), Var(y):
-            if x in enva or y in envb:
-                return enva.get(x) == envb.get(y) and enva.get(x) is not None
-            return x == y
-        case (Universe(), Universe()) | (NatType(), NatType()) | (NatLit(), NatLit()):
-            return a == b
-        case (Pi(x, a1, b1), Pi(y, a2, b2)) | (Lam(x, a1, b1), Lam(y, a2, b2)):
-            return _aeq(a1, a2, enva, envb, depth) and _aeq(
-                b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1
-            )
-        case (App(f1, x1), App(f2, x2)) | (Add(f1, x1), Add(f2, x2)):
-            return _aeq(f1, f2, enva, envb, depth) and _aeq(x1, x2, enva, envb, depth)
-        case Label(i, args1), Label(j, args2):
-            return (
-                i == j
-                and len(args1) == len(args2)
-                and all(_aeq(p, q, enva, envb, depth) for p, q in zip(args1, args2))
-            )
-        case ESubst(m1, bs1), ESubst(m2, bs2):
-            if len(bs1) != len(bs2):
-                return False
-            ea, eb, d = enva, envb, depth
-            for sb1, sb2 in zip(bs1, bs2):
-                if not _aeq(sb1.domain, sb2.domain, ea, eb, d):
-                    return False
-                if not _aeq(sb1.value, sb2.value, enva, envb, depth):
-                    return False
-                ea = {**ea, sb1.name: d}
-                eb = {**eb, sb2.name: d}
-                d += 1
-            return _aeq(m1, m2, ea, eb, d)
-        case _:
+    if type(a) is not type(b):
+        return False
+    if type(a) is Var:
+        x, y = a.name, b.name
+        if x in enva or y in envb:
+            return enva.get(x) == envb.get(y) and enva.get(x) is not None
+        return x == y
+    entry = _BINDING.get(type(a))
+    if entry is None:
+        return a == b
+    (tag_a, names_a, kids_a), (tag_b, names_b, kids_b) = entry[0](a), entry[0](b)
+    if tag_a != tag_b or len(kids_a) != len(kids_b):
+        return False
+    envs_a, envs_b = _scopes(enva, names_a, depth), _scopes(envb, names_b, depth)
+    for (n, p), (_, q) in zip(kids_a, kids_b):
+        if not _aeq(p, q, envs_a[n], envs_b[n], depth + n):
             return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -384,36 +375,16 @@ def canon(t: Term, env: dict[str, int] | None = None, depth: int = 0):
     nominal by id.
     """
     env = env or {}
-
-    def go(t: Term, env: dict[str, int], depth: int):
-        match t:
-            case Var(name):
-                if name in env:
-                    return ("b", env[name])
-                return ("f", name)
-            case Universe() | NatType() | NatLit():
-                return t  # closed, and hashable as it stands
-            case Pi(binder, domain, body) | Lam(binder, domain, body):
-                return (
-                    type(t).__name__,
-                    go(domain, env, depth),
-                    go(body, {**env, binder: depth}, depth + 1),
-                )
-            case App() | Add():
-                return (type(t).__name__, *(go(c, env, depth) for c in children(t)))
-            case Label(label_id, args):
-                return ("label", label_id, tuple(go(a, env, depth) for a in args))
-            case ESubst(subject, bindings):
-                parts = []
-                env2, d = env, depth
-                for sb in bindings:
-                    parts.append((go(sb.domain, env2, d), go(sb.value, env, depth)))
-                    env2 = {**env2, sb.name: d}
-                    d += 1
-                return ("esub", tuple(parts), go(subject, env2, d))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, env, depth)
+    if type(t) is Var:
+        return ("b", env[t.name]) if t.name in env else ("f", t.name)
+    entry = _BINDING.get(type(t))
+    if entry is None:
+        return t  # closed, and hashable as it stands
+    tag, names, kids = entry[0](t)
+    envs, out = _scopes(env, names, depth), [type(t).__name__, tag]
+    for n, c in kids:
+        out.append(canon(c, envs[n], depth + n))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

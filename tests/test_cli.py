@@ -209,6 +209,12 @@ def test_input_nested_too_deeply_exits_one(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_check_nested_too_deeply_prints_one_line(capsys, tmp_path):
+    deep = tmp_path / "deep.cc"
+    deep.write_text(DEEP)
+    assert run(capsys, "check", str(deep)) == (1, "", f"{TOO_DEEP}\n")
+
+
 DEFS = (
     "def f : Nat := 1;\n"
     "def g : Type 0 := 2;\n"

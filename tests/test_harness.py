@@ -178,6 +178,36 @@ class TestSharedArtifact:
         assert all(r.ok for r in results), [r.line() for r in results]
         assert (len(runs), len(normalized)) == (2, 1)
 
+    def test_one_pass_infers_and_normalizes_the_target_once(self, monkeypatch):
+        """Type preservation and weakening read the judgement's target type,
+        type safety and reduction preservation its target normal form;
+        weakening infers once more under its longer label context.  Calls the
+        diagram check makes are not counted."""
+        ctx, term, budget = _shared_case("compose_nat_ground.cc", 1_000_000)
+        harness._judgement.cache_clear()
+        calls, in_diagram = [], []
+        for module in (harness, sigma_module):
+            for name in ("dcc_infer", "dcc_normalize"):
+
+                def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                    if not in_diagram:
+                        calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+
+        def diagram(*args, _real=harness.check_diagram, **kwargs):
+            in_diagram.append(True)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                in_diagram.pop()
+
+        monkeypatch.setattr(harness, "check_diagram", diagram)
+        results = [check(ctx, term, budget) for check in ALL_CHECKS]
+        assert all(r.ok for r in results), [r.line() for r in results]
+        assert (calls.count("dcc_infer"), calls.count("dcc_normalize")) == (2, 1)
+
 
 def _private_run_reduction_preservation(ctx, term, budget=DEFAULT_BUDGET) -> CheckResult:
     """Reduction preservation as it was before it shared the judgement: its
@@ -328,6 +358,12 @@ class TestVerification:
             with pytest.raises(NestingTooDeep) as caught:
                 verify(deep)
             assert f"error: {caught.value}" == TOO_DEEP
+
+    def test_load_file_nested_too_deeply_raises_nesting_too_deep(self, tmp_path):
+        deep = tmp_path / "deep.cc"
+        deep.write_text(DEEP)
+        with pytest.raises(NestingTooDeep):
+            load_file(deep)
 
     def test_verify_path_goes_on_past_files_it_cannot_check(self, tmp_path):
         (tmp_path / "deep.cc").write_text(DEEP)

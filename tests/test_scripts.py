@@ -1,5 +1,6 @@
 """The scripts under scripts/, run as a user runs them."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +39,16 @@ def test_verify_corpus_exits_one_on_a_failing_check(tmp_path):
     (tmp_path / "unknown_label.dcc").write_text(bad)
     proc = _run_script("verify_corpus.py", str(tmp_path))
     assert (proc.returncode, proc.stderr) == (1, "1 failure(s) among 2 checks\n")
+
+
+def test_scaling_header_prints_the_source_line_count(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    files = sorted(str(p) for p in (ROOT / "src" / "defuncc").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
+    total = int(wc.stdout.splitlines()[-1].split()[0])
+    assert scaling.src_lines() == total
+    monkeypatch.setattr(scaling, "FAMILIES", [])  # the header alone, no curves
+    assert scaling.main() == 0
+    assert capsys.readouterr().out == f"src/defuncc/*.py: {total} lines\n\n"

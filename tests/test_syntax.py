@@ -21,10 +21,12 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    canon,
     children,
     free_var_set,
     free_vars,
     fresh_name,
+    freshen_binder,
     map_children,
     rebuild,
     rename_free,
@@ -334,3 +336,325 @@ class TestFreeVariableCache:
             "ESubst": ("subject", "bindings"),
             "SBind": ("name", "domain", "value"),
         }
+
+
+# ---------------------------------------------------------------------------
+# The walks over the binding table against the hand-written walks they replaced
+
+
+def reference_alpha_eq(a, b, enva=None, envb=None, depth=0) -> bool:
+    enva, envb = enva or {}, envb or {}
+    match a, b:
+        case Var(x), Var(y):
+            if x in enva or y in envb:
+                return enva.get(x) == envb.get(y) and enva.get(x) is not None
+            return x == y
+        case (Universe(), Universe()) | (NatType(), NatType()) | (NatLit(), NatLit()):
+            return a == b
+        case (Pi(x, a1, b1), Pi(y, a2, b2)) | (Lam(x, a1, b1), Lam(y, a2, b2)):
+            return reference_alpha_eq(a1, a2, enva, envb, depth) and reference_alpha_eq(
+                b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1
+            )
+        case (App(f1, x1), App(f2, x2)) | (Add(f1, x1), Add(f2, x2)):
+            return reference_alpha_eq(f1, f2, enva, envb, depth) and reference_alpha_eq(
+                x1, x2, enva, envb, depth
+            )
+        case Label(i, args1), Label(j, args2):
+            return (
+                i == j
+                and len(args1) == len(args2)
+                and all(reference_alpha_eq(p, q, enva, envb, depth) for p, q in zip(args1, args2))
+            )
+        case ESubst(m1, bs1), ESubst(m2, bs2):
+            if len(bs1) != len(bs2):
+                return False
+            ea, eb, d = enva, envb, depth
+            for sb1, sb2 in zip(bs1, bs2):
+                if not reference_alpha_eq(sb1.domain, sb2.domain, ea, eb, d):
+                    return False
+                if not reference_alpha_eq(sb1.value, sb2.value, enva, envb, depth):
+                    return False
+                ea = {**ea, sb1.name: d}
+                eb = {**eb, sb2.name: d}
+                d += 1
+            return reference_alpha_eq(m1, m2, ea, eb, d)
+        case _:
+            return False
+
+
+def reference_canon(t, env=None, depth=0):
+    env = env or {}
+
+    def go(t, env, depth):
+        match t:
+            case Var(name):
+                if name in env:
+                    return ("b", env[name])
+                return ("f", name)
+            case Universe() | NatType() | NatLit():
+                return t
+            case Pi(binder, domain, body) | Lam(binder, domain, body):
+                return (
+                    type(t).__name__,
+                    go(domain, env, depth),
+                    go(body, {**env, binder: depth}, depth + 1),
+                )
+            case App() | Add():
+                return (type(t).__name__, *(go(c, env, depth) for c in children(t)))
+            case Label(label_id, args):
+                return ("label", label_id, tuple(go(a, env, depth) for a in args))
+            case ESubst(subject, bindings):
+                parts = []
+                env2, d = env, depth
+                for sb in bindings:
+                    parts.append((go(sb.domain, env2, d), go(sb.value, env, depth)))
+                    env2 = {**env2, sb.name: d}
+                    d += 1
+                return ("esub", tuple(parts), go(subject, env2, d))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t, env, depth)
+
+
+def _reference_narrow(mapping, t):
+    fv = free_vars(t)
+    return {k: v for k, v in mapping.items() if k in fv}
+
+
+def _reference_under_binder(binder, body, mapping):
+    inner = {k: v for k, v in mapping.items() if k != binder}
+    inner = _reference_narrow(inner, body)
+    if not inner:
+        return binder, body
+    clash = any(binder in free_vars(v) for v in inner.values())
+    if clash:
+        avoid = set().union(*(free_var_set(v) for v in inner.values()))
+        avoid |= free_var_set(body)
+        avoid |= set(inner)
+        fresh = fresh_name(binder, avoid)
+        body = reference_subst(body, {binder: Var(fresh)})
+        binder = fresh
+    return binder, reference_subst(body, inner)
+
+
+def _reference_subst_suspension(bindings, subject, mapping):
+    vals2 = [reference_subst(sb.value, mapping) for sb in bindings]
+    binds = list(bindings)
+    subj = subject
+    out = []
+    inner = dict(mapping)
+    for i, _ in enumerate(binds):
+        sb = binds[i]
+        dom2 = reference_subst(sb.domain, inner)
+        name = sb.name
+        nxt = {k: v for k, v in inner.items() if k != name}
+        if any(name in free_vars(v) for v in nxt.values()):
+            avoid = set().union(*(free_var_set(v) for v in nxt.values())) | set(nxt)
+            name, subj = reference_rename_binding(binds, i, subj, avoid)
+        out.append(SBind(name, dom2, vals2[i]))
+        inner = nxt
+    return tuple(out), reference_subst(subj, inner)
+
+
+def reference_rename_binding(binds, i, subj, avoid):
+    name = binds[i].name
+    avoid = avoid | free_var_set(subj) | {name}
+    for later in binds[i + 1 :]:
+        avoid |= free_var_set(later.domain) | {later.name}
+    fresh = fresh_name(name, avoid)
+    for j in range(i + 1, len(binds)):
+        later = binds[j]
+        binds[j] = SBind(later.name, reference_subst(later.domain, {name: Var(fresh)}), later.value)
+    return fresh, reference_subst(subj, {name: Var(fresh)})
+
+
+def reference_subst(t, mapping):
+    mapping = _reference_narrow(mapping, t)
+    if not mapping:
+        return t
+    match t:
+        case Var(name):
+            return mapping.get(name, t)
+        case Pi(binder, domain, body) | Lam(binder, domain, body):
+            domain2 = reference_subst(domain, mapping)
+            binder2, body2 = _reference_under_binder(binder, body, mapping)
+            return type(t)(binder2, domain2, body2)
+        case ESubst(subject, bindings):
+            bindings2, subject2 = _reference_subst_suspension(bindings, subject, mapping)
+            return ESubst(subject2, bindings2)
+    return map_children(lambda c: reference_subst(c, mapping), t)
+
+
+def reference_freshen(ctx_names, x, body):
+    """The binder rename typing did before `freshen_binder`."""
+    x2 = fresh_name(x, set(ctx_names) | free_var_set(body))
+    return x2, reference_subst(body, {x: Var(x2)})
+
+
+def _subterms(*roots) -> list:
+    """Every distinct subterm of the roots, in a fixed order."""
+    seen, stack = {}, list(roots)
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen[t] = None
+            stack.extend(children(t))
+    return list(seen)
+
+
+def _binder_names(t) -> list[str]:
+    return list(dict.fromkeys(
+        x for s in _subterms(t) for x in (
+            (s.binder,) if isinstance(s, (Pi, Lam))
+            else tuple(sb.name for sb in s.bindings) if isinstance(s, ESubst) else ()
+        )
+    ))
+
+
+def _capturing_mappings(t) -> list[dict]:
+    """Substitutions for t's free names whose values mention names t binds,
+    so that the binders under which they land must be renamed, plus a swap of
+    free names and an entry for a name t only binds."""
+    fv, bound = free_vars(t), _binder_names(t)
+    out = []
+    if fv and bound:
+        out.append({v: Var(bound[0]) for v in fv})
+        out.append({fv[0]: App(Var(bound[-1]), Var(fv[-1])), bound[0]: NatLit(1)})
+        out.append({v: Add(Var(b), Var(v)) for v, b in zip(fv, reversed(bound))})
+    if len(fv) > 1:
+        out.append({fv[0]: Var(fv[1]), fv[1]: Var(fv[0])})
+    return out
+
+
+def assert_walks_match_references(terms) -> None:
+    """free_vars, alpha_eq, canon, substitution and binder renaming agree with
+    the hand-written walks on every subterm of terms."""
+    subterms = _subterms(*terms)
+    keys = []
+    for s in subterms:
+        env = {x: i for i, x in enumerate(free_vars(s)[::2])}
+        keys.append((reference_canon(s), canon(s)))
+        keys.append(((reference_canon(s, env, len(env)), 1), (canon(s, env, len(env)), 1)))
+    # the new keys identify exactly the terms the old keys identified
+    assert len({r for r, _ in keys}) == len({n for _, n in keys}) == len(set(keys))
+
+    by_shape = sorted(subterms, key=lambda s: repr(reference_canon(s)))
+    for s, t in zip(by_shape, by_shape[1:] + by_shape[:1]):
+        assert alpha_eq(s, t) == reference_alpha_eq(s, t), (s, t)
+        assert alpha_eq(s, s) and reference_alpha_eq(s, s)
+
+    for s in subterms:
+        plain = not any(isinstance(x, ESubst) for x in _subterms(s))
+        for mapping in _capturing_mappings(s):
+            got, want = subst_many(s, mapping), reference_subst(s, mapping)
+            assert got == want if plain else reference_alpha_eq(got, want), (s, mapping)
+        if isinstance(s, (Pi, Lam)):
+            ctx_names = (s.binder, *free_vars(s), s.binder + "'")
+            x2, body2 = reference_freshen(ctx_names, s.binder, children(s)[1])
+            assert freshen_binder(s, 0, ctx_names) == type(s)(x2, s.domain, body2)
+        if isinstance(s, ESubst):
+            names = [sb.name for sb in s.bindings]
+            for i in range(len(names)):
+                avoid = {*free_vars(s), names[i], names[i] + "'"}
+                got = freshen_binder(s, i, avoid)
+                new = got.bindings[i].name
+                assert new not in avoid and new not in names
+                assert reference_alpha_eq(got, s)
+                binds = list(s.bindings)
+                fresh, subj = reference_rename_binding(binds, i, s.subject, avoid)
+                if fresh not in names[:i]:  # the old rename could reuse an earlier name
+                    binds[i] = SBind(fresh, binds[i].domain, binds[i].value)
+                    assert got == ESubst(subj, tuple(binds))
+
+
+class TestBindingWalks:
+    def test_freshen_binder_renames_only_where_the_binder_binds(self):
+        # the domain's x is a free name from outside
+        assert freshen_binder(Pi("x", Var("x"), Var("x")), 0, ()) == Pi("x'", Var("x"), Var("x'"))
+        t = ESubst(App(Var("x"), Var("y")), (
+            SBind("x", Var("x"), Var("x")), SBind("y", Var("x"), Var("x")),
+        ))
+        assert freshen_binder(t, 0, ()) == ESubst(App(Var("x'"), Var("y")), (
+            SBind("x'", Var("x"), Var("x")), SBind("y", Var("x'"), Var("x")),
+        ))
+
+    def test_freshen_binder_avoids_the_other_binders(self):
+        t = ESubst(Var("x"), (SBind("x", NatType(), NatLit(0)), SBind("x'", NatType(), NatLit(1))))
+        out = freshen_binder(t, 0, {"x"})
+        assert [sb.name for sb in out.bindings] == ["x''", "x'"]
+        assert out.subject == Var("x''")
+
+    def test_suspension_values_see_only_the_outer_scope(self):
+        t = ESubst(App(Var("x"), Var("y")), (
+            SBind("x", NatType(), Var("n")), SBind("y", Var("x"), Var("x")),
+        ))
+        assert free_vars(t) == ("n", "x")
+        assert subst(t, "x", NatLit(1)) == ESubst(App(Var("x"), Var("y")), (
+            SBind("x", NatType(), Var("n")), SBind("y", Var("x"), NatLit(1)),
+        ))
+        assert canon(t) != canon(ESubst(t.subject, (t.bindings[0], SBind("y", Var("x"), Var("z")))))
+
+    def test_corpus_judgements_and_their_translations(self, corpus_judgements):
+        terms = []
+        for _, ctx, term in corpus_judgements:
+            res = defun(ctx, term)
+            terms += [term, *(ty for _, ty in ctx), res.term]
+            for e in res.labels:
+                terms += [*(a for _, a in e.telescope), e.arg_type, e.body, e.ret_type]
+        assert_walks_match_references(terms)
+
+    def test_enumerated_terms(self):
+        judgements = enumerate_small_terms(EnumConfig(size_budget=6))
+        assert len(judgements) == 2525
+        assert_walks_match_references(
+            [t for ctx, term in judgements for t in (term, *(ty for _, ty in ctx))]
+        )
+
+    def test_sigma_states_of_diagram_traces(self, corpus_judgements, scaling):
+        _, twice = scaling("twice", 2)
+        states = []
+        for term in [twice] + [term for _, _, term in corpus_judgements]:
+            states += ccs_reduce_trace(sigma_embed(term))
+        assert any(isinstance(s, ESubst) for s in _subterms(*states))
+        assert_walks_match_references(states)
+
+    def test_substitution_renames_only_binders_it_would_capture_under(self):
+        # y occurs only in the value, outside the scope of the suspension's x
+        t = ESubst(Var("x"), (SBind("x", NatType(), Var("y")),))
+        out = subst(t, "y", Var("x"))
+        assert out == ESubst(Var("x"), (SBind("x", NatType(), Var("x")),))
+        assert alpha_eq(out, reference_subst(t, {"y": Var("x")}))
+        # where it lands under the binder, the binder moves
+        t = ESubst(App(Var("x"), Var("y")), (SBind("x", NatType(), Var("y")),))
+        out = subst(t, "y", Var("x"))
+        (sb,) = out.bindings
+        assert sb.name != "x" and out.subject == App(Var(sb.name), Var("x"))
+
+
+def _nest(depth: int, wrap, core=Var("y")):
+    t = core
+    for i in range(depth):
+        t = wrap(i, t)
+    return t
+
+
+NESTS = {
+    "Lam": lambda i, t: Lam(f"x{i}", NatType(), t),
+    "Add": lambda i, t: Add(NatLit(1), t),
+}
+
+
+class TestDepth:
+    """The walks recurse through themselves only, one frame per level; a walk
+    that recursed through a generator or a comprehension would spend two."""
+
+    @pytest.mark.parametrize("kind", NESTS)
+    def test_free_vars_alpha_eq_and_canon_900_deep(self, kind):
+        a, b = _nest(900, NESTS[kind]), _nest(900, NESTS[kind])
+        assert free_vars(a) == ("y",)
+        assert alpha_eq(a, b)
+        assert canon(a) == canon(b)
+
+    def test_subst_many_450_deep(self):
+        t = _nest(450, NESTS["Lam"])
+        assert alpha_eq(subst_many(t, {"y": NatLit(1)}), _nest(450, NESTS["Lam"], NatLit(1)))
