@@ -46,7 +46,6 @@ from .syntax import (
     Term,
     Universe,
     Var,
-    free_var_set,
     subst_many,
 )
 
@@ -141,9 +140,9 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
     """Raise unless the label context and type context are well-formed.
 
     Each entry is checked under the strictly earlier entries: its telescope
-    must be a telescope, the argument and return types must be types over it,
-    and the body must inhabit the return type.  Context types may mention any
-    label.
+    followed by its argument binder must be a well-formed context, the return
+    type must be a type over it, and the body must inhabit the return type.
+    Context types may mention any label.
     """
     b = Budget(budget)
     seen_ids: set[int] = set()
@@ -153,31 +152,13 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
             raise IllFormedContext(f"label {name} declared twice")
         seen_ids.add(e.label_id)
         calc = dcc_calculus(LabelCtx(defs.entries[:idx]))
-        sub = Ctx()
-        for x, a in e.telescope:
-            extra = free_var_set(a) - set(sub.names())
-            if extra:
-                raise IllFormedContext(
-                    f"closure telescope of {name} is not a telescope: type of "
-                    f"{x!r} mentions {sorted(extra)}"
-                )
-            infer_type(calc, sub, a, b)
-            try:
-                sub = sub.extend(x, a)
-            except ValueError as exc:
-                raise IllFormedContext(f"closure telescope of {name}: {exc}") from exc
-        extra = free_var_set(e.arg_type) - set(sub.names())
-        if extra:
-            raise IllFormedContext(
-                f"argument type of {name} mentions {sorted(extra)}"
-            )
-        infer_type(calc, sub, e.arg_type, b)
+        sub = Ctx(e.telescope + ((e.arg_name, e.arg_type),))
         try:
-            sub2 = sub.extend(e.arg_name, e.arg_type)
-        except ValueError as exc:
-            raise IllFormedContext(f"argument binder of {name}: {exc}") from exc
-        infer_type(calc, sub2, e.ret_type, b)
-        body_ty = infer(calc, sub2, e.body, b).type
+            check_context(calc, sub, b)
+        except IllFormedContext as exc:
+            raise IllFormedContext(f"closure telescope of {name}: {exc}") from exc
+        infer_type(calc, sub, e.ret_type, b)
+        body_ty = infer(calc, sub, e.body, b).type
         if not convertible(calc, body_ty, e.ret_type, b):
             raise TypeMismatch(
                 show_term(e.ret_type), show_term(body_ty), f"body of {name}"

@@ -11,11 +11,12 @@ which keeps every reference pointing at an earlier entry.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .cc import cc_infer, fv_telescope
+from .cc import CC_TERMS, SIGMA, cc_infer, fv_telescope
 from .errors import LabelClash
-from .kernel import DEFAULT_BUDGET, Derivation
+from .kernel import DEFAULT_BUDGET, Budget, Derivation, infer
 from .surface import label_name
 from .syntax import (
     Add,
@@ -33,6 +34,7 @@ from .syntax import (
     entry_canon,
     map_children,
     subst_many,
+    uses_only,
 )
 
 
@@ -48,15 +50,31 @@ class TranslationResult:
     ctx_defs: LabelCtx  # label definitions extracted from the context
     dcc_ctx: Ctx  # pointwise-translated context
     labels: LabelCtx  # the judgement's label context: ctx_defs, then the rest of defs
-    _run: "Translation" = field(compare=False, repr=False)  # the run, still open
+    # the run, still open: `translate` and the commuting-diagram check go on in it
+    _run: "Translation" = field(compare=False, repr=False)
     _pids: tuple[int, ...] = field(compare=False, repr=False)  # `labels`, provisional
 
     def translate(self, deriv: Derivation) -> tuple[Term, LabelCtx]:
         """Translate another derivation in this result's run: the term, and
         `labels` followed by the definitions it adds (no id here moves)."""
-        term, pids = self._run.translate(deriv)
+        ((term, _),), labels = self.translate_many((deriv,))
+        return term, labels
+
+    def translate_many(
+        self, derivs: Iterable[Derivation]
+    ) -> tuple[list[tuple[Term, LabelCtx]], LabelCtx]:
+        """Translate further derivations in this result's run, in order, and
+        finalize once: each translated term with its own definitions, and
+        `labels` followed by the definitions they add (no id here moves)."""
+        done = [self._run.translate(d) for d in derivs]
         ren = self._run.finalize()
-        return ren.term(term), ren.label_ctx(_union(self._pids, pids))
+        labels = ren.label_ctx(_union(self._pids, *(pids for _, pids in done)))
+        return [(ren.term(t), ren.label_ctx(pids)) for t, pids in done], labels
+
+    @property
+    def subst_nodes(self) -> int:
+        """Explicit-substitution nodes this result's run has translated so far."""
+        return self._run.subst_nodes
 
 
 class Translation:
@@ -65,22 +83,24 @@ class Translation:
     may go on translating and be finalized again: a later lambda's stamp ranks
     after every earlier one, so the ids given out before never move.
 
-    `infer(ctx, type)` derives the types the translation reads but a
-    derivation does not hold (a variable's, an application's, a conversion
-    target's, closure telescope types, return types, context entries); the
-    caller passes it with the caller's budget, and the explicit-substitution
-    oracle passes its own judgement builder.
+    The run derives the types the translation reads but a derivation does
+    not hold (a variable's, an application's, a conversion target's, closure
+    telescope types, return types, context entries), each under a fresh
+    `budget`: a type that contains a suspension, or is read under a context
+    that holds one, by suspension-calculus inference, any other type by
+    source inference.  So one run translates
+    source derivations and suspension-calculus derivations alike.
 
     The run derives and translates each distinct `(ctx, type)` once and
-    reuses the result.  That is exact: every caller's `infer` derives each
-    type under a fresh budget, so a derivation is a function of
-    `(ctx, type)` alone, and a repeat translation would mint only entries
-    whose first stamp already exists, so skipping it leaves the order of
-    first stamps, and with it every final id, unchanged.  Provisional ids
-    belong to one run, so the memo does too.
+    reuses the result.  That is exact: each type is derived under a fresh
+    budget, so a derivation is a function of `(ctx, type)` alone, and a
+    repeat translation would mint only entries whose first stamp already
+    exists, so skipping it leaves the order of first stamps, and with it
+    every final id, unchanged.  Provisional ids belong to one run, so the
+    memo does too.
     """
 
-    def __init__(self, infer) -> None:
+    def __init__(self, budget: int) -> None:
         self._by_key: dict[object, int] = {}
         # provisional id = list index; Renumbering gives each entry its final id
         self._entries: list[LabelEntry] = []
@@ -89,7 +109,7 @@ class Translation:
         # translated explicit-substitution nodes; a memo hit adds none for the
         # suspensions inside that type
         self.subst_nodes = 0
-        self._infer = infer
+        self._budget = budget
         self._types: dict[tuple[Ctx, Term], list[tuple[Term, tuple[int, ...]]]] = {}
 
     # -- minting
@@ -182,8 +202,16 @@ class Translation:
         per run."""
         done = self._types.setdefault((ctx, ty), [])  # one hash of the key per call
         if not done:
-            done.append(self.translate(self._infer(ctx, ty)))
+            done.append(self.translate(self._derive(ctx, ty)))
         return done[0]
+
+    def _derive(self, ctx: Ctx, ty: Term) -> Derivation:
+        """The derivation of a type, under a fresh budget.  Source inference
+        can neither reduce nor enter a suspension, so it takes only a type
+        whose context holds none either."""
+        if uses_only(ty, CC_TERMS) and all(uses_only(a, CC_TERMS) for _, a in ctx):
+            return cc_infer(ctx, ty, self._budget, check_ctx=False)
+        return infer(SIGMA, ctx, ty, Budget(self._budget))
 
     # -- finalization
 
@@ -241,15 +269,10 @@ def _union(*parts: tuple[int, ...]) -> tuple[int, ...]:
 # Public entry points
 
 
-def source_infer(budget: int):
-    """Source-calculus inference within `budget`, as a Translation takes it."""
-    return lambda ctx, t: cc_infer(ctx, t, budget, check_ctx=False)
-
-
 def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResult:
     """Translate a judgement: context first, then the term, then its type."""
     deriv = cc_infer(ctx, term, budget)
-    run = Translation(source_infer(budget))
+    run = Translation(budget)
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
     type_t, type_pids = run._translate_type(ctx, deriv.type)
@@ -278,7 +301,7 @@ def defun_defs(ctx: Ctx, term: Term) -> LabelCtx:
 
 
 def defun_context(ctx: Ctx) -> tuple[Ctx, LabelCtx]:
-    run = Translation(source_infer(DEFAULT_BUDGET))
+    run = Translation(DEFAULT_BUDGET)
     dcc_ctx, pids = run.translate_context(ctx)
     ren = run.finalize()
     return ren.ctx(dcc_ctx), ren.label_ctx(pids)

@@ -75,7 +75,7 @@ _judgement = functools.lru_cache(maxsize=1)(Judgement)
 def _check(name: str):
     """Make a judgement check from a body returning (ok, detail) for the shared
     judgement; any DefunccError the body raises fails the check with its
-    message."""
+    message, and a judgement nested too deeply raises NestingTooDeep."""
 
     def wrap(body):
         def check(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> CheckResult:
@@ -83,6 +83,8 @@ def _check(name: str):
                 return CheckResult(name, *body(_judgement(ctx, term, budget, defun)))
             except DefunccError as exc:
                 return CheckResult(name, False, str(exc))
+            except RecursionError:
+                raise NestingTooDeep() from None
 
         check.__name__, check.__doc__ = body.__name__, body.__doc__
         return check

@@ -14,7 +14,7 @@ from defuncc.dcc import (
     label_beta,
     label_pi_type,
 )
-from defuncc.defun import Translation, defun, label_union, source_infer
+from defuncc.defun import Translation, defun, label_union
 from defuncc.errors import (
     ClosureArity,
     ClosureTypeMismatch,
@@ -55,7 +55,7 @@ def compose_st(elaborated):
 
 def shared_run(ctx, t1, t2):
     """Translate two judgements in one minting scope so label ids agree."""
-    run = Translation(source_infer(DEFAULT_BUDGET))
+    run = Translation(DEFAULT_BUDGET)
     run.translate_context(ctx)
     a, p1 = run.translate(cc_infer(ctx, t1))
     b, p2 = run.translate(cc_infer(ctx, t2))
@@ -205,6 +205,21 @@ class TestWellFormedness:
         ).labels
         ok, _ = dcc_wf(bad, EMPTY)
         assert not ok
+
+    @pytest.mark.parametrize(
+        "src,detail",
+        [
+            ("label l0 {} (x : A) -> Nat := 1;",
+             "type of 'x' mentions later or unbound names ['A']"),
+            ("label l0 {x : Nat} (x : Nat) -> Nat := x;", "context binds 'x' twice"),
+            ("label l0 {x : 1} (y : Nat) -> Nat := y;",
+             "type of 'x' is not a type: expected a type (a term of some universe): "
+             "1 has type Nat"),
+        ],
+        ids=["argument-type-scope", "repeated-binder", "non-type-entry"],
+    )
+    def test_telescope_and_argument_binder_form_a_context(self, src, detail):
+        assert dcc_wf(parse_dcc(src).labels, EMPTY) == (False, f"closure telescope of l0: {detail}")
 
     def test_later_entries_may_reference_earlier_ones(self):
         defs = parse_dcc(

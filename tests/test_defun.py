@@ -294,7 +294,7 @@ class _AlwaysDerive(Translation):
     and translated again."""
 
     def _translate_type(self, ctx, ty):
-        return self.translate(self._infer(ctx, ty))
+        return self.translate(self._derive(ctx, ty))
 
 
 def _use_translation(monkeypatch, cls) -> None:
@@ -304,21 +304,20 @@ def _use_translation(monkeypatch, cls) -> None:
 
 class TestTypeMemo:
     def test_each_type_is_derived_once_per_run(self, corpus_judgements, monkeypatch):
-        """defun, reduction preservation (which goes on in its judgement's
-        defun run) and the diagram check each ask their run's `infer` for
-        every distinct (ctx, type) at most once."""
+        """defun, reduction preservation and the diagram check (which both go
+        on in their judgement's defun run) each derive every distinct
+        (ctx, type) at most once per run."""
         runs: list[list] = []
 
         class Spy(Translation):
-            def __init__(self, infer):
-                seen: list = []
-                runs.append(seen)
+            def __init__(self, budget):
+                self.seen: list = []
+                runs.append(self.seen)
+                super().__init__(budget)
 
-                def spy(ctx, ty):
-                    seen.append((ctx, ty))
-                    return infer(ctx, ty)
-
-                super().__init__(spy)
+            def _derive(self, ctx, ty):
+                self.seen.append((ctx, ty))
+                return super()._derive(ctx, ty)
 
         _use_translation(monkeypatch, Spy)
         repeated = []

@@ -1,5 +1,6 @@
 """Judgement checks, term enumeration, and file verification."""
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from defuncc.harness import (
 from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.surface import parse_term, show_term
 from defuncc.syntax import (
+    Add,
     Ctx,
     Lam,
     NatLit,
@@ -40,7 +42,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # the module, which the package's `defun` function shadows as an attribute
 defun_module = importlib.import_module("defuncc.defun")
 sigma_module = importlib.import_module("defuncc.sigma")
-defun, source_infer = defun_module.defun, defun_module.source_infer
+defun = defun_module.defun
 DEEP = "add 1 (" * 1200 + "0" + ")" * 1200 + "\n"
 TOO_DEEP = "error: input nests too deeply to check (recursion limit reached)"
 
@@ -72,6 +74,20 @@ class TestChecks:
         ctx = Ctx().extend("A", Universe(0)).extend("x", Var("A"))
         r = check_type_preservation(ctx, Var("x"))
         assert r.ok
+
+    @pytest.mark.parametrize("depth", (600, 1200))
+    @pytest.mark.parametrize("node", ("Add", "Lam"))
+    def test_judgement_nested_deeply_never_raises_recursion_error(self, node, depth):
+        """A check either gives its result or raises NestingTooDeep, which
+        propagates instead of failing the check."""
+        term = NatLit(0)
+        for i in range(depth):
+            term = Add(NatLit(1), term) if node == "Add" else Lam(f"x{i}", NatType(), term)
+        for check in ALL_CHECKS:
+            try:
+                assert isinstance(check(Ctx(), term), CheckResult)
+            except NestingTooDeep:
+                pass
 
 
 # (file, budget): budgets small enough that some checks run out and others
@@ -149,18 +165,18 @@ class TestSharedArtifact:
         assert all(r.ok for r in results), [r.line() for r in results]
         assert (derived.count(term), derived.count(nf)) == (1, 1)
 
-    def test_one_pass_runs_two_translations_and_one_normalization(self, monkeypatch):
-        """defun's run, which reduction preservation goes on in, and the
-        diagram check's σ run; the source normal form is the last state of
-        the one reduction trace."""
+    def test_one_pass_runs_one_translation_and_one_normalization(self, monkeypatch):
+        """defun's run, which reduction preservation and the diagram check go
+        on in; the source normal form is the last state of the one reduction
+        trace."""
         ctx, term, budget = _shared_case("compose_nat_ground.cc", 1_000_000)
         harness._judgement.cache_clear()
         runs, normalized = [], []
 
         class Counting(defun_module.Translation):
-            def __init__(self, infer):
-                runs.append(infer)
-                super().__init__(infer)
+            def __init__(self, budget):
+                runs.append(budget)
+                super().__init__(budget)
 
         for module in (harness, defun_module, sigma_module):
             monkeypatch.setattr(module, "Translation", Counting)
@@ -176,7 +192,45 @@ class TestSharedArtifact:
                     monkeypatch.setattr(module, name, counting)
         results = [check(ctx, term, budget) for check in ALL_CHECKS]
         assert all(r.ok for r in results), [r.line() for r in results]
-        assert (len(runs), len(normalized)) == (2, 1)
+        assert (len(runs), len(normalized)) == (1, 1)
+
+    @pytest.fixture(scope="class")
+    def programs(self, corpus_judgements, scaling):
+        """The corpus judgements, Vec n=2..6 and `twice` k=1..2."""
+        out = [(ctx, term) for _, ctx, term in corpus_judgements]
+        out += [scaling("vec", n) for n in range(2, 7)]
+        return out + [scaling("twice", k) for k in (1, 2)]
+
+    def test_verdicts_do_not_depend_on_check_order(self, programs):
+        """Reduction preservation and the diagram check extend the same run,
+        in whichever order they come."""
+        orders = (ALL_CHECKS, ALL_CHECKS[::-1], ALL_CHECKS[-1:] + ALL_CHECKS[:-1])
+        moved = []
+        for ctx, term in programs:
+            verdicts = []
+            for order in orders:
+                harness._judgement.cache_clear()
+                by_check = {check: check(ctx, term) for check in order}
+                verdicts.append([by_check[check] for check in ALL_CHECKS])
+            if any(v != verdicts[0] for v in verdicts):
+                moved.append((show_term(term), verdicts))
+        assert moved == []
+
+    def test_diagram_report_does_not_depend_on_a_translated_normal_form(self, programs):
+        """Reduction preservation may have translated the normal form in the
+        run before the diagram check extends it."""
+        moved = []
+        for ctx, term in programs:
+            reports = []
+            for extend_first in (False, True):
+                j = sigma_module.Judgement(ctx, term)
+                if extend_first:
+                    j.translation().translate(j.nf_derivation())
+                report = sigma_module.check_diagram(j, raise_on_failure=False)
+                reports.append(dataclasses.replace(report, subst_nodes=0))
+            if reports[0] != reports[1]:
+                moved.append((show_term(term), reports))
+        assert moved == []
 
     def test_one_pass_infers_and_normalizes_the_target_once(self, monkeypatch):
         """Type preservation and weakening read the judgement's target type,
@@ -217,7 +271,7 @@ def _private_run_reduction_preservation(ctx, term, budget=DEFAULT_BUDGET) -> Che
     try:
         deriv = defun(ctx, term, budget).derivation
         nf = cc_normalize(term, budget)
-        run = defun_module.Translation(source_infer(budget))
+        run = defun_module.Translation(budget)
         _, cp = run.translate_context(ctx)
         tt, tp = run.translate(deriv)
         tn, npids = run.translate(cc_infer(ctx, nf, budget, check_ctx=False))

@@ -41,6 +41,17 @@ def test_verify_corpus_exits_one_on_a_failing_check(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "1 failure(s) among 2 checks\n")
 
 
+def test_fingerprint_flags_on_the_corpus_match_the_golden_verdicts():
+    proc = _run_script("fingerprint.py", "corpus")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 350  # 50 judgements at 7 budgets
+    flags = [line.rsplit(" ", 1)[0] for line in lines]
+    assert all(f.endswith("@1000000: ok ok ok ok ok ok") for f in flags[::7])
+    golden = (ROOT / "tests" / "golden" / "budget_verdicts.txt").read_text().splitlines()
+    assert [f for i, f in enumerate(flags) if i % 7] == golden
+
+
 def test_scaling_header_prints_the_source_line_count(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts" / "scaling.py")
     scaling = importlib.util.module_from_spec(spec)

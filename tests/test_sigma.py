@@ -5,6 +5,7 @@ import pytest
 from defuncc.cc import cc_infer, cc_normalize, cc_reduce_trace
 from defuncc.defun import Translation, defun, label_subset
 from defuncc.errors import DiagramFailure
+from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.sigma import (
     ccs_equiv,
     ccs_infer,
@@ -168,7 +169,7 @@ class TestStateTranslation:
         state = ESubst(
             Lam("x", Var("B"), Var("y")), (SBind("y", Var("B"), Var("b")),)
         )
-        run = Translation(infer=lambda c, t: ccs_infer(c, t))
+        run = Translation(DEFAULT_BUDGET)
         term, pids = run.translate(ccs_infer(ctx, state))
         ren = run.finalize()
         out = ren.term(term)
@@ -187,7 +188,7 @@ class TestStateTranslation:
         # Label ids are meaningful within one minting scope, so the source
         # and every machine state share a single translation run.
         t = parse_term("(fun (x : Nat) => (fun (y : Nat) => add x y) 2) 3")
-        run = Translation(infer=lambda c, s: ccs_infer(c, s))
+        run = Translation(DEFAULT_BUDGET)
         _, source_pids = run.translate(ccs_infer(EMPTY, t))
         state_pids = [
             run.translate(ccs_infer(EMPTY, state))[1]
@@ -223,6 +224,18 @@ class TestDiagram:
         report = check_diagram(Judgement(elab.ctx, elab.main))
         assert report.ok
         assert report.subst_nodes > 0
+
+    def test_types_read_under_a_suspended_binder_type(self):
+        # the suspension pushed into the Pi leaves A : Type 0{B |-> Nat} in the
+        # context where the types of f and a are read, so those suspension-free
+        # types still need suspension-calculus inference
+        ctx = EMPTY.extend("Q", parse_term("(A : Type 0) -> A -> Type 0"))
+        t = parse_term(
+            "(fun (B : Type 0) => (A : Type 0) -> (f : A -> A) -> (a : A) -> Q A (f a)) Nat"
+        )
+        report = check_diagram(Judgement(ctx, t))
+        assert report.ok
+        assert report.sigma_steps > report.cc_steps
 
     def test_all_edges_are_reported(self):
         report = check_diagram(Judgement(EMPTY, parse_term("(fun (x : Nat) => x) 1")))
