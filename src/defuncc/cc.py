@@ -47,7 +47,6 @@ from .syntax import (
     free_vars,
     freshen_binder,
     map_children,
-    rename_free,
     subst,
     subst_many,
 )
@@ -60,14 +59,6 @@ def _beta(t: Term) -> Term | None:
     return None
 
 
-def _eta(calc: Calculus, t: Term, z: str, b: Budget) -> Term:
-    """A lambda normal form applied to z is its renamed body; any other normal
-    form applied to z is already normal.  Neither takes a step."""
-    if isinstance(t, Lam):
-        return rename_free(t.body, t.binder, z)
-    return App(t, Var(z))
-
-
 CC_TERMS = frozenset({Var, Universe, Pi, Lam, App, NatType, NatLit, Add})
 
 CC = Calculus(
@@ -76,7 +67,6 @@ CC = Calculus(
     enters=frozenset({App, Add, Pi, Lam}),
     head=_beta,
     is_function=lambda t: isinstance(t, Lam),
-    unfold=_eta,
 )
 
 
@@ -116,7 +106,6 @@ def cc_infer(
     ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET, check_ctx: bool = True
 ) -> Derivation:
     """Infer a type for t under ctx; the result's .type is the type."""
-    CC.check_term(t)
     if check_ctx:
         cc_check_context(ctx, budget)
     return infer(CC, ctx, t, Budget(budget))

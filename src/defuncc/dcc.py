@@ -182,8 +182,6 @@ def dcc_infer(
     check_ctx: bool = True,
 ) -> Term:
     """The type of t under defs and ctx."""
-    calc = dcc_calculus(defs)
-    calc.check_term(t)
     if check_ctx:
         dcc_check(defs, ctx, budget)
-    return infer(calc, ctx, t, Budget(budget)).type
+    return infer(dcc_calculus(defs), ctx, t, Budget(budget)).type

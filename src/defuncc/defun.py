@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .cc import CC_TERMS, SIGMA, cc_infer, fv_telescope
+from .cc import CC_TERMS, SIGMA, cc_check_context, cc_infer, fv_telescope
 from .errors import LabelClash
 from .kernel import DEFAULT_BUDGET, Budget, Derivation, infer
 from .surface import label_name
@@ -189,12 +189,10 @@ class Translation:
         """Pointwise translation of a source context plus its definitions."""
         out = Ctx()
         defs: tuple[int, ...] = ()
-        prefix = Ctx()
-        for x, a in ctx:
-            ta, da = self._translate_type(prefix, a)
+        for i, (x, a) in enumerate(ctx):
+            ta, da = self._translate_type(Ctx(ctx.entries[:i]), a)
             out = out.extend(x, ta)
             defs = _union(defs, da)
-            prefix = prefix.extend(x, a)
         return out, defs
 
     def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
@@ -301,6 +299,7 @@ def defun_defs(ctx: Ctx, term: Term) -> LabelCtx:
 
 
 def defun_context(ctx: Ctx) -> tuple[Ctx, LabelCtx]:
+    cc_check_context(ctx)
     run = Translation(DEFAULT_BUDGET)
     dcc_ctx, pids = run.translate_context(ctx)
     ren = run.finalize()

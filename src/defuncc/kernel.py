@@ -45,7 +45,6 @@ from .syntax import (
     rebuild,
     rename_free,
     subst,
-    uses_only,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -105,10 +104,6 @@ class Calculus:
     rules: dict = field(default_factory=dict)  # typing rules only it has, by constructor
     # read function types in normal form
     type_only: bool = False
-
-    def check_term(self, t: Term) -> None:
-        if not uses_only(t, self.allowed):
-            raise NotAType(f"term uses constructors outside the {self.name} calculus")
 
 
 # ---------------------------------------------------------------------------

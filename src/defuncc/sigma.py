@@ -71,7 +71,6 @@ def _s_infer(ctx: Ctx, t: Term, b: Budget) -> Derivation:
 
 
 def ccs_infer(ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Derivation:
-    SIGMA.check_term(t)
     return _s_infer(ctx, t, Budget(budget))
 
 
@@ -146,7 +145,7 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     ctx, term, budget = j.ctx, j.term, j.budget
     res = j.translation()
     cc_trace = j.trace()
-    s_trace = ccs_reduce_trace(sigma_embed(term), budget)
+    s_trace = ccs_reduce_trace(term, budget)
 
     steps_edge(
         "sigma-simulates-cc-step",

@@ -408,7 +408,8 @@ class _Entries:
 
 @dataclass(frozen=True)
 class Ctx(_Entries):
-    """An ordered telescope of (name, type) assumptions; names are distinct."""
+    """An ordered telescope of (name, type) assumptions with distinct names:
+    `check_context` checks a context from outside, the kernel freshens binders."""
 
     entries: tuple[tuple[str, Term], ...] = ()
 
@@ -419,8 +420,6 @@ class Ctx(_Entries):
         return None
 
     def extend(self, name: str, ty: Term) -> "Ctx":
-        if self.lookup(name) is not None:
-            raise ValueError(f"context already binds {name!r}")
         return Ctx(self.entries + ((name, ty),))
 
     def names(self) -> tuple[str, ...]:

@@ -17,6 +17,7 @@ from defuncc.harness import ALL_CHECKS
 from defuncc.syntax import Ctx, Universe
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "defuncc"
 
 
 def _constants(path: Path) -> dict[str, object]:
@@ -94,3 +95,28 @@ def test_translation_methods_exist(caller):
 def test_check_names_follow_all_checks():
     names = tuple(check(Ctx(), Universe(0)).name for check in ALL_CHECKS)
     assert names == TRACING["CHECK_NAMES"]
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """The names a module imports (from `__future__` aside) and never reads."""
+    tree = ast.parse(path.read_text())
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+)
+def test_unused_imports_are_only_the_tracers_hooks(path):
+    """An import a module never reads stays only as a name the tracer replaces
+    in that module; any other one was stranded by a deletion."""
+    module = path.stem
+    hooks = set(TRACING["CALL_SITES"].get(module, ()))
+    if module in ("harness", "sigma"):
+        hooks.add("Translation")
+    assert _unused_imports(path) <= hooks, f"defuncc.{module}"

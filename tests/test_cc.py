@@ -16,6 +16,7 @@ from defuncc.errors import (
     IllFormedContext,
     NotAFunction,
     NotAType,
+    StepBudgetExceeded,
     TypeMismatch,
     UnboundVariable,
 )
@@ -164,6 +165,13 @@ class TestEquiv:
     def test_symmetric(self):
         a = parse_term("fun (x : A) => f x")
         assert cc_equiv(Var("f"), a)
+
+    def test_eta_unfolding_costs_its_beta_step(self):
+        # the kernel unfolds the lambda by applying it to a fresh name
+        a = parse_term("fun (x : A) => f x")
+        assert cc_equiv(a, Var("f"), 1)
+        with pytest.raises(StepBudgetExceeded):
+            cc_equiv(a, Var("f"), 0)
 
 
 class TestContext:

@@ -259,6 +259,15 @@ def test_foreign_constructor_is_printed_as_a_term(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["checkdcc", "eval", "refun"])
+def test_foreign_constructor_in_the_main_term_is_named(capsys, tmp_path, command):
+    path = tmp_path / "lam.dcc"
+    path.write_text("fun (y : Nat) => y\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert "constructor not part of the target calculus: fun (y : Nat) => y" in out + err
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

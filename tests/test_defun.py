@@ -15,7 +15,7 @@ from defuncc.defun import (
     label_subset,
     label_union,
 )
-from defuncc.errors import LabelClash
+from defuncc.errors import IllFormedContext, LabelClash
 from defuncc.harness import (
     EnumConfig,
     check_reduction_preservation,
@@ -218,6 +218,11 @@ class TestDefunContext:
         ctx, defs = defun_context(src)
         assert ctx == src
         assert defs.entries == ()
+
+    def test_repeated_name_is_rejected_before_translation(self):
+        src = Ctx((("A", Universe(0)), ("A", Universe(0))))
+        with pytest.raises(IllFormedContext, match="context binds 'A' twice"):
+            defun_context(src)
 
 
 class TestLabelAlgebra:

@@ -4,7 +4,7 @@ import pytest
 
 from defuncc.cc import cc_infer, cc_normalize, cc_reduce_trace
 from defuncc.defun import Translation, defun, label_subset
-from defuncc.errors import DiagramFailure
+from defuncc.errors import DiagramFailure, TypeMismatch
 from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.sigma import (
     ccs_equiv,
@@ -236,6 +236,20 @@ class TestDiagram:
         report = check_diagram(Judgement(ctx, t))
         assert report.ok
         assert report.sigma_steps > report.cc_steps
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=TypeMismatch,
+        reason="cc._ty_subst types a suspension's subject under its names as bare "
+        "assumptions, while an entry pushed past the same suspension carries the "
+        "value, so f a has type Nat{_ |-> a} where Q expects B",
+    )
+    def test_codomain_mentioning_the_suspended_name(self):
+        ctx = EMPTY.extend("Q", parse_term("(A : Type 0) -> A -> Type 0"))
+        t = parse_term(
+            "(fun (B : Type 0) => (A : Type 0) -> (f : A -> B) -> (a : A) -> Q B (f a)) Nat"
+        )
+        assert check_diagram(Judgement(ctx, t)).ok
 
     def test_all_edges_are_reported(self):
         report = check_diagram(Judgement(EMPTY, parse_term("(fun (x : Nat) => x) 1")))
