@@ -15,7 +15,7 @@ stuck lambda-suspension fires only when applied.
 
 from __future__ import annotations
 
-from .errors import TypeCheckError, UnboundVariable
+from .errors import UnboundVariable
 from .kernel import (
     DEFAULT_BUDGET,
     Budget,
@@ -27,7 +27,6 @@ from .kernel import (
     infer,
     infer_type,
     normalize,
-    reduce_step,
     reduce_trace,
 )
 from .syntax import (
@@ -70,11 +69,6 @@ CC = Calculus(
 )
 
 
-def cc_reduce_step(t: Term) -> Term | None:
-    """One leftmost-outermost step (under binders); None if t is normal."""
-    return reduce_step(CC, t)
-
-
 def cc_reduce_trace(t: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
     """The full reduction sequence from t to its normal form, inclusive."""
     return reduce_trace(CC, t, Budget(budget))
@@ -92,14 +86,6 @@ def cc_equiv(a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
 def cc_check_context(ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
     """Raise unless every assumption's type is a type in its prefix."""
     check_context(CC, ctx, Budget(budget))
-
-
-def cc_wf_context(ctx: Ctx, budget: int = DEFAULT_BUDGET) -> tuple[bool, str | None]:
-    try:
-        cc_check_context(ctx, budget)
-        return True, None
-    except TypeCheckError as exc:
-        return False, str(exc)
 
 
 def cc_infer(
@@ -243,6 +229,10 @@ def _ty_subst(calc: Calculus, ctx: Ctx, t: ESubst, b: Budget) -> Derivation:
 SIGMA = Calculus(
     name="suspension",
     allowed=CC_TERMS | {ESubst},
+    # no Lam: functions are values, so no step rewrites inside a lambda, a
+    # reduct never holds a function its redex lacked, and the definitions a
+    # translation extracts shrink along every step; differences under a binder
+    # are left to the equivalence
     enters=frozenset({App, Add, Pi, ESubst}),
     head=_head,
     is_function=lambda t: isinstance(t, (Lam, ESubst)),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 # cc_equiv stays a module attribute: perfbench/tracing.py wraps it at this call site
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize  # noqa: F401
-from .dcc import dcc_infer, dcc_normalize
+from .dcc import dcc_check, dcc_infer, dcc_normalize
 from .defun import defun
 from .errors import INPUT_ERRORS, DefunccError, NestingTooDeep, input_error_message
 from .harness import check_annotations, load_file, verify_dcc, verify_path
@@ -83,6 +83,7 @@ def _cmd_eval(args) -> int:
     elab = load_file(args.file)
     term = _require_main(elab)
     if Path(args.file).suffix == ".dcc":
+        dcc_check(elab.labels, elab.ctx, args.budget)
         dcc_infer(elab.labels, elab.ctx, term, args.budget)
         print(show_term(dcc_normalize(elab.labels, term, args.budget)))
         return EXIT_OK

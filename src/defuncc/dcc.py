@@ -15,7 +15,6 @@ from .errors import (
     ClosureArity,
     ClosureTypeMismatch,
     IllFormedContext,
-    TypeCheckError,
     TypeMismatch,
     UnknownLabel,
 )
@@ -30,8 +29,6 @@ from .kernel import (
     infer,
     infer_type,
     normalize,
-    reduce_step,
-    reduce_trace,
 )
 from .surface import label_name, show_term
 from .syntax import (
@@ -65,12 +62,6 @@ def label_beta(defs: LabelCtx, label_id: int, args: tuple[Term, ...], arg: Term)
     e, mapping = _closure(defs, label_id, args)
     mapping[e.arg_name] = arg
     return subst_many(e.body, mapping)
-
-
-def label_pi_type(defs: LabelCtx, label_id: int, args: tuple[Term, ...]) -> Term:
-    """The function type of l{args}: the entry's Pi with the closure plugged in."""
-    e, mapping = _closure(defs, label_id, args)
-    return subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), mapping)
 
 
 DCC_TERMS = frozenset({Var, Universe, Pi, App, NatType, NatLit, Add, Label})
@@ -119,15 +110,6 @@ def dcc_calculus(defs: LabelCtx) -> Calculus:
     )
 
 
-def dcc_reduce_step(defs: LabelCtx, t: Term) -> Term | None:
-    """One leftmost-outermost step (under binders and into closures)."""
-    return reduce_step(dcc_calculus(defs), t)
-
-
-def dcc_reduce_trace(defs: LabelCtx, t: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
-    return reduce_trace(dcc_calculus(defs), t, Budget(budget))
-
-
 def dcc_normalize(defs: LabelCtx, t: Term, budget: int = DEFAULT_BUDGET) -> Term:
     return normalize(dcc_calculus(defs), t, Budget(budget))
 
@@ -166,22 +148,7 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
     check_context(dcc_calculus(defs), ctx, b)
 
 
-def dcc_wf(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> tuple[bool, str | None]:
-    try:
-        dcc_check(defs, ctx, budget)
-        return True, None
-    except TypeCheckError as exc:
-        return False, str(exc)
-
-
-def dcc_infer(
-    defs: LabelCtx,
-    ctx: Ctx,
-    t: Term,
-    budget: int = DEFAULT_BUDGET,
-    check_ctx: bool = True,
-) -> Term:
-    """The type of t under defs and ctx."""
-    if check_ctx:
-        dcc_check(defs, ctx, budget)
+def dcc_infer(defs: LabelCtx, ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Term:
+    """The type of t under defs and ctx, taking both as well-formed (see
+    dcc_check)."""
     return infer(dcc_calculus(defs), ctx, t, Budget(budget)).type

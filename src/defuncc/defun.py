@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .cc import CC_TERMS, SIGMA, cc_check_context, cc_infer, fv_telescope
+from .cc import CC_TERMS, SIGMA, cc_infer, fv_telescope
 from .errors import LabelClash
 from .kernel import DEFAULT_BUDGET, Budget, Derivation, infer
 from .surface import label_name
@@ -288,22 +288,6 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
         _run=run,
         _pids=label_pids,
     )
-
-
-def defun_expr(ctx: Ctx, term: Term) -> Term:
-    return defun(ctx, term).term
-
-
-def defun_defs(ctx: Ctx, term: Term) -> LabelCtx:
-    return defun(ctx, term).defs
-
-
-def defun_context(ctx: Ctx) -> tuple[Ctx, LabelCtx]:
-    cc_check_context(ctx)
-    run = Translation(DEFAULT_BUDGET)
-    dcc_ctx, pids = run.translate_context(ctx)
-    ren = run.finalize()
-    return ren.ctx(dcc_ctx), ren.label_ctx(pids)
 
 
 # ---------------------------------------------------------------------------

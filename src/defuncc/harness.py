@@ -165,7 +165,7 @@ def check_weakening(j: Judgement):
     if not label_subset(res.labels, defs2):
         return False, "label union is not monotone"
     ty1 = j.target_type()
-    ty2 = dcc_infer(defs2, res.dcc_ctx, res.term, budget, check_ctx=False)
+    ty2 = dcc_infer(defs2, res.dcc_ctx, res.term, budget)
     if not dcc_equiv(defs2, ty1, ty2, budget):
         return False, "target type changed under a longer label context"
     return True, ""
@@ -189,31 +189,6 @@ ALL_CHECKS = (
     check_weakening,
     check_diagram_result,
 )
-
-
-# ---------------------------------------------------------------------------
-# Equivalence cross-check: bounded joinability search
-
-
-def joinable(step, a: Term, b: Term, max_steps: int = 200) -> bool:
-    """Breadth-first joinability under a one-step reduction function."""
-
-    def frontier(t: Term) -> set[Term]:
-        seen = {t}
-        queue = [t]
-        budget = max_steps
-        while queue and budget > 0:
-            cur = queue.pop(0)
-            nxt = step(cur)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                budget -= 1
-        return seen
-
-    fa = frontier(a)
-    fb = frontier(b)
-    return any(alpha_eq(x, y) for x in fa for y in fb)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +337,7 @@ def verify_dcc(elab: Elaborated, budget: int = DEFAULT_BUDGET) -> tuple[bool, li
     if elab.main is None:
         return True, ["label context: ok"]
     try:
-        ty = dcc_infer(elab.labels, elab.ctx, elab.main, budget, check_ctx=False)
+        ty = dcc_infer(elab.labels, elab.ctx, elab.main, budget)
     except DefunccError as exc:
         return False, ["label context: ok", f"main: FAIL ({exc})"]
     return True, ["label context: ok", f"main: {show_term(ty)}"]

@@ -43,7 +43,6 @@ from .syntax import (
     fresh_name,
     freshen_binder,
     rebuild,
-    rename_free,
     subst,
 )
 
@@ -217,7 +216,7 @@ def _equiv_nf(calc: Calculus, a: Term, b: Term, depth: int, bud: Budget) -> bool
             if not _equiv_nf(calc, a1, a2, d, bud):
                 return False
             z = fresh_name(x, free_var_set(b1) | free_var_set(b2) | {x, y})
-            return _equiv_nf(calc, rename_free(b1, x, z), rename_free(b2, y, z), d, bud)
+            return _equiv_nf(calc, subst(b1, x, Var(z)), subst(b2, y, Var(z)), d, bud)
         case App(f1, x1), App(f2, x2):
             return _equiv_nf(calc, f1, f2, d, bud) and _equiv_nf(calc, x1, x2, d, bud)
         case Add(l1, r1), Add(l2, r2):

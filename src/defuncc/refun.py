@@ -39,5 +39,5 @@ def refun(
 ) -> tuple[Ctx, Term]:
     """Re-check the judgement, then translate the context and term back."""
     dcc_check(defs, ctx, budget)
-    dcc_infer(defs, ctx, term, budget, check_ctx=False)
+    dcc_infer(defs, ctx, term, budget)
     return refun_context(defs, ctx), refun_expr(defs, term)

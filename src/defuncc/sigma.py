@@ -1,11 +1,12 @@
 """Explicit-substitution oracle for the reduction-preservation story.
 
-The source calculus is embedded (shared representation) into the suspension
-calculus (`cc.SIGMA`), whose substitutions never happen spontaneously, so
-translating a reduction sequence step by step can be compared against the
-direct translation, which is what check_diagram does.  This module holds the
-suspension calculus's entry points, the `Judgement` the metatheory checks
-share, and the commuting diagram.
+Source terms are terms of the suspension calculus (`cc.SIGMA`) as they
+stand, and its substitutions never happen spontaneously, so translating a
+reduction sequence step by step can be compared against the direct
+translation, which is what check_diagram does.  This module holds the
+suspension calculus's entry points (`ccs_reduce_trace`, `ccs_equiv`,
+`ccs_infer`), the `Judgement` the metatheory checks share, and the
+commuting diagram.
 """
 
 from __future__ import annotations
@@ -14,52 +15,17 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .cc import CC_TERMS, SIGMA, cc_infer, cc_reduce_trace
+from .cc import SIGMA, cc_infer, cc_reduce_trace
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
 # Translation stays a module attribute: perfbench/tracing.py and the tests replace it here
 from .defun import Translation, defun  # noqa: F401
-from .errors import DefunccError, DiagramFailure, StepBudgetExceeded
-from .kernel import (
-    DEFAULT_BUDGET,
-    Budget,
-    Derivation,
-    convertible,
-    infer,
-    normalize,
-    reduce_step,
-    reduce_trace,
-)
-from .syntax import Ctx, Term, alpha_eq, uses_only
-
-
-def sigma_embed(t: Term) -> Term:
-    """Source terms are suspension-calculus terms as they stand."""
-    if not uses_only(t, CC_TERMS):
-        raise TypeError("only source-calculus terms embed")
-    return t
-
-
-def is_ccs_term(t: Term) -> bool:
-    return uses_only(t, SIGMA.allowed)
-
-
-def ccs_reduce_step(t: Term) -> Term | None:
-    """One leftmost-outermost step; None when t is sigma-normal.
-
-    Functions are values here: no step ever rewrites inside a lambda, so a
-    reduct can never contain a function the redex lacked, and definition
-    extraction is monotone along every step.  Differences hidden under a
-    binder are recovered by the equivalence, not the reduction.
-    """
-    return reduce_step(SIGMA, t)
+from .errors import DefunccError, DiagramFailure, StepBudgetExceeded, TypeCheckError
+from .kernel import DEFAULT_BUDGET, Budget, Derivation, convertible, infer, reduce_trace
+from .syntax import Ctx, Term, alpha_eq
 
 
 def ccs_reduce_trace(t: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
     return reduce_trace(SIGMA, t, Budget(budget))
-
-
-def ccs_normalize(t: Term, budget: int = DEFAULT_BUDGET) -> Term:
-    return normalize(SIGMA, t, Budget(budget))
 
 
 def ccs_equiv(a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
@@ -90,7 +56,7 @@ class Judgement:
         self.ctx, self.term, self.budget = ctx, term, budget
         res = self.translation = functools.cache(lambda: translate(ctx, term, budget))
         self.target_type = functools.cache(
-            lambda: dcc_infer(res().labels, res().dcc_ctx, res().term, budget, check_ctx=False)
+            lambda: dcc_infer(res().labels, res().dcc_ctx, res().term, budget)
         )
         self.target_nf = functools.cache(lambda: dcc_normalize(res().labels, res().term, budget))
         # no closure refers to the judgement, so dropping it frees them at once
@@ -127,6 +93,10 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     shrink (never grow) along suspension steps; the translated term reduces,
     step-translated, to something equivalent to the translated normal form;
     and the whole thing happens under a well-formed label context.
+
+    Every suspension state must be typable to be translated: raise mode lets
+    the error of one that is not through, and report mode ends the report
+    there with a failing `sigma-states-typed` edge that names the state.
     """
     edges: list[DiagramEdge] = []
 
@@ -161,12 +131,39 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     )
 
     subst_before = res.subst_nodes
+
+    def report(labels: int) -> DiagramReport:
+        return DiagramReport(
+            ok=all(e.ok for e in edges),
+            edges=tuple(edges),
+            cc_steps=len(cc_trace) - 1,
+            sigma_steps=len(s_trace) - 1,
+            labels=labels,
+            subst_nodes=res.subst_nodes - subst_before,
+        )
+
+    untyped: list[str] = []
+
+    def state_derivations():
+        """Every state's derivation; in report mode the first state
+        sigma-inference rejects ends them, and the report with them."""
+        for i, x in enumerate(s_trace):
+            try:
+                d = _s_infer(ctx, x, Budget(budget))
+            except TypeCheckError as exc:
+                if raise_on_failure:
+                    raise
+                untyped.append(f"state {i}: {exc}")
+                return
+            yield d
+
     # the judgement's own run translates the normal form, then every state
     translated, defs = res.translate_many(
-        itertools.chain(
-            (j.nf_derivation(),), (_s_infer(ctx, x, Budget(budget)) for x in s_trace)
-        )
+        itertools.chain((j.nf_derivation(),), state_derivations())
     )
+    if untyped:
+        edge("sigma-states-typed", False, untyped[0])
+        return report(len(defs))
     (nf_t, _), *states = translated
     state_ts = [t for t, _ in states]
 
@@ -209,12 +206,4 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
         "translated term vs translated normal form",
     )
 
-    ok = all(e.ok for e in edges)
-    return DiagramReport(
-        ok=ok,
-        edges=tuple(edges),
-        cc_steps=len(cc_trace) - 1,
-        sigma_steps=len(s_trace) - 1,
-        labels=len(defs),
-        subst_nodes=res.subst_nodes - subst_before,
-    )
+    return report(len(defs))

@@ -329,11 +329,6 @@ def subst(t: Term, name: str, value: Term) -> Term:
     return subst_many(t, {name: value})
 
 
-def rename_free(t: Term, old: str, new: str) -> Term:
-    """Rename a free variable (a capture-avoiding substitution of a name)."""
-    return _subst(t, {old: Var(new)})
-
-
 # ---------------------------------------------------------------------------
 # Alpha equivalence
 

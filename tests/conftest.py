@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus files, elaborated judgements, and small builders."""
+"""Shared fixtures: corpus files, elaborated judgements, small builders, and
+a joinability search."""
 
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from defuncc.harness import load_file, source_judgements
 from defuncc.surface import parse_source
+from defuncc.syntax import alpha_eq
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -70,6 +72,34 @@ def elaborated():
         return load_file(CORPUS / f"{stem}.cc")
 
     return load
+
+
+def _joinable(step, a, b, max_steps: int = 200) -> bool:
+    """Breadth-first joinability under a one-step reduction function."""
+
+    def frontier(t):
+        seen = {t}
+        queue = [t]
+        budget = max_steps
+        while queue and budget > 0:
+            cur = queue.pop(0)
+            nxt = step(cur)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                budget -= 1
+        return seen
+
+    fa = frontier(a)
+    fb = frontier(b)
+    return any(alpha_eq(x, y) for x in fa for y in fb)
+
+
+@pytest.fixture(scope="session")
+def joinable():
+    """joinable(step, a, b): a bounded search for a common reduct of a and b,
+    a cross-check of equivalence independent of the kernel's conversion."""
+    return _joinable
 
 
 @pytest.fixture(scope="session")

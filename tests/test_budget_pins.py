@@ -6,11 +6,12 @@ the hand-written reducers counted."""
 
 import pytest
 
-from defuncc.cc import cc_normalize, cc_reduce_trace
-from defuncc.dcc import dcc_normalize, dcc_reduce_trace
+from defuncc.cc import SIGMA, cc_normalize, cc_reduce_trace
+from defuncc.dcc import dcc_calculus, dcc_normalize
 from defuncc.defun import defun
 from defuncc.errors import StepBudgetExceeded
-from defuncc.sigma import ccs_normalize, ccs_reduce_trace
+from defuncc.kernel import Budget, normalize, reduce_trace
+from defuncc.sigma import ccs_reduce_trace
 
 # program -> least budget for (cc_normalize, dcc_normalize, ccs_normalize,
 #                              cc_reduce_trace, dcc_reduce_trace, ccs_reduce_trace)
@@ -34,9 +35,9 @@ def _runners(ctx, term):
     return {
         "cc_normalize": lambda b: cc_normalize(term, b),
         "dcc_normalize": lambda b: dcc_normalize(defs, res.term, b),
-        "ccs_normalize": lambda b: ccs_normalize(term, b),
+        "ccs_normalize": lambda b: normalize(SIGMA, term, Budget(b)),
         "cc_reduce_trace": lambda b: cc_reduce_trace(term, b),
-        "dcc_reduce_trace": lambda b: dcc_reduce_trace(defs, res.term, b),
+        "dcc_reduce_trace": lambda b: reduce_trace(dcc_calculus(defs), res.term, Budget(b)),
         "ccs_reduce_trace": lambda b: ccs_reduce_trace(term, b),
     }
 

@@ -3,13 +3,12 @@
 import pytest
 
 from defuncc.cc import (
+    CC,
     cc_check_context,
     cc_equiv,
     cc_infer,
     cc_normalize,
-    cc_reduce_step,
     cc_reduce_trace,
-    cc_wf_context,
     fv_telescope,
 )
 from defuncc.errors import (
@@ -17,9 +16,11 @@ from defuncc.errors import (
     NotAFunction,
     NotAType,
     StepBudgetExceeded,
+    TypeCheckError,
     TypeMismatch,
     UnboundVariable,
 )
+from defuncc.kernel import reduce_step
 from defuncc.sigma import ccs_infer
 from defuncc.surface import parse_term
 from defuncc.syntax import (
@@ -117,16 +118,16 @@ class TestInferErrors:
 class TestReduce:
     def test_beta_step(self):
         t = App(Lam("x", Var("A"), Var("x")), Var("y"))
-        assert cc_reduce_step(t) == Var("y")
+        assert reduce_step(CC, t) == Var("y")
 
     def test_add_of_literals(self):
-        assert cc_reduce_step(Add(NatLit(1), NatLit(1))) == NatLit(2)
+        assert reduce_step(CC, Add(NatLit(1), NatLit(1))) == NatLit(2)
 
     def test_pi_is_normal(self):
-        assert cc_reduce_step(parse_term("(x : A) -> B")) is None
+        assert reduce_step(CC, parse_term("(x : A) -> B")) is None
 
     def test_open_add_is_normal(self):
-        assert cc_reduce_step(Add(NatLit(1), Var("n"))) is None
+        assert reduce_step(CC, Add(NatLit(1), Var("n"))) is None
 
     def test_trace_collects_each_step(self):
         t = parse_term("(fun (n : Nat) => add 1 ((fun (x : Nat) => add 1 x) n)) 3")
@@ -134,7 +135,7 @@ class TestReduce:
         assert trace[0] == t
         assert trace[-1] == NatLit(5)
         assert all(
-            cc_reduce_step(a) == b for a, b in zip(trace, trace[1:])
+            reduce_step(CC, a) == b for a, b in zip(trace, trace[1:])
         )
 
 
@@ -176,21 +177,18 @@ class TestEquiv:
 
 class TestContext:
     def test_empty_is_well_formed(self):
-        ok, detail = cc_wf_context(EMPTY)
-        assert ok and detail is None
+        assert cc_check_context(EMPTY) is None
 
     def test_dependent_entries(self):
-        ok, _ = cc_wf_context(ctx_of(("A", "Type 0"), ("f", "A -> A")))
-        assert ok
+        cc_check_context(ctx_of(("A", "Type 0"), ("f", "A -> A")))
 
     def test_type_variables_may_annotate_later_entries(self):
-        ok, _ = cc_wf_context(ctx_of(("y", "Type 0"), ("x", "y")))
-        assert ok
+        cc_check_context(ctx_of(("y", "Type 0"), ("x", "y")))
 
     def test_non_type_annotation_rejected(self):
-        ok, detail = cc_wf_context(ctx_of(("n", "Nat"), ("x", "n")))
-        assert not ok
-        assert "not a type" in detail
+        with pytest.raises(TypeCheckError) as exc:
+            cc_check_context(ctx_of(("n", "Nat"), ("x", "n")))
+        assert "not a type" in str(exc.value)
 
     def test_check_context_raises(self):
         bad = Ctx((("x", Var("missing")),))
@@ -199,8 +197,8 @@ class TestContext:
 
     def test_duplicate_names_rejected(self):
         bad = Ctx((("x", NatType()), ("x", NatType())))
-        ok, _ = cc_wf_context(bad)
-        assert not ok
+        with pytest.raises(TypeCheckError):
+            cc_check_context(bad)
 
 
 class TestFvTelescope:

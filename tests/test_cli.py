@@ -295,3 +295,23 @@ def test_repeated_label_block_is_a_parse_error(capsys, tmp_path):
     )
     code, _, err = run(capsys, "checkdcc", str(path))
     assert (code, err) == (2, "parse error: 3:7: duplicate label 'l0'\n")
+
+
+BAD_DCC_ERRORS = {
+    "closure_arity.dcc": "label l0 expects 1 closure argument(s), got 0",
+    "closure_type.dcc": "closure argument 0 of l0: expected Nat, got Type 0",
+    "telescope_scope.dcc": (
+        "closure telescope of l0: type of 'x' mentions later or unbound names ['A']"
+    ),
+    "universe_mismatch.dcc": "type mismatch in body of l0: expected Type 0, got Type 1",
+    "unknown_label.dcc": "label l1 is not declared in the label context",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (CORPUS / "bad").glob("*.dcc")))
+@pytest.mark.parametrize("command", ["eval", "refun"])
+def test_ill_typed_label_file_exits_one(capsys, command, name):
+    # telescope_scope.dcc and universe_mismatch.dcc are rejected only by the
+    # label-context check, which both commands make before inference
+    code, out, err = run(capsys, command, str(CORPUS / "bad" / name))
+    assert (code, out, err) == (1, "", f"error: {BAD_DCC_ERRORS[name]}\n")

@@ -4,24 +4,22 @@ import pytest
 
 from defuncc.cc import cc_infer
 from defuncc.dcc import (
+    dcc_calculus,
     dcc_check,
     dcc_equiv,
     dcc_infer,
     dcc_normalize,
-    dcc_reduce_step,
-    dcc_reduce_trace,
-    dcc_wf,
     label_beta,
-    label_pi_type,
 )
 from defuncc.defun import Translation, defun, label_union
 from defuncc.errors import (
     ClosureArity,
     ClosureTypeMismatch,
+    TypeCheckError,
     UnboundVariable,
     UnknownLabel,
 )
-from defuncc.kernel import DEFAULT_BUDGET
+from defuncc.kernel import DEFAULT_BUDGET, Budget, reduce_step, reduce_trace
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
@@ -66,20 +64,27 @@ def shared_run(ctx, t1, t2):
 
 
 class TestInfer:
+    def test_pair_defs_are_well_formed(self):
+        # the tests below infer under PAIR_DEFS, which dcc_infer takes as checked
+        dcc_check(PAIR_DEFS, EMPTY)
+
     def test_translated_compose_has_arrow_chain_type(self, compose_st):
         elab, result = compose_st
+        dcc_check(result.defs, result.dcc_ctx)
         ty = dcc_infer(result.defs, result.dcc_ctx, result.term)
         expected = parse_term("(f : B -> C) -> (g : A -> B) -> (x : A) -> C")
         assert alpha_eq(ty, expected)
 
     def test_translated_type_matches_inferred_type(self, compose_st):
         elab, result = compose_st
+        dcc_check(result.defs, result.dcc_ctx)
         ty = dcc_infer(result.defs, result.dcc_ctx, result.term)
         assert dcc_equiv(result.defs, ty, result.type_term)
 
     def test_dependent_compose_label_type(self, elaborated):
         elab = elaborated("compose_dependent")
         result = defun(elab.ctx, elab.main)
+        dcc_check(result.defs, EMPTY)
         ty = dcc_infer(result.defs, EMPTY, result.term)
         assert dcc_equiv(result.defs, ty, result.type_term)
         assert result.term == Label(0, ())
@@ -89,8 +94,8 @@ class TestInfer:
         ty = dcc_infer(PAIR_DEFS, EMPTY, Label(3, (NatType(), NatLit(3))))
         assert alpha_eq(ty, parse_term("(x : Nat) -> Nat"))
 
-    def test_label_pi_type_helper(self):
-        ty = label_pi_type(PAIR_DEFS, 2, (Label(0, ()),))
+    def test_applied_label_has_its_entry_pi_type(self):
+        ty = dcc_infer(PAIR_DEFS, EMPTY, Label(2, (Label(0, ()),)))
         assert alpha_eq(ty, parse_term("(n : Nat) -> Nat"))
 
     def test_closure_arity_mismatch(self):
@@ -115,13 +120,14 @@ class TestReduce:
         elab, result = compose_st
         inner = result.defs.entries[0]  # innermost entry completes first
         closure = tuple(Var(n) for n, _ in inner.telescope)
-        out = dcc_reduce_step(result.defs, App(Label(inner.label_id, closure),
-                                               Var("x")))
+        out = reduce_step(
+            dcc_calculus(result.defs), App(Label(inner.label_id, closure), Var("x"))
+        )
         assert alpha_eq(out, parse_term("f (g x)"))
 
     def test_partial_application_steps_to_next_closure(self, compose_st):
         elab, result = compose_st
-        out = dcc_reduce_step(result.defs, App(result.term, Var("f")))
+        out = reduce_step(dcc_calculus(result.defs), App(result.term, Var("f")))
         assert isinstance(out, Label)
         assert out.args[-1] == Var("f")
 
@@ -130,10 +136,10 @@ class TestReduce:
         assert out == App(Label(0, ()), App(Label(0, ()), NatLit(1)))
 
     def test_pi_is_normal(self):
-        assert dcc_reduce_step(PAIR_DEFS, parse_term("(x : Nat) -> Nat")) is None
+        assert reduce_step(dcc_calculus(PAIR_DEFS), parse_term("(x : Nat) -> Nat")) is None
 
     def test_bare_label_is_inert(self):
-        assert dcc_reduce_step(PAIR_DEFS, Label(0, ())) is None
+        assert reduce_step(dcc_calculus(PAIR_DEFS), Label(0, ())) is None
 
     def test_reduction_inside_closure_arguments(self):
         t = Label(3, (NatType(), Add(NatLit(1), NatLit(1))))
@@ -150,10 +156,10 @@ class TestReduce:
 
     def test_trace_is_stepwise(self):
         t = App(Label(2, (Label(0, ()),)), NatLit(1))
-        trace = dcc_reduce_trace(PAIR_DEFS, t)
+        trace = reduce_trace(dcc_calculus(PAIR_DEFS), t, Budget(DEFAULT_BUDGET))
         assert trace[-1] == NatLit(3)
         for a, b in zip(trace, trace[1:]):
-            assert dcc_reduce_step(PAIR_DEFS, a) == b
+            assert reduce_step(dcc_calculus(PAIR_DEFS), a) == b
 
 
 class TestEquiv:
@@ -181,8 +187,7 @@ class TestEquiv:
 
 class TestWellFormedness:
     def test_empty_is_well_formed(self):
-        ok, detail = dcc_wf(parse_dcc("Nat").labels, EMPTY)
-        assert ok and detail is None
+        assert dcc_check(parse_dcc("Nat").labels, EMPTY) is None
 
     def test_translated_contexts_are_well_formed(self, elaborated):
         elab = elaborated("compose_dependent")
@@ -195,16 +200,16 @@ class TestWellFormedness:
         bad = parse_dcc(
             "label l0 {} (x : Type 0) -> Type 0 := Type 0;"
         ).labels
-        ok, detail = dcc_wf(bad, EMPTY)
-        assert not ok
-        assert detail
+        with pytest.raises(TypeCheckError) as exc:
+            dcc_check(bad, EMPTY)
+        assert str(exc.value)
 
     def test_telescope_types_must_be_closed_by_prefix(self):
         bad = parse_dcc(
             "label l0 {a : A} (x : Nat) -> Nat := x;"
         ).labels
-        ok, _ = dcc_wf(bad, EMPTY)
-        assert not ok
+        with pytest.raises(TypeCheckError):
+            dcc_check(bad, EMPTY)
 
     @pytest.mark.parametrize(
         "src,detail",
@@ -219,7 +224,9 @@ class TestWellFormedness:
         ids=["argument-type-scope", "repeated-binder", "non-type-entry"],
     )
     def test_telescope_and_argument_binder_form_a_context(self, src, detail):
-        assert dcc_wf(parse_dcc(src).labels, EMPTY) == (False, f"closure telescope of l0: {detail}")
+        with pytest.raises(TypeCheckError) as exc:
+            dcc_check(parse_dcc(src).labels, EMPTY)
+        assert str(exc.value) == f"closure telescope of l0: {detail}"
 
     def test_later_entries_may_reference_earlier_ones(self):
         defs = parse_dcc(

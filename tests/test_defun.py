@@ -9,9 +9,6 @@ import pytest
 from defuncc.defun import (
     Translation,
     defun,
-    defun_context,
-    defun_defs,
-    defun_expr,
     label_subset,
     label_union,
 )
@@ -206,23 +203,25 @@ class TestSmallPrograms:
 
 
 class TestDefunContext:
+    """The context's translation, read off a judgement on the closed term Type 0."""
+
     def test_empty(self):
-        ctx, defs = defun_context(EMPTY)
-        assert ctx == EMPTY
-        assert defs.entries == ()
+        result = defun(EMPTY, Universe(0))
+        assert result.dcc_ctx == EMPTY
+        assert result.ctx_defs.entries == ()
 
     def test_lambda_free_context_is_unchanged(self):
         src = Ctx().extend("A", Universe(0)).extend(
             "f", parse_term("A -> A")
         )
-        ctx, defs = defun_context(src)
-        assert ctx == src
-        assert defs.entries == ()
+        result = defun(src, Universe(0))
+        assert result.dcc_ctx == src
+        assert result.ctx_defs.entries == ()
 
     def test_repeated_name_is_rejected_before_translation(self):
         src = Ctx((("A", Universe(0)), ("A", Universe(0))))
         with pytest.raises(IllFormedContext, match="context binds 'A' twice"):
-            defun_context(src)
+            defun(src, Universe(0))
 
 
 class TestLabelAlgebra:
@@ -269,8 +268,8 @@ class TestDeterminism:
     def test_expr_and_defs_match_full_run(self, elaborated):
         elab = elaborated("compose_simply_typed")
         result = defun(elab.ctx, elab.main)
-        assert defun_expr(elab.ctx, elab.main) == result.term
-        assert defun_defs(elab.ctx, elab.main) == result.defs
+        assert defun(elab.ctx, elab.main).term == result.term
+        assert defun(elab.ctx, elab.main).defs == result.defs
 
 
 class TestBudget:

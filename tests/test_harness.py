@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from defuncc import harness
-from defuncc.cc import cc_infer, cc_normalize, cc_reduce_step
+from defuncc.cc import CC, cc_infer, cc_normalize
 from defuncc.dcc import dcc_equiv, dcc_normalize
 from defuncc.errors import DefunccError, NestingTooDeep
 from defuncc.harness import (
@@ -18,14 +18,13 @@ from defuncc.harness import (
     check_round_trip,
     check_type_preservation,
     enumerate_small_terms,
-    joinable,
     load_file,
     seed_contexts,
     verify_dcc,
     verify_file,
     verify_path,
 )
-from defuncc.kernel import DEFAULT_BUDGET
+from defuncc.kernel import DEFAULT_BUDGET, reduce_step
 from defuncc.surface import parse_term, show_term
 from defuncc.syntax import (
     Add,
@@ -325,15 +324,21 @@ class TestReductionPreservation:
 
 
 class TestJoinable:
-    def test_identical_terms_are_joinable(self):
-        assert joinable(cc_reduce_step, NatLit(3), NatLit(3))
+    """The joinability search the property tests cross-check with (conftest)."""
 
-    def test_reduct_joins_with_source(self):
+    @staticmethod
+    def step(t):
+        return reduce_step(CC, t)
+
+    def test_identical_terms_are_joinable(self, joinable):
+        assert joinable(self.step, NatLit(3), NatLit(3))
+
+    def test_reduct_joins_with_source(self, joinable):
         t = parse_term("(fun (x : Nat) => add x 1) 3")
-        assert joinable(cc_reduce_step, t, NatLit(4))
+        assert joinable(self.step, t, NatLit(4))
 
-    def test_distinct_normal_forms_do_not_join(self):
-        assert not joinable(cc_reduce_step, NatLit(3), NatLit(4))
+    def test_distinct_normal_forms_do_not_join(self, joinable):
+        assert not joinable(self.step, NatLit(3), NatLit(4))
 
 
 class TestEnumeration:

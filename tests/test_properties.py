@@ -1,17 +1,15 @@
 """Randomized laws: substitution, alpha-equivalence, and agreement between
 the direct normalizer, the machine, and the translations."""
 
+import functools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defuncc.cc import cc_equiv, cc_normalize, cc_reduce_step
-from defuncc.harness import (
-    EnumConfig,
-    check_round_trip,
-    enumerate_small_terms,
-    joinable,
-)
-from defuncc.sigma import ccs_equiv, ccs_normalize
+from defuncc.cc import CC, SIGMA, cc_equiv, cc_normalize
+from defuncc.harness import EnumConfig, check_round_trip, enumerate_small_terms
+from defuncc.kernel import DEFAULT_BUDGET, Budget, normalize, reduce_step
+from defuncc.sigma import ccs_equiv
 from defuncc.syntax import (
     Add,
     App,
@@ -111,17 +109,18 @@ def test_normalize_is_idempotent(pair):
 @settings(max_examples=60, deadline=None)
 def test_machine_normal_forms_match_direct_ones(pair):
     ctx, t = pair
-    assert ccs_equiv(ccs_normalize(t), cc_normalize(t))
+    assert ccs_equiv(normalize(SIGMA, t, Budget(DEFAULT_BUDGET)), cc_normalize(t))
 
 
 @given(st.sampled_from(JUDGEMENTS))
 @settings(max_examples=40, deadline=None)
-def test_single_steps_stay_equivalent_and_joinable(pair):
+def test_single_steps_stay_equivalent_and_joinable(joinable, pair):
     ctx, t = pair
-    s = cc_reduce_step(t)
+    step = functools.partial(reduce_step, CC)
+    s = step(t)
     if s is not None:
         assert cc_equiv(t, s)
-        assert joinable(cc_reduce_step, t, s)
+        assert joinable(step, t, s)
 
 
 @given(st.sampled_from(JUDGEMENTS))

@@ -3,8 +3,9 @@
 import pytest
 
 from defuncc.cc import cc_equiv, cc_infer, cc_normalize
-from defuncc.dcc import dcc_infer, dcc_reduce_trace
+from defuncc.dcc import dcc_calculus, dcc_check, dcc_infer
 from defuncc.defun import defun, label_union
+from defuncc.kernel import DEFAULT_BUDGET, Budget, reduce_trace
 from defuncc.refun import refun, refun_context, refun_expr
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
@@ -112,7 +113,7 @@ class TestContextAndJudgement:
     def test_backward_reduction_preservation(self, elaborated):
         elab = elaborated("compose_applied")
         result = defun(elab.ctx, elab.main)
-        trace = dcc_reduce_trace(result.defs, result.term)
+        trace = reduce_trace(dcc_calculus(result.defs), result.term, Budget(DEFAULT_BUDGET))
         assert len(trace) > 1
         backs = [refun_expr(result.defs, s) for s in trace]
         for a, b in zip(backs, backs[1:]):
@@ -121,6 +122,7 @@ class TestContextAndJudgement:
 
     def test_backward_typing_matches_dcc_typing(self, dependent):
         elab, result = dependent
+        dcc_check(result.defs, EMPTY)
         dcc_ty = dcc_infer(result.defs, EMPTY, result.term)
         back_ty = refun_expr(result.defs, dcc_ty)
         src_ty = cc_infer(elab.ctx, elab.main).type

@@ -1,21 +1,21 @@
 """The explicit-substitution machine and its commuting-diagram checker."""
 
+import dataclasses
+
 import pytest
 
-from defuncc.cc import cc_infer, cc_normalize, cc_reduce_trace
+from defuncc.cc import CC_TERMS, SIGMA, cc_infer, cc_normalize, cc_reduce_trace
 from defuncc.defun import Translation, defun, label_subset
 from defuncc.errors import DiagramFailure, TypeMismatch
-from defuncc.kernel import DEFAULT_BUDGET
+from defuncc.kernel import DEFAULT_BUDGET, Budget, normalize, reduce_step
 from defuncc.sigma import (
+    DiagramEdge,
+    DiagramReport,
     ccs_equiv,
     ccs_infer,
-    ccs_normalize,
-    ccs_reduce_step,
     Judgement,
     ccs_reduce_trace,
     check_diagram,
-    is_ccs_term,
-    sigma_embed,
 )
 from defuncc.surface import parse_term
 from defuncc.syntax import (
@@ -31,6 +31,7 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    uses_only,
 )
 
 EMPTY = Ctx()
@@ -46,24 +47,24 @@ def nat_ctx(*names: str) -> Ctx:
 class TestEmbedAndSteps:
     def test_embedding_is_the_identity_on_source_terms(self):
         t = parse_term("fun (x : Nat) => add x 1")
-        assert sigma_embed(t) is t
-        assert is_ccs_term(ESubst(Var("x"), (SBind("x", NatType(), NatLit(1)),)))
+        assert uses_only(t, CC_TERMS) and CC_TERMS <= SIGMA.allowed
+        assert uses_only(ESubst(Var("x"), (SBind("x", NatType(), NatLit(1)),)), SIGMA.allowed)
 
     def test_beta_suspends_instead_of_substituting(self):
         t = parse_term("(fun (x : Nat) => add x 1) 3")
-        out = ccs_reduce_step(t)
+        out = reduce_step(SIGMA, t)
         assert out == ESubst(
             Add(Var("x"), NatLit(1)), (SBind("x", NatType(), NatLit(3)),)
         )
 
     def test_variable_lookup_resolves_suspension(self):
         t = ESubst(Var("x"), (SBind("x", NatType(), NatLit(3)),))
-        assert ccs_reduce_step(t) == NatLit(3)
+        assert reduce_step(SIGMA, t) == NatLit(3)
 
     def test_suspension_distributes_over_application(self):
         binds = (SBind("x", NatType(), NatLit(3)),)
         t = ESubst(App(Var("f"), Var("x")), binds)
-        out = ccs_reduce_step(t)
+        out = reduce_step(SIGMA, t)
         assert out == App(ESubst(Var("f"), binds), ESubst(Var("x"), binds))
 
     def test_suspended_lambda_is_a_value(self):
@@ -73,14 +74,14 @@ class TestEmbedAndSteps:
             Lam("y", NatType(), Add(Var("x"), Var("y"))),
             (SBind("x", NatType(), NatLit(3)),),
         )
-        assert ccs_reduce_step(t) is None
+        assert reduce_step(SIGMA, t) is None
 
     def test_applied_closure_extends_the_telescope(self):
         clo = ESubst(
             Lam("y", NatType(), Add(Var("x"), Var("y"))),
             (SBind("x", NatType(), NatLit(3)),),
         )
-        out = ccs_reduce_step(App(clo, NatLit(4)))
+        out = reduce_step(SIGMA, App(clo, NatLit(4)))
         assert out == ESubst(
             Add(Var("x"), Var("y")),
             (SBind("x", NatType(), NatLit(3)), SBind("y", NatType(), NatLit(4))),
@@ -91,7 +92,7 @@ class TestEmbedAndSteps:
             "(fun (f : Nat -> Nat) => fun (n : Nat) => f (f n)) "
             "(fun (x : Nat) => add x 1) 2"
         )
-        assert ccs_normalize(t) == cc_normalize(t) == NatLit(4)
+        assert normalize(SIGMA, t, Budget(DEFAULT_BUDGET)) == cc_normalize(t) == NatLit(4)
 
     def test_shadowed_binders_resolve_to_innermost(self):
         # Both lambdas bind x; the stale outer binding must not capture.
@@ -99,14 +100,14 @@ class TestEmbedAndSteps:
             "(fun (x : Nat) => (fun (x : Nat) => add 2 x) "
             "((fun (x : Nat) => add 1 x) x)) 4"
         )
-        assert ccs_normalize(t) == NatLit(7)
+        assert normalize(SIGMA, t, Budget(DEFAULT_BUDGET)) == NatLit(7)
         assert cc_normalize(t) == NatLit(7)
 
     def test_trace_is_stepwise(self):
         t = parse_term("(fun (x : Nat) => add x 1) (add 1 1)")
         trace = ccs_reduce_trace(t)
         for a, b in zip(trace, trace[1:]):
-            assert ccs_reduce_step(a) == b
+            assert reduce_step(SIGMA, a) == b
         assert trace[-1] == NatLit(3)
 
 
@@ -181,7 +182,8 @@ class TestStateTranslation:
     def test_machine_states_translate_like_their_sources(self, elaborated):
         elab = elaborated("compose_simply_typed")
         direct = defun(elab.ctx, elab.main)
-        embedded = defun(elab.ctx, sigma_embed(elab.main))
+        assert uses_only(elab.main, CC_TERMS)
+        embedded = defun(elab.ctx, elab.main)
         assert direct == embedded
 
     def test_state_definitions_stay_within_source_definitions(self):
@@ -251,6 +253,35 @@ class TestDiagram:
         )
         assert check_diagram(Judgement(ctx, t)).ok
 
+    def test_report_mode_ends_at_an_untyped_state(self):
+        # the program above: report mode returns the edges made before state
+        # 4, then one failing edge that names the state sigma-inference rejects
+        ctx = EMPTY.extend("Q", parse_term("(A : Type 0) -> A -> Type 0"))
+        t = parse_term(
+            "(fun (B : Type 0) => (A : Type 0) -> (f : A -> B) -> (a : A) -> Q B (f a)) Nat"
+        )
+        report = check_diagram(Judgement(ctx, t), raise_on_failure=False)
+        assert dataclasses.replace(report, subst_nodes=0) == DiagramReport(
+            ok=False,
+            edges=(
+                DiagramEdge("sigma-simulates-cc-step", True, "1 source step(s)"),
+                DiagramEdge(
+                    "sigma-reaches-cc-normal-form",
+                    True,
+                    "sigma-normal form of the embedding vs the source normal form",
+                ),
+                DiagramEdge(
+                    "sigma-states-typed",
+                    False,
+                    "state 4: type mismatch in argument: expected B, got Nat{_ |-> a}",
+                ),
+            ),
+            cc_steps=1,
+            sigma_steps=16,
+            labels=1,
+            subst_nodes=0,
+        )
+
     def test_all_edges_are_reported(self):
         report = check_diagram(Judgement(EMPTY, parse_term("(fun (x : Nat) => x) 1")))
         names = {e.name for e in report.edges}
@@ -280,5 +311,5 @@ class TestAgainstSource:
     )
     def test_machine_agrees_with_source_reduction(self, source):
         t = parse_term(source)
-        assert ccs_normalize(t) == cc_normalize(t)
+        assert normalize(SIGMA, t, Budget(DEFAULT_BUDGET)) == cc_normalize(t)
         assert len(ccs_reduce_trace(t)) >= len(cc_reduce_trace(t))

@@ -6,7 +6,8 @@ import pytest
 
 from defuncc.defun import defun
 from defuncc.harness import EnumConfig, enumerate_small_terms
-from defuncc.sigma import ccs_reduce_trace, sigma_embed
+from defuncc.cc import CC_TERMS
+from defuncc.sigma import ccs_reduce_trace
 from defuncc.surface import parse_term
 from defuncc.syntax import (
     Add,
@@ -29,7 +30,6 @@ from defuncc.syntax import (
     freshen_binder,
     map_children,
     rebuild,
-    rename_free,
     subst,
     subst_many,
     uses_only,
@@ -53,8 +53,8 @@ ONE_OF_EACH = [
 def test_child_map_rebuilds_every_constructor(t):
     assert rebuild(t, children(t)) == t
     assert map_children(lambda c: c, t) == t
-    renamed = map_children(lambda c: rename_free(c, "x", "z"), t)
-    assert children(renamed) == tuple(rename_free(c, "x", "z") for c in children(t))
+    renamed = map_children(lambda c: subst(c, "x", Var("z")), t)
+    assert children(renamed) == tuple(subst(c, "x", Var("z")) for c in children(t))
 
 
 def test_suspension_children_put_subject_and_values_first():
@@ -166,9 +166,9 @@ def test_fresh_name_avoids_collisions():
     assert name not in {"x", "x'", "x''"}
 
 
-def test_rename_free_is_capture_avoiding():
+def test_renaming_a_free_variable_is_capture_avoiding():
     t = Lam("y", Var("A"), Var("x"))
-    out = rename_free(t, "x", "y")
+    out = subst(t, "x", Var("y"))
     assert alpha_eq(out, Lam("z", Var("A"), Var("y")))
 
 
@@ -300,7 +300,8 @@ class TestFreeVariableCache:
         terms = [twice] + [term for _, _, term in corpus_judgements]
         seen = set()
         for term in terms:
-            seen |= assert_cache_matches_reference(*ccs_reduce_trace(sigma_embed(term)))
+            assert uses_only(term, CC_TERMS)
+            seen |= assert_cache_matches_reference(*ccs_reduce_trace(term))
         assert ESubst in seen
 
     @pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
@@ -614,7 +615,8 @@ class TestBindingWalks:
         _, twice = scaling("twice", 2)
         states = []
         for term in [twice] + [term for _, _, term in corpus_judgements]:
-            states += ccs_reduce_trace(sigma_embed(term))
+            assert uses_only(term, CC_TERMS)
+            states += ccs_reduce_trace(term)
         assert any(isinstance(s, ESubst) for s in _subterms(*states))
         assert_walks_match_references(states)
 
