@@ -12,7 +12,7 @@ which keeps every reference pointing at an earlier entry.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cc import CC_TERMS, SIGMA, cc_infer, fv_telescope
 from .errors import LabelClash
@@ -97,7 +97,15 @@ class Translation:
     repeat translation would mint only entries whose first stamp already
     exists, so skipping it leaves the order of first stamps, and with it
     every final id, unchanged.  Provisional ids belong to one run, so the
-    memo does too.
+    memo does too.  The types it σ-derives go through one inference table
+    for the run (exact, see `kernel.infer`), so shared parts derive once.
+
+    After `defun`'s own walk, which shares no derivation objects, the run
+    translates each derivation object once: a table keyed by identity holds
+    the object, so no id is reused while it lives.  σ-states share the
+    derivations of what a step left alone, and reduction preservation and
+    the diagram check translate the same normal-form derivation; skipping a
+    repeat walk is exact by the first-stamp argument above.
     """
 
     def __init__(self, budget: int) -> None:
@@ -106,11 +114,15 @@ class Translation:
         self._entries: list[LabelEntry] = []
         self._first_stamp: dict[int, int] = {}
         self._stamp = 0
-        # translated explicit-substitution nodes; a memo hit adds none for the
-        # suspensions inside that type
+        # translated explicit-substitution nodes; a memo or table hit adds
+        # none for the suspensions inside it
         self.subst_nodes = 0
         self._budget = budget
+        self._sigma = None  # σ with the run's inference table, made on first use
         self._types: dict[tuple[Ctx, Term], list[tuple[Term, tuple[int, ...]]]] = {}
+        # id(derivation) -> (that derivation, its translation), on once
+        # `defun`'s own walk is done
+        self._done: dict[int, tuple[Derivation, tuple[Term, tuple[int, ...]]]] | None = None
 
     # -- minting
 
@@ -128,33 +140,38 @@ class Translation:
 
     def translate(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
         """Translated term plus the extracted definitions (provisional ids)."""
+        done = self._done
+        if done is not None:
+            hit = done.get(id(deriv))
+            if hit is not None:
+                return hit[1]
         rule = deriv.rule
         ch = deriv.children
         if rule == "ty-Var":
-            return deriv.subject, self._translate_type(deriv.ctx, deriv.type)[1]
-        if rule in ("ty-Universe", "ty-Nat", "ty-NatLit"):
-            return deriv.subject, ()
-        if rule == "ty-Add":
+            out = deriv.subject, self._translate_type(deriv.ctx, deriv.type)[1]
+        elif rule in ("ty-Universe", "ty-Nat", "ty-NatLit"):
+            out = deriv.subject, ()
+        elif rule == "ty-Add":
             tl, dl = self.translate(ch[0])
             tr, dr = self.translate(ch[1])
-            return Add(tl, tr), _union(dl, dr)
-        if rule == "ty-Pi":
+            out = Add(tl, tr), _union(dl, dr)
+        elif rule == "ty-Pi":
             ta, da = self.translate(ch[0])
             tb, db = self.translate(ch[1])
             assert isinstance(deriv.subject, Pi)
-            return Pi(deriv.subject.binder, ta, tb), _union(da, db)
-        if rule == "ty-Lambda":
-            return self._translate_lambda(deriv)
-        if rule == "ty-Apply":
+            out = Pi(deriv.subject.binder, ta, tb), _union(da, db)
+        elif rule == "ty-Lambda":
+            out = self._translate_lambda(deriv)
+        elif rule == "ty-Apply":
             tm, dm = self.translate(ch[0])
             tn, dn = self.translate(ch[1])
             dty = self._translate_type(deriv.ctx, deriv.type)[1]
-            return App(tm, tn), _union(dm, dn, dty)
-        if rule == "ty-Equiv":
+            out = App(tm, tn), _union(dm, dn, dty)
+        elif rule == "ty-Equiv":
             tm, dm = self.translate(ch[0])
             dty = self._translate_type(deriv.ctx, deriv.type)[1]
-            return tm, _union(dm, dty)
-        if rule == "s-ty-Subst":
+            out = tm, _union(dm, dty)
+        elif rule == "s-ty-Subst":
             tm, dm = self.translate(ch[0])
             assert isinstance(deriv.subject, ESubst)
             mapping: dict[str, Term] = {}
@@ -163,10 +180,13 @@ class Translation:
                 tv, dv = self.translate(child)
                 mapping[sb.name] = tv
                 parts.append(dv)
-            result = subst_many(tm, mapping)
             self.subst_nodes += 1
-            return result, _union(*parts)
-        raise ValueError(f"cannot translate derivation rule {rule!r}")
+            out = subst_many(tm, mapping), _union(*parts)
+        else:
+            raise ValueError(f"cannot translate derivation rule {rule!r}")
+        if done is not None:
+            done[id(deriv)] = (deriv, out)
+        return out
 
     def _translate_lambda(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
         stamp = self._stamp
@@ -209,7 +229,9 @@ class Translation:
         whose context holds none either."""
         if uses_only(ty, CC_TERMS) and all(uses_only(a, CC_TERMS) for _, a in ctx):
             return cc_infer(ctx, ty, self._budget, check_ctx=False)
-        return infer(SIGMA, ctx, ty, Budget(self._budget))
+        if self._sigma is None:
+            self._sigma = replace(SIGMA, table={})
+        return infer(self._sigma, ctx, ty, Budget(self._budget))
 
     # -- finalization
 
@@ -274,6 +296,7 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
     type_t, type_pids = run._translate_type(ctx, deriv.type)
+    run._done = {}  # the run stays open: from here on each derivation object translates once
     label_pids = _union(ctx_pids, term_pids)
     ren = run.finalize()
     return TranslationResult(

@@ -59,8 +59,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self) -> None:
-        self.used += 1
+    def spend(self, steps: int = 1) -> None:
+        self.used += steps
         if self.used > self.limit:
             raise StepBudgetExceeded(self.limit)
 
@@ -103,6 +103,9 @@ class Calculus:
     rules: dict = field(default_factory=dict)  # typing rules only it has, by constructor
     # read function types in normal form
     type_only: bool = False
+    # (ctx, term) -> (its derivation, the steps it spent), read and filled by
+    # `infer`; only copies of `cc.SIGMA` carry one
+    table: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +245,21 @@ def _equiv_nf(calc: Calculus, a: Term, b: Term, depth: int, bud: Budget) -> bool
 def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
     """The derivation of ctx |- t : T; its .type is T.  Its premises are about
     the parts of t only: a variable has none, an application has the function
-    and the argument, a conversion the converted derivation."""
+    and the argument, a conversion the converted derivation.
+
+    A calculus with a table derives each `(ctx, t)` once, exactly: inference
+    is a function of `(ctx, t)`, a hit charges the steps the derivation spent
+    and failures are never stored, so a budget runs out on the same
+    judgements (`StepBudgetExceeded` carries only the limit)."""
     if type(t) not in calc.allowed:
         raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
+    table = calc.table
+    if table is not None:
+        key, used = (ctx, t), b.used
+        hit = table.get(key)
+        if hit is not None:
+            b.spend(hit[1])
+            return hit[0]
     if type(t) in (Pi, Lam) and t.binder in ctx:
         t = freshen_binder(t, 0, ctx.names())
     match t:
@@ -252,27 +267,27 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
             ty = ctx.lookup(name)
             if ty is None:
                 raise UnboundVariable(name)
-            return Derivation("ty-Var", ctx, t, ty)
+            d = Derivation("ty-Var", ctx, t, ty)
         case Universe(i):
-            return Derivation("ty-Universe", ctx, t, Universe(i + 1))
+            d = Derivation("ty-Universe", ctx, t, Universe(i + 1))
         case NatType():
-            return Derivation("ty-Nat", ctx, t, Universe(0))
+            d = Derivation("ty-Nat", ctx, t, Universe(0))
         case NatLit():
-            return Derivation("ty-NatLit", ctx, t, NatType())
+            d = Derivation("ty-NatLit", ctx, t, NatType())
         case Add(lhs, rhs):
             premises = tuple(
                 coerce(calc, ctx, infer(calc, ctx, m, b), NAT, b, f"{side} operand of add")
                 for side, m in (("left", lhs), ("right", rhs))
             )
-            return Derivation("ty-Add", ctx, t, NAT, premises)
+            d = Derivation("ty-Add", ctx, t, NAT, premises)
         case Pi(x, domain, codomain):
             da, i = infer_type(calc, ctx, domain, b)
             db, j = infer_type(calc, ctx.extend(x, domain), codomain, b)
-            return Derivation("ty-Pi", ctx, t, Universe(max(i, j)), (da, db))
+            d = Derivation("ty-Pi", ctx, t, Universe(max(i, j)), (da, db))
         case Lam(x, domain, body):
             da, _ = infer_type(calc, ctx, domain, b)
             dm = infer(calc, ctx.extend(x, domain), body, b)
-            return Derivation("ty-Lambda", ctx, t, Pi(x, domain, dm.type), (da, dm))
+            d = Derivation("ty-Lambda", ctx, t, Pi(x, domain, dm.type), (da, dm))
         case App(fn, arg):
             dm = infer(calc, ctx, fn, b)
             fn_ty = normalize(calc, dm.type, b) if calc.type_only else dm.type
@@ -283,8 +298,12 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
                 dm = _conversion(ctx, dm, fn, w)
                 fn_ty = w
             dn = coerce(calc, ctx, infer(calc, ctx, arg, b), fn_ty.domain, b, "argument")
-            return Derivation("ty-Apply", ctx, t, calc.instantiate(fn_ty, arg), (dm, dn))
-    return calc.rules[type(t)](calc, ctx, t, b)
+            d = Derivation("ty-Apply", ctx, t, calc.instantiate(fn_ty, arg), (dm, dn))
+        case _:
+            d = calc.rules[type(t)](calc, ctx, t, b)
+    if table is not None:
+        table[key] = (d, b.used - used)
+    return d
 
 
 def _conversion(ctx: Ctx, d: Derivation, subject: Term, target: Term) -> Derivation:

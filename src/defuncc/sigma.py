@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cc import SIGMA, cc_infer, cc_reduce_trace
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize
 # Translation stays a module attribute: perfbench/tracing.py and the tests replace it here
 from .defun import Translation, defun  # noqa: F401
 from .errors import DefunccError, DiagramFailure, StepBudgetExceeded, TypeCheckError
-from .kernel import DEFAULT_BUDGET, Budget, Derivation, convertible, infer, reduce_trace
+from .kernel import DEFAULT_BUDGET, Budget, Calculus, Derivation, convertible, infer, reduce_trace
 from .syntax import Ctx, Term, alpha_eq
 
 
@@ -32,8 +32,8 @@ def ccs_equiv(a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
     return convertible(SIGMA, a, b, Budget(budget))
 
 
-def _s_infer(ctx: Ctx, t: Term, b: Budget) -> Derivation:
-    return infer(SIGMA, ctx, t, b)
+def _s_infer(ctx: Ctx, t: Term, b: Budget, calc: Calculus = SIGMA) -> Derivation:
+    return infer(calc, ctx, t, b)
 
 
 def ccs_infer(ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Derivation:
@@ -80,8 +80,9 @@ class DiagramReport:
     cc_steps: int
     sigma_steps: int
     labels: int
-    # suspension translations the check made in the judgement's shared run,
-    # so a suspended type that run translated before counts once
+    # suspension translations the check made in the judgement's shared run:
+    # a suspended type that run translated before, or a suspension whose
+    # derivation an earlier state shares, counts once
     subst_nodes: int
 
 
@@ -143,13 +144,17 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
         )
 
     untyped: list[str] = []
+    # one table for the trace, so a state derives only the spine its step
+    # rebuilt; a one-state trace has nothing to share
+    calc = replace(SIGMA, table={}) if len(s_trace) > 1 else SIGMA
 
     def state_derivations():
-        """Every state's derivation; in report mode the first state
-        sigma-inference rejects ends them, and the report with them."""
+        """Every state's derivation, each under its own budget; in report mode
+        the first state sigma-inference rejects ends them, and the report
+        with them."""
         for i, x in enumerate(s_trace):
             try:
-                d = _s_infer(ctx, x, Budget(budget))
+                d = _s_infer(ctx, x, Budget(budget), calc)
             except TypeCheckError as exc:
                 if raise_on_failure:
                     raise

@@ -6,20 +6,22 @@ contain Lam or ESubst; the explicit-substitution calculus is the source
 calculus plus ESubst nodes.
 
 Nodes are immutable: a node's children never change after it is built.  That
-is what makes the per-node free-variable cache (`free_vars`) exact.
+is what makes the per-node caches, free variables (`free_vars`) and hash,
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Union, get_args
 
 
 class _Node:
-    """Base of every term constructor: one slot, outside the dataclass
-    fields, caching the node's free variables (filled by `free_vars`)."""
+    """Base of every term constructor: two slots, outside the dataclass
+    fields, caching the node's free variables (filled by `free_vars`) and its
+    hash (filled by `hash`)."""
 
-    __slots__ = ("_fv",)
+    __slots__ = ("_fv", "_hash")
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,6 +156,30 @@ def map_children(f, t: Term) -> Term:
         return t
     kids, rebuilt = entry
     return rebuilt(t, tuple(map(f, kids(t))))
+
+
+def _cached_hash(t: Term) -> int:
+    """The hash the dataclass gives t, computed once per node.  Children come
+    first, from an explicit stack, so a deep term costs no recursion."""
+    try:
+        return t._hash
+    except AttributeError:
+        pass
+    stack = [t]
+    while stack:
+        todo = [c for c in children(stack[-1]) if not hasattr(c, "_hash")]
+        if todo:
+            stack += todo
+        else:
+            u = stack.pop()
+            object.__setattr__(u, "_hash", _FIELD_HASH[type(u)](u))
+    return t._hash
+
+
+# constructor -> the hash of its fields, as the dataclass generated it
+_FIELD_HASH = {}
+for _cls in get_args(Term):
+    _FIELD_HASH[_cls], _cls.__hash__ = _cls.__hash__, _cached_hash
 
 
 def uses_only(t: Term, allowed: frozenset[type]) -> bool:

@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from defuncc import sigma as sigma_module
 from defuncc.cc import CC_TERMS, SIGMA, cc_infer, cc_normalize, cc_reduce_trace
 from defuncc.defun import Translation, defun, label_subset
-from defuncc.errors import DiagramFailure, TypeMismatch
+from defuncc.errors import DiagramFailure, StepBudgetExceeded, TypeMismatch
 from defuncc.kernel import DEFAULT_BUDGET, Budget, normalize, reduce_step
 from defuncc.sigma import (
     DiagramEdge,
@@ -180,11 +181,13 @@ class TestStateTranslation:
         assert entry.body == Var("y")
 
     def test_machine_states_translate_like_their_sources(self, elaborated):
+        # a source term is its own first state: its sigma-derivation,
+        # translated in the source translation's run, gives the same term
         elab = elaborated("compose_simply_typed")
-        direct = defun(elab.ctx, elab.main)
         assert uses_only(elab.main, CC_TERMS)
-        embedded = defun(elab.ctx, elab.main)
-        assert direct == embedded
+        res = defun(elab.ctx, elab.main)
+        embedded, _ = res.translate(ccs_infer(elab.ctx, elab.main))
+        assert alpha_eq(embedded, res.term)
 
     def test_state_definitions_stay_within_source_definitions(self):
         # Label ids are meaningful within one minting scope, so the source
@@ -298,6 +301,63 @@ class TestDiagram:
         )
         assert report.ok
         assert isinstance(DiagramFailure("edge", "detail"), Exception)
+
+
+class TestTraceTable:
+    """check_diagram derives the states of a trace through one table, so a
+    state derives only what its step rebuilt.  That must change nothing: each
+    derivation equals a fresh one, and a small budget runs out on the same
+    states."""
+
+    @pytest.fixture(scope="class")
+    def programs(self, corpus_judgements, scaling):
+        """The corpus judgements, Vec n=2..6 and `twice` k=1..3."""
+        out = [(ctx, term) for _, ctx, term in corpus_judgements]
+        out += [scaling("vec", n) for n in range(2, 7)]
+        return out + [scaling("twice", k) for k in (1, 2, 3)]
+
+    def test_the_diagrams_derivations_equal_fresh_ones(self, programs, monkeypatch):
+        calls = []
+        s_infer = sigma_module._s_infer
+
+        def recording(ctx, t, b, calc=SIGMA):
+            calls.append((ctx, t, calc, s_infer(ctx, t, b, calc)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(sigma_module, "_s_infer", recording)
+        shared = 0
+        for ctx, term in programs:
+            calls.clear()
+            assert check_diagram(Judgement(ctx, term)).ok
+            diagram = list(calls)  # ccs_infer below records its calls too
+            assert [t for _, t, _, _ in diagram] == ccs_reduce_trace(term)
+            table = diagram[0][2].table
+            assert len({id(calc) for _, _, calc, _ in diagram}) == 1
+            assert (table is not None) == (len(diagram) > 1)
+            for c, t, _, d in diagram:
+                assert d == ccs_infer(c, t)
+            shared += len(diagram) > 1
+        assert shared > 10
+
+    def test_a_budget_runs_out_on_the_same_states(self, programs):
+        def exhausted(ctx, states, calc, budget):
+            out = []
+            for i, x in enumerate(states):
+                try:
+                    sigma_module._s_infer(ctx, x, Budget(budget), calc)
+                except StepBudgetExceeded:
+                    out.append(i)
+            return out
+
+        runs_out = 0
+        for ctx, term in programs:
+            states = ccs_reduce_trace(term)
+            for budget in (3, 5, 8, 12, 20, 30):
+                with_table = dataclasses.replace(SIGMA, table={})
+                spent = exhausted(ctx, states, with_table, budget)
+                assert spent == exhausted(ctx, states, SIGMA, budget), (term, budget)
+                runs_out += 0 < len(spent) < len(states)
+        assert runs_out > 0
 
 
 class TestAgainstSource:

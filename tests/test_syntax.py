@@ -657,6 +657,13 @@ class TestDepth:
         assert alpha_eq(a, b)
         assert canon(a) == canon(b)
 
+    @pytest.mark.parametrize("kind", NESTS)
+    def test_hash_1200_deep(self, kind):
+        # the hash is cached per node and computed children first from a
+        # stack, so no depth reaches the recursion limit
+        a, b = _nest(1200, NESTS[kind]), _nest(1200, NESTS[kind])
+        assert hash(a) == hash(b)
+
     def test_subst_many_450_deep(self):
         t = _nest(450, NESTS["Lam"])
         assert alpha_eq(subst_many(t, {"y": NatLit(1)}), _nest(450, NESTS["Lam"], NatLit(1)))
