@@ -123,7 +123,7 @@ FAMILIES = [
     ("defun, nested lambdas", defun_lambdas, (20, 40, 80, 160)),
     ("translate-emit CLI, nested lambdas", emit_lambdas, (20, 30, 40, 50, 60)),
     ("six checks, Vec chain", six_checks(vec_source), (10, 20, 40, 80)),
-    ("six checks, nested twice", six_checks(twice_source), (1, 2, 3, 4, 5)),
+    ("six checks, nested twice", six_checks(twice_source), (1, 2, 3, 4, 5, 6)),
 ]
 
 

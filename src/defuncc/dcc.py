@@ -118,17 +118,25 @@ def dcc_equiv(defs: LabelCtx, a: Term, b: Term, budget: int = DEFAULT_BUDGET) ->
     return convertible(dcc_calculus(defs), a, b, Budget(budget))
 
 
-def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise unless the label context and type context are well-formed.
+def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> int:
+    """Raise unless the label context and type context are well-formed;
+    return the steps the check spent.  Context types may mention any label."""
+    b = Budget(budget)
+    check_labels(defs, b)
+    check_context(dcc_calculus(defs), ctx, b)
+    return b.used
+
+
+def check_labels(defs: LabelCtx, b: Budget, start: int = 0) -> None:
+    """Raise unless the entries of defs from `start` on are well-formed.
 
     Each entry is checked under the strictly earlier entries: its telescope
     followed by its argument binder must be a well-formed context, the return
     type must be a type over it, and the body must inhabit the return type.
-    Context types may mention any label.
     """
-    b = Budget(budget)
-    seen_ids: set[int] = set()
-    for idx, e in enumerate(defs.entries):
+    seen_ids = {e.label_id for e in defs.entries[:start]}
+    for idx in range(start, len(defs)):
+        e = defs.entries[idx]
         name = label_name(e.label_id)
         if e.label_id in seen_ids:
             raise IllFormedContext(f"label {name} declared twice")
@@ -145,7 +153,6 @@ def dcc_check(defs: LabelCtx, ctx: Ctx, budget: int = DEFAULT_BUDGET) -> None:
             raise TypeMismatch(
                 show_term(e.ret_type), show_term(body_ty), f"body of {name}"
             )
-    check_context(dcc_calculus(defs), ctx, b)
 
 
 def dcc_infer(defs: LabelCtx, ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Term:

@@ -37,6 +37,8 @@ from .syntax import (
     uses_only,
 )
 
+_LAM_FREE = SIGMA.allowed - {Lam}  # a type built from these mints no label
+
 
 @dataclass(frozen=True)
 class TranslationResult:
@@ -90,6 +92,12 @@ class Translation:
     that holds one, by suspension-calculus inference, any other type by
     source inference.  So one run translates
     source derivations and suspension-calculus derivations alike.
+
+    A type read only for its definitions (a variable's, an application's, a
+    conversion target) is not derived when neither it nor its context holds
+    a lambda.  That is exact: inference over lambda-free inputs yields only
+    lambda-free types (lookups, instantiations, normal forms), so its
+    translation would mint nothing.  The other reads need the term itself.
 
     The run derives and translates each distinct `(ctx, type)` once and
     reuses the result.  That is exact: each type is derived under a fresh
@@ -148,7 +156,7 @@ class Translation:
         rule = deriv.rule
         ch = deriv.children
         if rule == "ty-Var":
-            out = deriv.subject, self._translate_type(deriv.ctx, deriv.type)[1]
+            out = deriv.subject, self._type_labels(deriv.ctx, deriv.type)
         elif rule in ("ty-Universe", "ty-Nat", "ty-NatLit"):
             out = deriv.subject, ()
         elif rule == "ty-Add":
@@ -165,11 +173,11 @@ class Translation:
         elif rule == "ty-Apply":
             tm, dm = self.translate(ch[0])
             tn, dn = self.translate(ch[1])
-            dty = self._translate_type(deriv.ctx, deriv.type)[1]
+            dty = self._type_labels(deriv.ctx, deriv.type)
             out = App(tm, tn), _union(dm, dn, dty)
         elif rule == "ty-Equiv":
             tm, dm = self.translate(ch[0])
-            dty = self._translate_type(deriv.ctx, deriv.type)[1]
+            dty = self._type_labels(deriv.ctx, deriv.type)
             out = tm, _union(dm, dty)
         elif rule == "s-ty-Subst":
             tm, dm = self.translate(ch[0])
@@ -214,6 +222,12 @@ class Translation:
             out = out.extend(x, ta)
             defs = _union(defs, da)
         return out, defs
+
+    def _type_labels(self, ctx: Ctx, ty: Term) -> tuple[int, ...]:
+        """The definitions of a type read only for them (see the class)."""
+        if uses_only(ty, _LAM_FREE) and all(uses_only(a, _LAM_FREE) for _, a in ctx):
+            return ()
+        return self._translate_type(ctx, ty)[1]
 
     def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
         """Translate a type the walk reads, through its own derivation, once

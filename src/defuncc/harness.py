@@ -96,7 +96,7 @@ def _check(name: str):
 def check_type_preservation(j: Judgement):
     """Translate a judgement and re-check it in the target calculus."""
     res, budget = j.translation(), j.budget
-    dcc_check(res.labels, res.dcc_ctx, budget)
+    j.target_checked()
     ty = j.target_type()
     if not dcc_equiv(res.labels, ty, res.type_term, budget):
         return False, f"target type {show_term(ty)} differs from {show_term(res.type_term)}"

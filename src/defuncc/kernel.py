@@ -206,6 +206,24 @@ def convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool:
     return _equiv_nf(calc, normalize(calc, a, bud), normalize(calc, b, bud), 0, bud)
 
 
+def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable:
+    """`convertible(calc, terms[i], terms[k], Budget(limit))` as a function of
+    (i, k) that normalizes each term once, under a budget of its own; a pair is
+    compared on a budget charged both terms' steps, so the same pairs run out."""
+    done: dict[int, tuple[Term, int]] = {}
+
+    def convertible_at(i: int, k: int) -> bool:
+        for j in (i, k):
+            if j not in done:
+                b = Budget(limit)
+                done[j] = normalize(calc, terms[j], b), b.used
+        b = Budget(limit)
+        b.spend(done[i][1] + done[k][1])
+        return _equiv_nf(calc, done[i][0], done[k][0], 0, b)
+
+    return convertible_at
+
+
 def _equiv_nf(calc: Calculus, a: Term, b: Term, depth: int, bud: Budget) -> bool:
     """Equivalence of normal forms.  When either side is a function, both are
     applied to a common fresh name and compared again."""

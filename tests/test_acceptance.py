@@ -300,10 +300,10 @@ def test_criterion_7_type_safety_and_rejection(corpus_judgements,
 
 def test_scaling_families_pass_every_check(scaling):
     """The six checks hold beyond the corpus: Vec chains of length 20 and 40
-    and twice nested three and five deep, at the default budget."""
+    and twice nested three, five and six deep, at the default budget."""
     started = time.perf_counter()
     failures = []
-    sizes = [("vec", 20), ("vec", 40), ("twice", 3), ("twice", 5)]
+    sizes = [("vec", 20), ("vec", 40), ("twice", 3), ("twice", 5), ("twice", 6)]
     for family, size in sizes:
         ctx, term = scaling(family, size)
         for check in ALL_CHECKS:

@@ -86,6 +86,19 @@ def test_defun_output_round_trips_through_checkdcc_and_refun(capsys, tmp_path):
     assert "fun (f : B -> C) =>" in out
 
 
+def test_refun_of_a_long_lambda_chain_prints_the_source_back(capsys, tmp_path):
+    """Each label's closure passes its telescope names on unchanged; refun
+    must still rebuild the whole chain, here 120 lambdas deep."""
+    n = 120
+    source = tmp_path / "lambdas.cc"
+    source.write_text("".join(f"fun (x{i} : Nat) => " for i in range(1, n + 1)) + f"add x1 x{n}\n")
+    target = tmp_path / "lambdas.dcc"
+    assert run(capsys, "defun", "--out", str(target), str(source))[0] == 0
+    code, out, _ = run(capsys, "refun", str(target))
+    assert code == 0
+    assert out == source.read_text()
+
+
 def test_verify_single_file(capsys):
     code, out, _ = run(capsys, "verify", str(CORPUS / "poly_id.cc"))
     assert code == 0

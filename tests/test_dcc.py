@@ -187,7 +187,7 @@ class TestEquiv:
 
 class TestWellFormedness:
     def test_empty_is_well_formed(self):
-        assert dcc_check(parse_dcc("Nat").labels, EMPTY) is None
+        assert dcc_check(parse_dcc("Nat").labels, EMPTY) == 0  # raises nothing, spends no step
 
     def test_translated_contexts_are_well_formed(self, elaborated):
         elab = elaborated("compose_dependent")

@@ -18,12 +18,14 @@ from defuncc.harness import (
     check_reduction_preservation,
     enumerate_small_terms,
 )
+from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
     App,
     Ctx,
+    ESubst,
     Label,
     LabelCtx,
     Lam,
@@ -31,6 +33,8 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    map_children,
+    subst_many,
 )
 
 EMPTY = Ctx()
@@ -361,3 +365,50 @@ class TestTypeMemo:
         plain = outputs()
         assert len(plain) == len(memo) > 2525
         assert [i for i, (a, b) in enumerate(zip(memo, plain)) if a != b] == []
+
+
+def _forced(t):
+    """t with every suspension carried out, as the translation carries it out."""
+    if isinstance(t, ESubst):
+        return subst_many(_forced(t.subject), {sb.name: _forced(sb.value) for sb in t.bindings})
+    return map_children(_forced, t)
+
+
+class TestLabelFreeReads:
+    def test_skipped_type_reads_mint_nothing(self, corpus_judgements, scaling, monkeypatch):
+        """A type read only for its definitions (at a variable, an application
+        or a conversion) is not derived when neither it nor its context holds
+        a lambda.  Its full translation would give no definitions and the type
+        itself up to renaming, its suspensions carried out."""
+        skipped: set = set()
+        derived: list = []
+        translate_type = Translation._translate_type
+
+        class Spy(Translation):
+            def _translate_type(self, ctx, ty):
+                derived.append((ctx, ty))
+                return translate_type(self, ctx, ty)
+
+            def _type_labels(self, ctx, ty):
+                before = len(derived)
+                out = super()._type_labels(ctx, ty)
+                if len(derived) == before:
+                    skipped.add((ctx, ty))
+                return out
+
+        _use_translation(monkeypatch, Spy)
+        programs = [(ctx, term) for _, ctx, term in corpus_judgements]
+        programs += [scaling("vec", n) for n in range(2, 7)]
+        programs += [scaling("twice", k) for k in (1, 2, 3)]
+        for ctx, term in programs:
+            harness_module._judgement.cache_clear()  # its defun run must be spied on
+            results = [check(ctx, term) for check in harness_module.ALL_CHECKS]
+            assert all(r.ok for r in results), [r.line() for r in results]
+        assert len(skipped) > 100
+        assert any(isinstance(ty, ESubst) for _, ty in skipped)
+        minting = []
+        for ctx, ty in skipped:
+            term, pids = translate_type(Translation(DEFAULT_BUDGET), ctx, ty)
+            if pids or not alpha_eq(term, _forced(ty)):
+                minting.append((ctx, ty))
+        assert minting == []

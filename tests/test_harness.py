@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from defuncc import harness
+from defuncc import harness, kernel
 from defuncc.cc import CC, cc_infer, cc_normalize
 from defuncc.dcc import dcc_equiv, dcc_normalize
 from defuncc.errors import DefunccError, NestingTooDeep
@@ -38,6 +38,8 @@ from defuncc.syntax import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+cc_module = importlib.import_module("defuncc.cc")
+dcc_module = importlib.import_module("defuncc.dcc")
 # the module, which the package's `defun` function shadows as an attribute
 defun_module = importlib.import_module("defuncc.defun")
 sigma_module = importlib.import_module("defuncc.sigma")
@@ -260,6 +262,26 @@ class TestSharedArtifact:
         results = [check(ctx, term, budget) for check in ALL_CHECKS]
         assert all(r.ok for r in results), [r.line() for r in results]
         assert (calls.count("dcc_infer"), calls.count("dcc_normalize")) == (2, 1)
+
+    def test_label_context_is_checked_once_per_judgement(self, monkeypatch):
+        """Type preservation checks the judgement's labels and context and the
+        diagram check reads that check, then checks only the entries it
+        minted.  Over every fifth judgement of the size-6 enumeration that is
+        at most 3.3 context checks per judgement (each label entry's
+        telescope is one, the source and the target context one each)."""
+        calls = []
+
+        def counting(*args, _real=kernel.check_context):
+            calls.append(1)
+            return _real(*args)
+
+        for module in (cc_module, dcc_module):
+            monkeypatch.setattr(module, "check_context", counting)
+        judgements = enumerate_small_terms(EnumConfig(size_budget=6))[::5]
+        assert len(judgements) == 505
+        for ctx, term in judgements:
+            assert all(check(ctx, term).ok for check in ALL_CHECKS)
+        assert len(calls) / len(judgements) <= 3.3
 
 
 def _private_run_reduction_preservation(ctx, term, budget=DEFAULT_BUDGET) -> CheckResult:
