@@ -1,33 +1,43 @@
 #!/usr/bin/env python3
 """Fingerprint the six checks and the commuting-diagram report.
 
-Usage: PYTHONPATH=src python scripts/fingerprint.py [corpus] [vec] [twice] [enum]
+Usage: PYTHONPATH=src python scripts/fingerprint.py [corpus] [vec] [twice] [enum] [emit]
 
-For every judgement of the chosen parts (all four by default) and every
-budget in BUDGETS, prints one line: the judgement's name, the budget, the
-six ok/FAIL flags in `ALL_CHECKS` order, and a hash of the six
-`CheckResult`s together with the `DiagramReport` of a fresh judgement (its
-`subst_nodes` zeroed: that count says how the translation was organised, not
-what it found).  A report that raises is hashed as its error.
+For every judgement of the chosen judgement parts and every budget in
+BUDGETS, prints one line: the judgement's name, the budget, the six ok/FAIL
+flags in `ALL_CHECKS` order, and a hash of the six `CheckResult`s together
+with the `DiagramReport` of a fresh judgement (its `subst_nodes` zeroed:
+that count says how the translation was organised, not what it found).  A
+report that raises is hashed as its error.
 
-The parts are the corpus judgements, Vec chains n=2..12, nested `twice`
-k=1..3 and the 2,525 enumerated judgements.  Running the script before and
-after a refactor and comparing the two outputs with `diff` shows whether
-any verdict, detail or diagram edge moved.
+The judgement parts are the corpus judgements, Vec chains n=2..12, nested
+`twice` k=1..3 and the 2,525 enumerated judgements.  The `emit` part runs
+the CLI in this process instead, as the translate-emit pipeline does: on
+each corpus file and each nested-lambda chain n=20..60, `defun --emit text`
+and `defun --emit json`, then `checkdcc` and `refun` on the emitted text;
+on each file of `corpus/bad`, the two `defun` commands for a `.cc` file and
+`checkdcc` and `refun` for a `.dcc` file.  It prints one line per command:
+the file, the command, its exit code and a hash of its stdout and stderr.
+All five parts run by default.  Running the script before and after a
+refactor and comparing the two outputs with `diff` shows whether any
+verdict, detail, diagram edge or emitted byte moved.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
-from defuncc import harness
+from defuncc import cli, harness
 from defuncc.errors import DefunccError
 from defuncc.harness import ALL_CHECKS, EnumConfig, enumerate_small_terms, load_file
 from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_source
-from scaling import twice_source, vec_source  # the sibling script's families
+from scaling import lambda_source, twice_source, vec_source  # the sibling script's families
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGETS = (DEFAULT_BUDGET, 3, 5, 8, 12, 20, 30)
@@ -53,11 +63,57 @@ def enumerated():
         yield f"enum{i}", ctx, term
 
 
+DEFUN_COMMANDS = (("defun", "--emit", "text"), ("defun", "--emit", "json"))
+DCC_COMMANDS = (("checkdcc",), ("refun",))
+
+
+def emit_line(name: str, command: tuple[str, ...], path: Path) -> tuple[str, str]:
+    """The fingerprint line of one CLI command, and its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*command, str(path)])
+    digest = hashlib.sha256(repr((out.getvalue(), err.getvalue())).encode()).hexdigest()
+    return f"{name} {' '.join(command)}: exit {code} {digest[:16]}", out.getvalue()
+
+
+def emit_lines():
+    """The `emit` part: one line per CLI command (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        sources = [(p.name, p) for p in sorted((ROOT / "corpus").glob("*.cc"))]
+        for n in range(20, 61, 10):
+            path = work / f"lambdas-{n}.cc"
+            path.write_text(lambda_source(n))
+            sources.append((path.name, path))
+        dcc = work / "emitted.dcc"
+        for name, path in sources:
+            text_line, text = emit_line(name, DEFUN_COMMANDS[0], path)
+            yield text_line
+            yield emit_line(name, DEFUN_COMMANDS[1], path)[0]
+            dcc.write_text(text)
+            for command in DCC_COMMANDS:
+                yield emit_line(name, command, dcc)[0]
+        for path in sorted((ROOT / "corpus" / "bad").iterdir()):
+            commands = DEFUN_COMMANDS if path.suffix == ".cc" else DCC_COMMANDS
+            for command in commands:
+                yield emit_line(f"bad/{path.name}", command, path)[0]
+
+
+def judgement_lines(judgements):
+    def lines():
+        for name, ctx, term in judgements():
+            for budget in BUDGETS:
+                yield fingerprint(name, ctx, term, budget)
+
+    return lines
+
+
 PARTS = {
-    "corpus": corpus,
-    "vec": family("vec", vec_source, range(2, 13)),
-    "twice": family("twice", twice_source, range(1, 4)),
-    "enum": enumerated,
+    "corpus": judgement_lines(corpus),
+    "vec": judgement_lines(family("vec", vec_source, range(2, 13))),
+    "twice": judgement_lines(family("twice", twice_source, range(1, 4))),
+    "enum": judgement_lines(enumerated),
+    "emit": emit_lines,
 }
 
 
@@ -82,9 +138,8 @@ def main(argv: list[str]) -> int:
         print(f"unknown part(s) {unknown}; choose from {list(PARTS)}", file=sys.stderr)
         return 2
     for part in argv or PARTS:
-        for name, ctx, term in PARTS[part]():
-            for budget in BUDGETS:
-                print(fingerprint(name, ctx, term, budget), flush=True)
+        for line in PARTS[part]():
+            print(line, flush=True)
     return 0
 
 

@@ -11,6 +11,7 @@ if any check failed, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -120,7 +121,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and reused: building
+    it costs about as much as a small command, and parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="defuncc",
         description="Typecheck, defunctionalize, evaluate, and verify programs.",
@@ -164,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

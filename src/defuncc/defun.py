@@ -27,8 +27,11 @@ from .syntax import (
     LabelCtx,
     LabelEntry,
     Lam,
+    NatLit,
+    NatType,
     Pi,
     Term,
+    Universe,
     Var,
     entry_alpha_eq,
     entry_canon,
@@ -38,6 +41,7 @@ from .syntax import (
 )
 
 _LAM_FREE = SIGMA.allowed - {Lam}  # a type built from these mints no label
+_PLAIN = frozenset({Var, Universe, NatType, NatLit, Pi, App})  # ... and holds no redex either
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,17 @@ class Translation:
     lambda-free types (lookups, instantiations, normal forms), so its
     translation would mint nothing.  The other reads need the term itself.
 
+    A plain type, one that it and every type of its context build from
+    `_PLAIN` alone and none of whose `Pi` binders is a name of the context
+    or of an enclosing `Pi`, translates to itself with no definitions and is
+    not derived either.  That is exact: with no lambda the derivation mints
+    nothing; with no lambda, `add` or suspension there is no redex, so it
+    spends no step and no budget runs out; the kernel renames a binder only
+    when it is already bound (`kernel.infer`), so the subject it rebuilds is
+    the type itself; and the types read are checked context entries or
+    inferred types, so the derivation cannot fail.  Whether a context is
+    plain, and its names, are found once per context object.
+
     The run derives and translates each distinct `(ctx, type)` once and
     reuses the result.  That is exact: each type is derived under a fresh
     budget, so a derivation is a function of `(ctx, type)` alone, and a
@@ -128,6 +143,8 @@ class Translation:
         self._budget = budget
         self._sigma = None  # σ with the run's inference table, made on first use
         self._types: dict[tuple[Ctx, Term], list[tuple[Term, tuple[int, ...]]]] = {}
+        # id(ctx) -> (ctx, every type lambda-free, its names if every type is plain)
+        self._ctxs: dict[int, tuple[Ctx, bool, frozenset[str] | None]] = {}
         # id(derivation) -> (that derivation, its translation), on once
         # `defun`'s own walk is done
         self._done: dict[int, tuple[Derivation, tuple[Term, tuple[int, ...]]]] | None = None
@@ -223,15 +240,33 @@ class Translation:
             defs = _union(defs, da)
         return out, defs
 
+    def _ctx_facts(self, ctx: Ctx) -> tuple[Ctx, bool, frozenset[str] | None]:
+        """What the two shortcuts ask of a context (see the class), found once
+        per context object; the entry keeps the object alive, so no other
+        context can take its id."""
+        facts = self._ctxs.get(id(ctx))
+        if facts is None:
+            types = [a for _, a in ctx]
+            plain = all(uses_only(a, _PLAIN) for a in types)
+            facts = self._ctxs[id(ctx)] = (
+                ctx,
+                plain or all(uses_only(a, _LAM_FREE) for a in types),
+                frozenset(ctx.names()) if plain else None,
+            )
+        return facts
+
     def _type_labels(self, ctx: Ctx, ty: Term) -> tuple[int, ...]:
         """The definitions of a type read only for them (see the class)."""
-        if uses_only(ty, _LAM_FREE) and all(uses_only(a, _LAM_FREE) for _, a in ctx):
+        if self._ctx_facts(ctx)[1] and uses_only(ty, _LAM_FREE):
             return ()
         return self._translate_type(ctx, ty)[1]
 
     def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
-        """Translate a type the walk reads, through its own derivation, once
-        per run."""
+        """Translate a type the walk reads: a plain one is itself (see the
+        class), any other goes through its own derivation, once per run."""
+        names = self._ctx_facts(ctx)[2]
+        if names is not None and _is_plain(ty, names):
+            return ty, ()
         done = self._types.setdefault((ctx, ty), [])  # one hash of the key per call
         if not done:
             done.append(self.translate(self._derive(ctx, ty)))
@@ -286,6 +321,29 @@ class Renumbering:
 
     def ctx(self, c: Ctx) -> Ctx:
         return Ctx(tuple((x, self.term(a)) for x, a in c))
+
+
+def _is_plain(ty: Term, names: frozenset[str]) -> bool:
+    """ty is built from `_PLAIN` alone, and no `Pi` binder of it is in `names`
+    or binds a name that an enclosing `Pi` binds over it."""
+    enclosing: set[str] = set()  # the binders of the Pis whose codomain is being walked
+    stack: list[Term | str] = [ty]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is str:  # the codomain of the Pi binding t is done
+            enclosing.remove(t)
+        elif cls is Pi:
+            x = t.binder
+            if x in names or x in enclosing:
+                return False
+            enclosing.add(x)
+            stack += (t.domain, x, t.codomain)  # the domain comes after x is released
+        elif cls is App:
+            stack += (t.fn, t.arg)
+        elif cls not in _PLAIN:
+            return False
+    return True
 
 
 def _union(*parts: tuple[int, ...]) -> tuple[int, ...]:

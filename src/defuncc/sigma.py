@@ -11,7 +11,6 @@ commuting diagram.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -55,19 +54,28 @@ class Judgement:
 
     def __init__(self, ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET, translate=defun):
         self.ctx, self.term, self.budget = ctx, term, budget
-        res = self.translation = functools.cache(lambda: translate(ctx, term, budget))
-        self.target_checked = functools.cache(
-            lambda: dcc_check(res().labels, res().dcc_ctx, budget)
-        )
-        self.target_type = functools.cache(
+        res = self.translation = _once(lambda: translate(ctx, term, budget))
+        self.target_checked = _once(lambda: dcc_check(res().labels, res().dcc_ctx, budget))
+        self.target_type = _once(
             lambda: dcc_infer(res().labels, res().dcc_ctx, res().term, budget)
         )
-        self.target_nf = functools.cache(lambda: dcc_normalize(res().labels, res().term, budget))
+        self.target_nf = _once(lambda: dcc_normalize(res().labels, res().term, budget))
         # no closure refers to the judgement, so dropping it frees them at once
-        trace = self.trace = functools.cache(lambda: cc_reduce_trace(term, budget))
-        self.nf_derivation = functools.cache(
-            lambda: cc_infer(ctx, trace()[-1], budget, check_ctx=False)
-        )
+        trace = self.trace = _once(lambda: cc_reduce_trace(term, budget))
+        self.nf_derivation = _once(lambda: cc_infer(ctx, trace()[-1], budget, check_ctx=False))
+
+
+def _once(build):
+    """A part that calls build() on first use and keeps what it returns; a
+    call that raises keeps nothing, so the next call builds again."""
+    kept = []
+
+    def part():
+        if not kept:
+            kept.append(build())
+        return kept[0]
+
+    return part
 
 
 @dataclass(frozen=True)

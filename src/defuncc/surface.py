@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .syntax import (
@@ -152,8 +153,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # a tuple: built with no per-field setattr
     kind: str  # arrow darrow assign nat ident sym eof (keywords keep kind ident)
     text: str
     line: int

@@ -39,6 +39,11 @@ def _twice_source(k: int) -> str:
     return f"{_TWICE}{f} 0\n"
 
 
+def _lambda_source(n: int) -> str:
+    """`fun (x1 : Nat) => ... => fun (xn : Nat) => add x1 xn`: n nested lambdas."""
+    return "".join(f"fun (x{i} : Nat) => " for i in range(1, n + 1)) + f"add x1 x{n}\n"
+
+
 @pytest.fixture(scope="session")
 def corpus_paths() -> list[Path]:
     paths = sorted(CORPUS.glob("*.cc"))
@@ -104,9 +109,9 @@ def joinable():
 
 @pytest.fixture(scope="session")
 def scaling():
-    """Builder for the scaling families: ("vec", n) or ("twice", k) gives
-    the program's (ctx, main term)."""
-    sources = {"vec": _vec_source, "twice": _twice_source}
+    """Builder for the scaling families: ("vec", n), ("twice", k) or
+    ("lambdas", n) gives the program's (ctx, main term)."""
+    sources = {"vec": _vec_source, "twice": _twice_source, "lambdas": _lambda_source}
 
     def build(family: str, size: int):
         elab = parse_source(sources[family](size)).elaborate()

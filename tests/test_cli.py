@@ -19,6 +19,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def separate_run(*argv: str, **env: str) -> tuple[int, str, str]:
+    """The command in a process of its own, with `env` added to the environment."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "defuncc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_check_prints_the_main_type(capsys):
     code, out, _ = run(capsys, "check", str(CORPUS / "two_plus_two.cc"))
     assert code == 0
@@ -86,6 +98,25 @@ def test_defun_output_round_trips_through_checkdcc_and_refun(capsys, tmp_path):
     assert "fun (f : B -> C) =>" in out
 
 
+def test_commands_back_to_back_in_one_process_match_separate_runs(capsys, tmp_path):
+    """The parser is built once per process; a usage error in between and a
+    failing command leave it as it was."""
+    source, bad = str(CORPUS / "compose_dependent.cc"), str(CORPUS / "bad" / "illtyped.cc")
+    dcc = tmp_path / "compose.dcc"
+    commands = [
+        ("defun", "--emit", "text", source), ("defun", "--emit", "json", source),
+        ("checkdcc", str(dcc)), ("refun", str(dcc)), ("defun", bad),
+    ]
+    dcc.write_text(separate_run("defun", source)[1])
+    separate = [separate_run(*argv) for argv in commands]
+    assert [code for code, _, _ in separate] == [0, 0, 0, 0, 1]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in commands] == separate
+        with pytest.raises(SystemExit):
+            main(["defun", "--emit", "yaml", source])
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
 def test_refun_of_a_long_lambda_chain_prints_the_source_back(capsys, tmp_path):
     """Each label's closure passes its telescope names on unchanged; refun
     must still rebuild the whole chain, here 120 lambdas deep."""
@@ -143,14 +174,8 @@ def test_directory_as_file_exits_two(capsys, tmp_path, command):
 def test_check_reads_utf8_under_the_c_locale(tmp_path):
     path = tmp_path / "accent.cc"
     path.write_text("-- café\nadd 2 2\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "defuncc.cli", "check", str(path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Nat\n", "")
+    proc = separate_run("check", str(path), PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+    assert proc == (0, "Nat\n", "")
 
 
 def test_verify_directory_goes_on_past_bad_files(capsys, tmp_path):

@@ -20,7 +20,7 @@ from defuncc.harness import (
 )
 from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.sigma import Judgement, check_diagram
-from defuncc.surface import parse_dcc, parse_term
+from defuncc.surface import parse_dcc, parse_source, parse_term
 from defuncc.syntax import (
     Add,
     App,
@@ -412,3 +412,78 @@ class TestLabelFreeReads:
             if pids or not alpha_eq(term, _forced(ty)):
                 minting.append((ctx, ty))
         assert minting == []
+
+
+class TestPlainTypes:
+    def test_plain_reads_are_their_own_translation(self, corpus_judgements, scaling, monkeypatch):
+        """A type the walk reads whole (a closure telescope type, a return
+        type, a context entry, the judgement's type) is not derived when it
+        and its context are plain (see `Translation`).  Deriving it would
+        spend no step, and translating that derivation would give the type
+        itself, `==`, with no definitions."""
+        answered: dict = {}
+        translate_type = Translation._translate_type
+
+        class Spy(Translation):
+            def _translate_type(self, ctx, ty):
+                out = translate_type(self, ctx, ty)
+                if (ctx, ty) not in self._types:  # neither derived now nor before
+                    answered[ctx, ty] = out
+                return out
+
+        _use_translation(monkeypatch, Spy)
+        programs = [(ctx, term) for _, ctx, term in corpus_judgements]
+        programs += [scaling("vec", n) for n in range(2, 7)]
+        programs += [scaling("twice", k) for k in (1, 2, 3)]
+        programs += [scaling("lambdas", n) for n in range(20, 61, 10)]
+        programs += enumerate_small_terms(EnumConfig(size_budget=6))
+        # a context type holding a lambda: the plain-looking `P y` read under it is derived
+        lam_ctx = parse_source(
+            "axiom P : ((fun (A : Type 0) => A) Nat) -> Type 0;\n"
+            "axiom q : (n : Nat) -> P n;\n"
+            "fun (y : Nat) => fun (z : Nat) => q y\n"
+        ).elaborate()
+        programs.append((lam_ctx.ctx, lam_ctx.main))
+        assert len(programs) == 50 + 5 + 3 + 5 + 2525 + 1
+        for ctx, term in programs:
+            report = check_diagram(Judgement(ctx, term), raise_on_failure=False)
+            assert report.ok, report.edges
+        assert len(answered) > 1000
+        wrong = []
+        for (ctx, ty), out in answered.items():
+            run = Translation(0)  # a derivation that spends a step raises
+            if out != (ty, ()) or run.translate(run._derive(ctx, ty)) != (ty, ()):
+                wrong.append((ctx, ty))
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "ctx, ty",
+        [
+            (EMPTY, "Nat -> Nat -> Nat"),  # `_` is bound under `_`
+            (Ctx((("x", parse_term("Nat")),)), "(x : Nat) -> Nat"),  # `x` is in the context
+        ],
+    )
+    def test_a_rebound_binder_is_derived(self, ctx, ty):
+        """A type that binds a name already bound where it binds it is not
+        plain: its derivation renames the binder, so the type is not its own
+        translation."""
+        ty = parse_term(ty)
+        run = Translation(DEFAULT_BUDGET)
+        term, pids = run._translate_type(ctx, ty)
+        assert pids == () and alpha_eq(term, ty) and term != ty
+        assert (ctx, ty) in run._types
+
+    def test_the_lambda_chain_derives_no_type(self, scaling, monkeypatch):
+        """Every type `defun` reads on nested lambdas over Nat is plain, so
+        none is derived (without the plain-type copy, n=60 derives 120)."""
+        derived = []
+
+        class Spy(Translation):
+            def _derive(self, ctx, ty):
+                derived.append(ty)
+                return super()._derive(ctx, ty)
+
+        _use_translation(monkeypatch, Spy)
+        ctx, term = scaling("lambdas", 60)
+        assert len(defun(ctx, term).labels) == 60
+        assert derived == []

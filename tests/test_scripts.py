@@ -52,6 +52,25 @@ def test_fingerprint_flags_on_the_corpus_match_the_golden_verdicts():
     assert [f for i, f in enumerate(flags) if i % 7] == golden
 
 
+def test_fingerprint_emit_part_runs_every_cli_command():
+    proc = _run_script("fingerprint.py", "emit")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    # four commands for each corpus file and lambda chain, two for each bad file
+    assert len(lines) == 4 * (24 + 5) + 2 * 6
+    codes = {}
+    for line in lines:
+        head, tail = line.split(": exit ")
+        code, digest = tail.split()
+        assert len(digest) == 16
+        codes[head] = int(code)
+    assert len(codes) == len(lines)
+    assert [head for head, code in codes.items() if code] == [
+        head for head in codes if head.startswith("bad/")
+    ]
+    assert codes["lambdas-60.cc refun"] == codes["compose_dependent.cc defun --emit json"] == 0
+
+
 def test_scaling_header_prints_the_source_line_count(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts" / "scaling.py")
     scaling = importlib.util.module_from_spec(spec)
