@@ -5,29 +5,42 @@ Usage: PYTHONPATH=src python scripts/scaling.py
 
 Prints the line count of `src/defuncc/*.py` (as `wc -l` counts it), so the
 curves and the size of the code are read together, then one table for each
-of these, each time the best of 3 runs of `time.process_time`:
+of these, each time the best of 3 runs:
 
 - `defun` on nested lambdas `fun (x1 : Nat) => ... => add x1 xn`;
 - the translate-emit CLI pipeline on the same programs: `defun` as text and
   as JSON, `checkdcc` on the emitted text, `refun`;
-- the six metatheory checks on Vec chains and on nested `twice`.
+- the six metatheory checks on Vec chains and on nested `twice`, with the
+  commuting-diagram report's σ-steps and labels beside each time.
+
+Each time is printed twice: `cpu_s` is the run's CPU seconds, and
+`scaled_s` the same time at the benchmark's nominal host speed, as
+`perfbench/calibrate.py` measures it with a reference task run every 10 ms
+of CPU time (its own time is left out of both columns).  The host is shared
+and its speed drifts, so `cpu_s` of one run is comparable only within that
+run; `scaled_s` compares across runs.  The tables are printed once every
+curve is done, because a run's speed is read from the reference tasks on
+both sides of it.
 
 Every run starts from freshly parsed terms, so no cache carries over; the
 parse of the library families is not timed.
 """
 
 import contextlib
+import importlib.util
 import io
+import sys
 import tempfile
-import time
 from pathlib import Path
 
 from defuncc import cli, harness
 from defuncc.defun import defun
+from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_source
 
 REPEATS = 3
-SRC = Path(__file__).resolve().parent.parent / "src" / "defuncc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "defuncc"
 
 
 def src_lines() -> int:
@@ -36,11 +49,14 @@ def src_lines() -> int:
 
 
 def lambda_source(n: int) -> str:
+    """`fun (x1 : Nat) => ... => fun (xn : Nat) => add x1 xn`: n nested lambdas."""
     binders = "".join(f"fun (x{i} : Nat) => " for i in range(1, n + 1))
     return f"{binders}add x1 x{n}\n"
 
 
 def vec_source(n: int) -> str:
+    """`cons (n-1) (... (cons 0 nil))`: a length-n vector whose index type
+    computes with add."""
     body = "nil"
     for i in range(n):
         body = f"cons {i} ({body})"
@@ -51,6 +67,7 @@ def vec_source(n: int) -> str:
 
 
 def twice_source(k: int) -> str:
+    """The polymorphic twice nested k times around a successor, applied to 0."""
     f = "(fun (n : Nat) => add n 1)"
     for _ in range(k):
         f = f"(twice Nat {f})"
@@ -61,18 +78,32 @@ def twice_source(k: int) -> str:
     )
 
 
-def best_cpu(prepare) -> float | None:
-    """The least CPU time of REPEATS runs, or None if a run returned False
-    (the time of a wrong result means nothing).  Each run is made by
-    prepare(), outside the timed region."""
-    best = float("inf")
+def speed_meter():
+    """A `perfbench/calibrate.Speed`, loaded from its file (perfbench is no
+    package)."""
+    spec = importlib.util.spec_from_file_location("calibrate", ROOT / "perfbench" / "calibrate.py")
+    calibrate = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = calibrate  # where its dataclasses look their module up
+    spec.loader.exec_module(calibrate)
+    return calibrate.Speed()
+
+
+def best_cpu(prepare, speed) -> tuple[float, tuple, tuple] | None:
+    """The run of REPEATS with the least CPU time: that time and the `speed`
+    marks around it; None if a run returned False (the time of a wrong
+    result means nothing).  Each run is made by prepare(), outside the timed
+    region."""
+    best = None
     for _ in range(REPEATS):
         run = prepare()
-        start = time.process_time()
+        start = speed.mark()
         ok = run()
-        best = min(best, time.process_time() - start)
+        end = speed.mark()
         if not ok:
             return None
+        cpu = (end[0] - start[0]) - (end[1] - start[1])  # less the reference tasks
+        if best is None or cpu < best[0]:
+            best = cpu, start, end
     return best
 
 
@@ -119,25 +150,49 @@ def six_checks(source):
     return family
 
 
+def diagram_counts(source):
+    """The commuting-diagram report's σ-steps and labels, outside the timing."""
+
+    def counts(n: int) -> tuple[int, int]:
+        elab = parse_source(source(n)).elaborate()
+        report = check_diagram(Judgement(elab.ctx, elab.main))
+        return report.sigma_steps, report.labels
+
+    return counts
+
+
 FAMILIES = [
-    ("defun, nested lambdas", defun_lambdas, (20, 40, 80, 160)),
-    ("translate-emit CLI, nested lambdas", emit_lambdas, (20, 30, 40, 50, 60)),
-    ("six checks, Vec chain", six_checks(vec_source), (10, 20, 40, 80)),
-    ("six checks, nested twice", six_checks(twice_source), (1, 2, 3, 4, 5, 6)),
+    ("defun, nested lambdas", defun_lambdas, (20, 40, 80, 160), None),
+    ("translate-emit CLI, nested lambdas", emit_lambdas, (20, 30, 40, 50, 60), None),
+    ("six checks, Vec chain", six_checks(vec_source), (10, 20, 40, 80), diagram_counts(vec_source)),
+    ("six checks, nested twice", six_checks(twice_source), (1, 2, 3, 4, 5, 6),
+     diagram_counts(twice_source)),
 ]
 
 
 def main() -> int:
-    failed = False
-    print(f"src/defuncc/*.py: {src_lines()} lines\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        for title, make, sizes in FAMILIES:
-            print(f"{title}\n{'n':>5}  {'cpu_s':>8}")
+    print(f"src/defuncc/*.py: {src_lines()} lines\n", flush=True)
+    curves = []  # per family: (n, its best run or None, its diagram counts or None)
+    with tempfile.TemporaryDirectory() as tmp, speed_meter() as speed:
+        for _, make, sizes, counts in FAMILIES:
+            curve = []
             for n in sizes:
-                cpu = best_cpu(make(n, Path(tmp)))
-                failed = failed or cpu is None
-                print(f"{n:>5}  " + ("  FAILED" if cpu is None else f"{cpu:>8.3f}"), flush=True)
-            print()
+                best = best_cpu(make(n, Path(tmp)), speed)
+                curve.append((n, best, counts(n) if counts and best else None))
+            curves.append(curve)
+    failed = False
+    for (title, _, _, counts), curve in zip(FAMILIES, curves):
+        extra = f"  {'sigma_steps':>11}  {'labels':>6}" if counts else ""
+        print(f"{title}\n{'n':>5}  {'cpu_s':>8}  {'scaled_s':>8}{extra}")
+        for n, best, count in curve:
+            failed = failed or best is None
+            if best is None:
+                print(f"{n:>5}    FAILED")
+                continue
+            cpu, start, end = best
+            line = f"{n:>5}  {cpu:>8.3f}  {speed.scaled(start, end):>8.3f}"
+            print(line + (f"  {count[0]:>11}  {count[1]:>6}" if count else ""))
+        print()
     return 1 if failed else 0
 
 

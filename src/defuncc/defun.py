@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .cc import CC_TERMS, SIGMA, cc_infer, fv_telescope
+from .cc import CC, CC_TERMS, SIGMA, cc_infer, fv_telescope
 from .errors import LabelClash
 from .kernel import DEFAULT_BUDGET, Budget, Derivation, infer
 from .surface import label_name
@@ -112,23 +112,19 @@ class Translation:
     when it is already bound (`kernel.infer`), so the subject it rebuilds is
     the type itself; and the types read are checked context entries or
     inferred types, so the derivation cannot fail.  Whether a context is
-    plain, and its names, are found once per context object.
+    plain, and its names, are kept on the context object.
 
-    The run derives and translates each distinct `(ctx, type)` once and
-    reuses the result.  That is exact: each type is derived under a fresh
-    budget, so a derivation is a function of `(ctx, type)` alone, and a
-    repeat translation would mint only entries whose first stamp already
-    exists, so skipping it leaves the order of first stamps, and with it
-    every final id, unchanged.  Provisional ids belong to one run, so the
-    memo does too.  The types it σ-derives go through one inference table
-    for the run (exact, see `kernel.infer`), so shared parts derive once.
-
-    After `defun`'s own walk, which shares no derivation objects, the run
-    translates each derivation object once: a table keyed by identity holds
-    the object, so no id is reused while it lives.  σ-states share the
-    derivations of what a step left alone, and reduction preservation and
-    the diagram check translate the same normal-form derivation; skipping a
-    repeat walk is exact by the first-stamp argument above.
+    The run derives through one inference table per calculus, so each
+    `(ctx, type)` is derived once and a repeat read gets the same derivation
+    object back (exact, see `kernel.infer`), and it translates each
+    derivation object once: a table keyed by identity holds the object, so
+    no id is reused while it lives.  Types that share parts, σ-states that
+    share what a step left alone, and the normal-form derivation that
+    reduction preservation and the diagram check both translate are walked
+    once.  Skipping a repeat walk is exact: it would mint only entries whose
+    first stamp already exists, so the order of first stamps, and with it
+    every final id, is unchanged.  Provisional ids belong to one run, so the
+    tables do too.
     """
 
     def __init__(self, budget: int) -> None:
@@ -137,17 +133,14 @@ class Translation:
         self._entries: list[LabelEntry] = []
         self._first_stamp: dict[int, int] = {}
         self._stamp = 0
-        # translated explicit-substitution nodes; a memo or table hit adds
-        # none for the suspensions inside it
+        # translated explicit-substitution nodes; a table hit adds none for
+        # the suspensions inside it
         self.subst_nodes = 0
         self._budget = budget
-        self._sigma = None  # σ with the run's inference table, made on first use
-        self._types: dict[tuple[Ctx, Term], list[tuple[Term, tuple[int, ...]]]] = {}
-        # id(ctx) -> (ctx, every type lambda-free, its names if every type is plain)
-        self._ctxs: dict[int, tuple[Ctx, bool, frozenset[str] | None]] = {}
-        # id(derivation) -> (that derivation, its translation), on once
-        # `defun`'s own walk is done
-        self._done: dict[int, tuple[Derivation, tuple[Term, tuple[int, ...]]]] | None = None
+        # the source and σ calculi with the run's inference tables, made on first use
+        self._cc = self._sigma = None
+        # id(derivation) -> (that derivation, its translation)
+        self._done: dict[int, tuple[Derivation, tuple[Term, tuple[int, ...]]]] = {}
 
     # -- minting
 
@@ -165,11 +158,9 @@ class Translation:
 
     def translate(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
         """Translated term plus the extracted definitions (provisional ids)."""
-        done = self._done
-        if done is not None:
-            hit = done.get(id(deriv))
-            if hit is not None:
-                return hit[1]
+        hit = self._done.get(id(deriv))
+        if hit is not None:
+            return hit[1]
         rule = deriv.rule
         ch = deriv.children
         if rule == "ty-Var":
@@ -209,8 +200,7 @@ class Translation:
             out = subst_many(tm, mapping), _union(*parts)
         else:
             raise ValueError(f"cannot translate derivation rule {rule!r}")
-        if done is not None:
-            done[id(deriv)] = (deriv, out)
+        self._done[id(deriv)] = (deriv, out)
         return out
 
     def _translate_lambda(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
@@ -240,47 +230,29 @@ class Translation:
             defs = _union(defs, da)
         return out, defs
 
-    def _ctx_facts(self, ctx: Ctx) -> tuple[Ctx, bool, frozenset[str] | None]:
-        """What the two shortcuts ask of a context (see the class), found once
-        per context object; the entry keeps the object alive, so no other
-        context can take its id."""
-        facts = self._ctxs.get(id(ctx))
-        if facts is None:
-            types = [a for _, a in ctx]
-            plain = all(uses_only(a, _PLAIN) for a in types)
-            facts = self._ctxs[id(ctx)] = (
-                ctx,
-                plain or all(uses_only(a, _LAM_FREE) for a in types),
-                frozenset(ctx.names()) if plain else None,
-            )
-        return facts
-
     def _type_labels(self, ctx: Ctx, ty: Term) -> tuple[int, ...]:
         """The definitions of a type read only for them (see the class)."""
-        if self._ctx_facts(ctx)[1] and uses_only(ty, _LAM_FREE):
+        if _ctx_facts(ctx)[0] and uses_only(ty, _LAM_FREE):
             return ()
         return self._translate_type(ctx, ty)[1]
 
     def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
         """Translate a type the walk reads: a plain one is itself (see the
-        class), any other goes through its own derivation, once per run."""
-        names = self._ctx_facts(ctx)[2]
+        class), any other goes through its derivation."""
+        names = _ctx_facts(ctx)[1]
         if names is not None and _is_plain(ty, names):
             return ty, ()
-        done = self._types.setdefault((ctx, ty), [])  # one hash of the key per call
-        if not done:
-            done.append(self.translate(self._derive(ctx, ty)))
-        return done[0]
+        return self.translate(self._derive(ctx, ty))
 
     def _derive(self, ctx: Ctx, ty: Term) -> Derivation:
         """The derivation of a type, under a fresh budget.  Source inference
         can neither reduce nor enter a suspension, so it takes only a type
         whose context holds none either."""
         if uses_only(ty, CC_TERMS) and all(uses_only(a, CC_TERMS) for _, a in ctx):
-            return cc_infer(ctx, ty, self._budget, check_ctx=False)
-        if self._sigma is None:
-            self._sigma = replace(SIGMA, table={})
-        return infer(self._sigma, ctx, ty, Budget(self._budget))
+            calc = self._cc = self._cc or replace(CC, table={})
+        else:
+            calc = self._sigma = self._sigma or replace(SIGMA, table={})
+        return infer(calc, ctx, ty, Budget(self._budget))
 
     # -- finalization
 
@@ -321,6 +293,20 @@ class Renumbering:
 
     def ctx(self, c: Ctx) -> Ctx:
         return Ctx(tuple((x, self.term(a)) for x, a in c))
+
+
+def _ctx_facts(ctx: Ctx) -> tuple[bool, frozenset[str] | None]:
+    """What the two shortcuts ask of a context (see `Translation`): whether
+    every type is lambda-free, and its names if every type is plain.  Found
+    once and kept on the context, as a term keeps its free variables."""
+    facts = getattr(ctx, "_defun_facts", None)
+    if facts is None:
+        types = [a for _, a in ctx]
+        plain = all(uses_only(a, _PLAIN) for a in types)
+        lam_free = plain or all(uses_only(a, _LAM_FREE) for a in types)
+        facts = (lam_free, frozenset(ctx.names()) if plain else None)
+        object.__setattr__(ctx, "_defun_facts", facts)  # the context is frozen
+    return facts
 
 
 def _is_plain(ty: Term, names: frozenset[str]) -> bool:
@@ -368,7 +354,6 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
     type_t, type_pids = run._translate_type(ctx, deriv.type)
-    run._done = {}  # the run stays open: from here on each derivation object translates once
     label_pids = _union(ctx_pids, term_pids)
     ren = run.finalize()
     return TranslationResult(

@@ -104,7 +104,8 @@ class Calculus:
     # read function types in normal form
     type_only: bool = False
     # (ctx, term) -> (its derivation, the steps it spent), read and filled by
-    # `infer`; only copies of `cc.SIGMA` carry one
+    # `infer`; only run-scoped copies carry one: a translation run's of `cc.CC`
+    # and `cc.SIGMA`, and a diagram trace's of `cc.SIGMA`
     table: dict | None = None
 
 

@@ -93,9 +93,9 @@ class DiagramReport:
     sigma_steps: int
     labels: int
     # suspension translations the check made in the judgement's shared run:
-    # a suspended type that run translated before, or a suspension whose
-    # derivation an earlier state shares, counts once; a suspended type read
-    # only for its definitions, lambda-free as its context is, counts none
+    # a suspension whose derivation that run walked before (in a type it read
+    # before, or in what an earlier state shares) adds none, and nor does a
+    # suspended type read only for its definitions, lambda-free as its context is
     subst_nodes: int
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: corpus files, elaborated judgements, small builders, and
 a joinability search."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -13,35 +14,17 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 BAD = CORPUS / "bad"
 
-_TWICE = (
-    "def twice : (A : Type 0) -> (A -> A) -> A -> A :=\n"
-    "  fun (A : Type 0) => fun (f : A -> A) => fun (x : A) => f (f x);\n"
-)
+
+def _script(name: str):
+    """A module of scripts/, loaded from its file (scripts/ is no package)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _vec_source(n: int) -> str:
-    """`cons (n-1) (... (cons 0 nil))`: a length-n vector whose index type
-    computes with add."""
-    body = "nil"
-    for i in range(n):
-        body = f"cons {i} ({body})"
-    return (
-        "axiom V : Nat -> Type 0;\naxiom nil : V 0;\n"
-        f"axiom cons : (n : Nat) -> V n -> V (add n 1);\n{body}\n"
-    )
-
-
-def _twice_source(k: int) -> str:
-    """The polymorphic twice nested k times around a successor, applied to 0."""
-    f = "(fun (n : Nat) => add n 1)"
-    for _ in range(k):
-        f = f"(twice Nat {f})"
-    return f"{_TWICE}{f} 0\n"
-
-
-def _lambda_source(n: int) -> str:
-    """`fun (x1 : Nat) => ... => fun (xn : Nat) => add x1 xn`: n nested lambdas."""
-    return "".join(f"fun (x{i} : Nat) => " for i in range(1, n + 1)) + f"add x1 x{n}\n"
+# the scaling families, as scripts/scaling.py and scripts/fingerprint.py build them
+_families = _script("scaling")
 
 
 @pytest.fixture(scope="session")
@@ -111,7 +94,11 @@ def joinable():
 def scaling():
     """Builder for the scaling families: ("vec", n), ("twice", k) or
     ("lambdas", n) gives the program's (ctx, main term)."""
-    sources = {"vec": _vec_source, "twice": _twice_source, "lambdas": _lambda_source}
+    sources = {
+        "vec": _families.vec_source,
+        "twice": _families.twice_source,
+        "lambdas": _families.lambda_source,
+    }
 
     def build(family: str, size: int):
         elab = parse_source(sources[family](size)).elaborate()

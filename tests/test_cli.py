@@ -130,6 +130,26 @@ def test_refun_of_a_long_lambda_chain_prints_the_source_back(capsys, tmp_path):
     assert out == source.read_text()
 
 
+@pytest.mark.parametrize("x", "xyzuvw")
+def test_lambda_chains_go_through_the_emit_pipeline_with_any_binder_letter(capsys, tmp_path, x):
+    """The translate-emit pipeline on the lambda chains the benchmark writes,
+    whose binder letter its seed draws from `xyzuvw`: `defun` as text and as
+    JSON, then `checkdcc` and `refun` on the text, each exits 0, and `refun`
+    prints the source back."""
+    for n in (20, 60):
+        text = "".join(f"fun ({x}{i} : Nat) => " for i in range(1, n + 1)) + f"add {x}1 {x}{n}\n"
+        source, target = tmp_path / f"lambdas-{n}.cc", tmp_path / f"lambdas-{n}.dcc"
+        source.write_text(text)
+        code, emitted, _ = run(capsys, "defun", "--emit", "text", str(source))
+        assert code == 0
+        code, doc, _ = run(capsys, "defun", "--emit", "json", str(source))
+        assert code == 0 and len(json.loads(doc)["labels"]) == n
+        target.write_text(emitted)
+        code, checked, _ = run(capsys, "checkdcc", str(target))
+        assert code == 0 and checked.splitlines()[0] == "label context: ok"
+        assert run(capsys, "refun", str(target)) == (0, text, "")
+
+
 def test_verify_single_file(capsys):
     code, out, _ = run(capsys, "verify", str(CORPUS / "poly_id.cc"))
     assert code == 0

@@ -6,6 +6,7 @@ import inspect
 
 import pytest
 
+from defuncc.cc import CC, SIGMA
 from defuncc.defun import (
     Translation,
     defun,
@@ -278,31 +279,44 @@ class TestDeterminism:
 
 class TestBudget:
     def test_every_derivation_gets_the_callers_budget(self, elaborated, monkeypatch):
-        """The derivations the translation walks, including the types it
-        re-derives, are built within the budget `defun` was given."""
-        real = defun_module.cc_infer
-        signature = inspect.signature(real)
+        """The derivations the translation walks, the judgement's and the
+        types it re-derives, are each built under a fresh budget with the
+        limit `defun` was given."""
+        real_cc_infer = defun_module.cc_infer
+        signature = inspect.signature(real_cc_infer)
+        real_infer = defun_module.infer
         budgets = []
 
-        def spy(*args, **kwargs):
+        def spy_cc_infer(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            budgets.append(bound.arguments["budget"])
-            return real(*args, **kwargs)
+            budgets.append((bound.arguments["budget"], 0))
+            return real_cc_infer(*args, **kwargs)
 
-        monkeypatch.setattr(defun_module, "cc_infer", spy)
+        def spy_infer(calc, ctx, t, b):
+            budgets.append((b.limit, b.used))
+            return real_infer(calc, ctx, t, b)
+
+        monkeypatch.setattr(defun_module, "cc_infer", spy_cc_infer)
+        monkeypatch.setattr(defun_module, "infer", spy_infer)
         elab = elaborated("typelevel_nat")
         defun(elab.ctx, elab.main, budget=5000)
         assert len(budgets) > 2
-        assert set(budgets) == {5000}
+        assert set(budgets) == {(5000, 0)}
 
 
 class _AlwaysDerive(Translation):
-    """The translation without its type memo: every type it reads is derived
-    and translated again."""
+    """The translation without its tables: every type it reads is derived
+    afresh, by the source or σ calculus with no inference table, and every
+    derivation is walked again however often it comes."""
 
-    def _translate_type(self, ctx, ty):
-        return self.translate(self._derive(ctx, ty))
+    def __init__(self, budget):
+        super().__init__(budget)
+        self._cc, self._sigma = CC, SIGMA
+
+    def translate(self, deriv):
+        self._done.pop(id(deriv), None)  # never answered by the identity table
+        return super().translate(deriv)
 
 
 def _use_translation(monkeypatch, cls) -> None:
@@ -314,18 +328,20 @@ class TestTypeMemo:
     def test_each_type_is_derived_once_per_run(self, corpus_judgements, monkeypatch):
         """defun, reduction preservation and the diagram check (which both go
         on in their judgement's defun run) each derive every distinct
-        (ctx, type) at most once per run."""
-        runs: list[list] = []
+        (ctx, type) at most once per run: a repeat read gets the first
+        derivation object back."""
+        runs: list[dict] = []
 
         class Spy(Translation):
             def __init__(self, budget):
-                self.seen: list = []
+                self.seen: dict = {}
                 runs.append(self.seen)
                 super().__init__(budget)
 
             def _derive(self, ctx, ty):
-                self.seen.append((ctx, ty))
-                return super()._derive(ctx, ty)
+                d = super()._derive(ctx, ty)
+                self.seen.setdefault((ctx, ty), []).append(d)
+                return d
 
         _use_translation(monkeypatch, Spy)
         repeated = []
@@ -336,13 +352,47 @@ class TestTypeMemo:
             check_reduction_preservation(ctx, term)
             check_diagram(Judgement(ctx, term))
             assert len(runs) - start >= 3
-            repeated += [name for seen in runs[start:] if len(set(seen)) < len(seen)]
+            repeated += [
+                name
+                for seen in runs[start:]
+                for derivs in seen.values()
+                if any(d is not derivs[0] for d in derivs)
+            ]
         assert repeated == []
-        assert sum(map(len, runs)) > 0
+        reads = [len(derivs) for seen in runs for derivs in seen.values()]
+        assert reads and max(reads) > 1
+
+    def test_a_source_type_read_twice_is_derived_and_walked_once(self, monkeypatch):
+        """Within one run, a source type read twice costs one miss in the
+        run's source table and one `translate` walk: the second read gets
+        the same derivation back, and the identity table answers for it."""
+        ty = parse_term("(fun (A : Type 0) => A) Nat")
+        misses, walks = [], []
+        real_infer = defun_module.infer
+
+        def spy_infer(calc, ctx, t, b):
+            if (ctx, t) not in calc.table:
+                misses.append(t)
+            return real_infer(calc, ctx, t, b)
+
+        class Spy(Translation):
+            def _translate_lambda(self, deriv):
+                walks.append(deriv.subject)
+                return super()._translate_lambda(deriv)
+
+        monkeypatch.setattr(defun_module, "infer", spy_infer)
+        run = Spy(DEFAULT_BUDGET)
+        first = run._translate_type(EMPTY, ty)
+        assert run._translate_type(EMPTY, ty) == first
+        assert first[1] == (0,)
+        assert run._derive(EMPTY, ty) is run._derive(EMPTY, ty)
+        assert misses == [ty]
+        assert len(walks) == 1
 
     def test_memo_changes_no_output(self, corpus_judgements, scaling, monkeypatch):
-        """With and without the memo, every translation result is equal, and
-        every diagram report is equal apart from its suspension count."""
+        """With and without the run's tables, every translation result is
+        equal, and every diagram report is equal apart from its suspension
+        count."""
         judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
         judgements += enumerate_small_terms(EnumConfig(size_budget=6))
         judgements += [scaling("vec", n) for n in range(2, 9)]
@@ -422,12 +472,17 @@ class TestPlainTypes:
         spend no step, and translating that derivation would give the type
         itself, `==`, with no definitions."""
         answered: dict = {}
-        translate_type = Translation._translate_type
+        derived: list = []
 
         class Spy(Translation):
+            def _derive(self, ctx, ty):
+                derived.append((ctx, ty))
+                return super()._derive(ctx, ty)
+
             def _translate_type(self, ctx, ty):
-                out = translate_type(self, ctx, ty)
-                if (ctx, ty) not in self._types:  # neither derived now nor before
+                before = len(derived)
+                out = super()._translate_type(ctx, ty)
+                if len(derived) == before:  # not derived
                     answered[ctx, ty] = out
                 return out
 
@@ -468,10 +523,16 @@ class TestPlainTypes:
         plain: its derivation renames the binder, so the type is not its own
         translation."""
         ty = parse_term(ty)
-        run = Translation(DEFAULT_BUDGET)
-        term, pids = run._translate_type(ctx, ty)
+        derived = []
+
+        class Spy(Translation):
+            def _derive(self, ctx, ty):
+                derived.append((ctx, ty))
+                return super()._derive(ctx, ty)
+
+        term, pids = Spy(DEFAULT_BUDGET)._translate_type(ctx, ty)
         assert pids == () and alpha_eq(term, ty) and term != ty
-        assert (ctx, ty) in run._types
+        assert derived == [(ctx, ty)]
 
     def test_the_lambda_chain_derives_no_type(self, scaling, monkeypatch):
         """Every type `defun` reads on nested lambdas over Nat is plain, so
