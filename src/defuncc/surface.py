@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ParseError
 from .syntax import (
@@ -139,48 +138,42 @@ def emit_json(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
 
 _KEYWORDS = {"fun", "axiom", "def", "label", "Type", "Nat", "add"}
 
+# Whitespace and comments match the unnamed alternative, a token the first
+# group, and any other character the second.  A token is an identifier or a
+# keyword exactly when its first character could start a Python identifier.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|--[^\n]*)
-  | (?P<arrow>->)
-  | (?P<darrow>=>)
-  | (?P<assign>:=)
-  | (?P<nat>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<sym>[(){},:;])
+    \s+ | --[^\n]*
+  | (-> | => | := | [0-9]+ | [A-Za-z_][A-Za-z0-9_']* | [(){},:;])
+  | (.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-class Token(NamedTuple):  # a tuple: built with no per-field setattr
-    kind: str  # arrow darrow assign nat ident sym eof (keywords keep kind ident)
-    text: str
-    line: int
-    col: int
+# How "expected ..." names the tokens that are not named by their own text
+_TOKEN_NAMES = {"->": "arrow", "=>": "darrow", ":=": "assign"}
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    bol = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - bol + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, chunk, line, pos - bol + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            bol = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - bol + 1))
-    return tokens
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """A ParseError at `offset`, with the line and column found only now."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of `text` and their start offsets; "" ends the input."""
+    tokens: list[str] = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            tokens.append(m.group(1))
+            offsets.append(m.start())
+        elif group:
+            raise _error(f"unexpected character {m.group(2)!r}", text, m.start())
+    tokens.append("")
+    offsets.append(len(text))
+    return tokens, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -191,232 +184,203 @@ _ADD_HEAD = object()
 
 class _Parser:
     def __init__(self, text: str, allow_labels: bool):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.tokens, self.offsets = tokenize(text)
         self.pos = 0
         self.allow_labels = allow_labels
         self.declared: dict[str, str] = {}  # name -> kind of its declaration
 
     # -- token plumbing
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self, ahead: int = 0) -> str:
+        """The token `ahead` places on.  Never look past "", the end of input."""
+        return self.tokens[self.pos + ahead]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        return _error(message, self.text, self.offsets[self.pos if at is None else at])
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def unexpected(self, want: str) -> ParseError:
+        return self.fail(f"expected {want}, found {self.peek() or 'end of input'!r}")
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise self.fail(f"expected {want!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_sym(self, sym: str) -> Token:
-        return self.expect("sym", sym)
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise self.unexpected(repr(_TOKEN_NAMES.get(tok, tok)))
+        self.pos += 1
 
     def ident(self, what: str = "identifier") -> str:
         tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        if tok.text in _KEYWORDS:
-            raise self.fail(f"keyword {tok.text!r} cannot be used as {what}")
-        if _LABEL_RE.match(tok.text):
-            raise self.fail(f"{tok.text!r} is reserved for labels")
-        self.advance()
-        return tok.text
+        if not tok[:1].isidentifier():
+            raise self.unexpected(what)
+        if tok in _KEYWORDS:
+            raise self.fail(f"keyword {tok!r} cannot be used as {what}")
+        if _LABEL_RE.match(tok):
+            raise self.fail(f"{tok!r} is reserved for labels")
+        self.pos += 1
+        return tok
+
+    def binding(self, what: str) -> tuple[str, Term]:
+        """`(x : A)`, as `fun`, a dependent product and a label's argument bind."""
+        self.expect("(")
+        x = self.ident(what)
+        self.expect(":")
+        domain = self.term()
+        self.expect(")")
+        return x, domain
+
+    def closure(self, item) -> tuple:
+        """`{item, ...}`: a label's closure, or the telescope of a label block."""
+        self.expect("{")
+        items = []
+        if self.peek() != "}":
+            items.append(item())
+            while self.peek() == ",":
+                self.pos += 1
+                items.append(item())
+        self.expect("}")
+        return tuple(items)
 
     # -- terms
 
     def term(self) -> Term:
-        if self.at_keyword("fun"):
-            self.advance()
-            self.expect_sym("(")
-            binder = self.ident("binder")
-            self.expect_sym(":")
-            domain = self.term()
-            self.expect_sym(")")
-            self.expect("darrow")
-            body = self.term()
-            return Lam(binder, domain, body)
-        if (
-            self.peek().kind == "sym"
-            and self.peek().text == "("
-            and self.peek(1).kind == "ident"
-            and self.peek(1).text not in _KEYWORDS
-            and self.peek(2).kind == "sym"
-            and self.peek(2).text == ":"
-        ):
-            self.advance()
-            binder = self.ident("binder")
-            self.expect_sym(":")
-            domain = self.term()
-            self.expect_sym(")")
-            self.expect("arrow")
-            codomain = self.term()
-            return Pi(binder, domain, codomain)
+        tok = self.peek()
+        if tok == "fun":
+            self.pos += 1
+            binder, domain = self.binding("binder")
+            self.expect("=>")
+            return Lam(binder, domain, self.term())
+        if (tok == "(" and self.peek(1)[:1].isidentifier()
+                and self.peek(1) not in _KEYWORDS and self.peek(2) == ":"):
+            binder, domain = self.binding("binder")
+            self.expect("->")
+            return Pi(binder, domain, self.term())
         left = self.app()
-        if self.peek().kind == "arrow":
-            self.advance()
-            right = self.term()
-            return Pi("_", left, right)
+        if self.peek() == "->":
+            self.pos += 1
+            return Pi("_", left, self.term())
         return left
 
     def app(self) -> Term:
-        parts: list = [self.atom()]
+        term = self.atom()
+        args: list = []
         while self.at_atom_start():
-            parts.append(self.atom())
-        if parts[0] is _ADD_HEAD:
-            if len(parts) < 3:
-                raise self.fail("'add' needs two arguments")
-            term: Term = Add(parts[1], parts[2])
-            rest = parts[3:]
-        else:
-            term = parts[0]
-            rest = parts[1:]
-        for p in rest:
-            if p is _ADD_HEAD:
-                raise self.fail("'add' cannot appear as an argument; parenthesize")
-            term = App(term, p)
+            args.append(self.atom())
+        if term is _ADD_HEAD and len(args) < 2:
+            raise self.fail("'add' needs two arguments")
+        if _ADD_HEAD in args:
+            raise self.fail("'add' cannot appear as an argument; parenthesize")
+        if term is _ADD_HEAD:
+            term, args = Add(args[0], args[1]), args[2:]
+        for a in args:
+            term = App(term, a)
         return term
 
     def at_atom_start(self) -> bool:
         tok = self.peek()
-        if tok.kind in ("nat",):
-            return True
-        if tok.kind == "sym" and tok.text == "(":
-            return True
-        if tok.kind == "ident":
-            return tok.text not in ("fun", "axiom", "def", "label")
-        return False
+        return tok == "(" or tok.isdigit() or (
+            tok[:1].isidentifier() and tok not in ("fun", "axiom", "def", "label"))
 
     def atom(self) -> Term:
         tok = self.peek()
-        if tok.kind == "nat":
-            self.advance()
-            return NatLit(int(tok.text))
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
+        if tok.isdigit():
+            self.pos += 1
+            return NatLit(int(tok))
+        if tok == "(":
+            self.pos += 1
             inner = self.term()
-            self.expect_sym(")")
+            self.expect(")")
             return inner
-        if tok.kind != "ident":
-            raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-        if tok.text == "Type":
-            self.advance()
-            level = self.expect("nat")
-            return Universe(int(level.text))
-        if tok.text == "Nat":
-            self.advance()
+        if not tok[:1].isidentifier():
+            raise self.unexpected("a term")
+        if tok == "Type":
+            self.pos += 1
+            level = self.peek()
+            if not level.isdigit():
+                raise self.unexpected("'nat'")
+            self.pos += 1
+            return Universe(int(level))
+        if tok == "Nat":
+            self.pos += 1
             return NAT
-        if tok.text == "add":
-            self.advance()
+        if tok == "add":
+            self.pos += 1
             return _ADD_HEAD  # type: ignore[return-value]
-        if _LABEL_RE.match(tok.text):
-            if not (self.peek(1).kind == "sym" and self.peek(1).text == "{"):
-                raise self.fail(f"label {tok.text} must be applied to a closure {{...}}")
+        if _LABEL_RE.match(tok):
+            if self.peek(1) != "{":
+                raise self.fail(f"label {tok} must be applied to a closure {{...}}")
             if not self.allow_labels:
                 raise self.fail("label expressions are not allowed in source files")
-            self.advance()
-            self.expect_sym("{")
-            args: list[Term] = []
-            if not (self.peek().kind == "sym" and self.peek().text == "}"):
-                args.append(self.term())
-                while self.peek().kind == "sym" and self.peek().text == ",":
-                    self.advance()
-                    args.append(self.term())
-            self.expect_sym("}")
-            return Label(int(tok.text[1:]), tuple(args))
-        if tok.text in _KEYWORDS:
-            raise self.fail(f"keyword {tok.text!r} cannot start a term")
-        if tok.text == "_":
+            self.pos += 1
+            return Label(int(tok[1:]), self.closure(self.term))
+        if tok in _KEYWORDS:
+            raise self.fail(f"keyword {tok!r} cannot start a term")
+        if tok == "_":
             raise self.fail("'_' is not a variable")
-        self.advance()
-        return Var(tok.text)
+        self.pos += 1
+        return Var(tok)
 
     # -- declarations
 
     def declared_name(self, kind: str) -> str:
         """The name a declaration introduces; a file declares each name once."""
-        where = self.peek()
+        where = self.pos
         if kind != "label":
             name = self.ident(f"{kind} name")
-        elif where.kind == "ident" and _LABEL_RE.match(where.text):
-            name = self.advance().text
+        elif _LABEL_RE.match(self.peek()):
+            name = self.peek()
+            self.pos += 1
         else:
             raise self.fail("expected a label name like l0")
         prior = self.declared.get(name)
         if prior == kind:
-            raise ParseError(f"duplicate {kind} {name!r}", where.line, where.col)
+            raise self.fail(f"duplicate {kind} {name!r}", where)
         if prior is not None:
-            message = f"{kind} {name!r} reuses the name of an earlier {prior}"
-            raise ParseError(message, where.line, where.col)
+            raise self.fail(f"{kind} {name!r} reuses the name of an earlier {prior}", where)
         self.declared[name] = kind
         return name
 
+    def typed_name(self) -> tuple[str, Term]:
+        x = self.ident("closure variable")
+        self.expect(":")
+        return x, self.term()
+
     def label_block(self) -> LabelEntry:
-        self.expect("ident", "label")
+        self.expect("label")
         label_id = int(self.declared_name("label")[1:])
-        self.expect_sym("{")
-        telescope: list[tuple[str, Term]] = []
-        if not (self.peek().kind == "sym" and self.peek().text == "}"):
-            while True:
-                x = self.ident("closure variable")
-                self.expect_sym(":")
-                telescope.append((x, self.term()))
-                if self.peek().kind == "sym" and self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect_sym("}")
-        self.expect_sym("(")
-        arg = self.ident("argument binder")
-        self.expect_sym(":")
-        arg_type = self.term()
-        self.expect_sym(")")
-        self.expect("arrow")
+        telescope = self.closure(self.typed_name)
+        arg, arg_type = self.binding("argument binder")
+        self.expect("->")
         ret_type = self.term()
-        self.expect("assign")
+        self.expect(":=")
         body = self.term()
-        self.expect_sym(";")
-        return LabelEntry(label_id, tuple(telescope), arg, arg_type, body, ret_type)
+        self.expect(";")
+        return LabelEntry(label_id, telescope, arg, arg_type, body, ret_type)
 
     def file(self) -> "SourceFile":
         decls: list[tuple[str, Term, Term | None]] = []
         labels: list[LabelEntry] = []
         main: Term | None = None
-        while self.peek().kind != "eof":
-            if self.at_keyword("axiom") or self.at_keyword("def"):
-                kind = "axiom" if self.advance().text == "axiom" else "definition"
+        while tok := self.peek():
+            if tok == "axiom" or tok == "def":
+                self.pos += 1
+                kind = "axiom" if tok == "axiom" else "definition"
                 name = self.declared_name(kind)
-                self.expect_sym(":")
+                self.expect(":")
                 ty = self.term()
                 body = None
                 if kind == "definition":
-                    self.expect("assign")
+                    self.expect(":=")
                     body = self.term()
-                self.expect_sym(";")
+                self.expect(";")
                 decls.append((name, ty, body))
-            elif self.at_keyword("label"):
+            elif tok == "label":
                 if not self.allow_labels:
                     raise self.fail("label blocks are not allowed in source files")
                 labels.append(self.label_block())
             else:
                 main = self.term()
-                if self.peek().kind == "sym" and self.peek().text == ";":
-                    self.advance()
-                if self.peek().kind != "eof":
+                if self.peek() == ";":
+                    self.pos += 1
+                if self.peek():
                     raise self.fail("the main term must be the last item in the file")
                 break
         return SourceFile(tuple(decls), LabelCtx(tuple(labels)), main)
@@ -462,7 +426,7 @@ class Elaborated:
 def parse_term(text: str, allow_labels: bool = False) -> Term:
     p = _Parser(text, allow_labels)
     t = p.term()
-    if p.peek().kind != "eof":
+    if p.peek():
         raise p.fail("trailing input after term")
     return t
 

@@ -1,7 +1,8 @@
-"""Shared fixtures: corpus files, elaborated judgements, small builders, and
-a joinability search."""
+"""Shared fixtures: corpus files, elaborated judgements, small builders,
+mutated inputs, and a joinability search."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,47 @@ def bad_dcc_paths() -> list[Path]:
     paths = sorted(BAD.glob("*.dcc"))
     assert len(paths) == 5
     return paths
+
+
+# what a mutant may insert: every token, some stray text, and layout
+_INSERTS = ("(", ")", "{", "}", ",", ":", ";", "->", "=>", ":=", "add", "fun", "Type",
+            "Nat", "label", "axiom", "def", "l0", "l1", "_", "x", "0", "-", "$", "\n",
+            "-- c\n")
+
+
+@pytest.fixture(scope="session")
+def input_files() -> list[tuple[str, str]]:
+    """(suffix, text) of every corpus file, bad ones too, and golden label file."""
+    paths = [*sorted(CORPUS.glob("*.cc")), *sorted(BAD.iterdir()),
+             *sorted((ROOT / "tests" / "golden").glob("*.dcc"))]
+    return [(p.suffix, p.read_text()) for p in paths]
+
+
+@pytest.fixture(scope="session")
+def mutants(input_files):
+    """mutants(count, seed): `count` (suffix, text) pairs drawn by a seeded
+    generator.  Each text is one of `input_files` with one edit: a token
+    inserted (bare or spaced), a span of 1 to 12 characters deleted, or the
+    rest of the text cut off."""
+
+    def draw(count: int, seed: int) -> list[tuple[str, str]]:
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            suffix, text = rng.choice(input_files)
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                token = rng.choice(_INSERTS)
+                text = text[:i] + rng.choice((token, f" {token} ")) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[i + rng.randint(1, 12):]
+            else:
+                text = text[:i]
+            out.append((suffix, text))
+        return out
+
+    return draw
 
 
 @pytest.fixture(scope="session")

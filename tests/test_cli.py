@@ -373,3 +373,48 @@ def test_ill_typed_label_file_exits_one(capsys, command, name):
     # label-context check, which both commands make before inference
     code, out, err = run(capsys, command, str(CORPUS / "bad" / name))
     assert (code, out, err) == (1, "", f"error: {BAD_DCC_ERRORS[name]}\n")
+
+
+# `add` as an operand or an argument, and where its parse error points
+ADD_ARGUMENTS = [
+    ("add 2 add", "1:10"),
+    ("add add 1 2", "1:12"),
+    ("axiom n : Nat; add add 1 (add 1 n)", "1:35"),
+]
+
+
+@pytest.mark.parametrize("text,where", ADD_ARGUMENTS)
+@pytest.mark.parametrize("suffix,command", [
+    (".cc", "check"), (".cc", "defun"), (".cc", "eval"), (".cc", "verify"),
+    (".dcc", "checkdcc"), (".dcc", "eval"), (".dcc", "refun"), (".dcc", "verify")])
+def test_add_as_an_argument_is_a_parse_error(capsys, tmp_path, suffix, command, text, where):
+    path = tmp_path / f"add{suffix}"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    message = f"parse error: {where}: 'add' cannot appear as an argument; parenthesize"
+    assert (code, out, err) == (2, "", f"{message}\n")
+
+
+# the commands run on every generated input, by the input's suffix
+CLI_COMMANDS = {
+    ".cc": [["check"], ["defun", "--emit", "text"], ["eval"], ["verify"]],
+    ".dcc": [["checkdcc"], ["refun"], ["eval"]],
+}
+
+
+def test_no_input_makes_a_command_raise(capsys, tmp_path, mutants):
+    """A property over generated inputs (Claessen & Hughes, "QuickCheck",
+    ICFP 2000): every command on every fixed-seed mutant of a corpus or golden
+    file exits 0, 1, 2 or 3, and none raises.  The `add` inputs come first:
+    they once ended every command in a traceback."""
+    cases = [(suffix, text) for text, _ in ADD_ARGUMENTS for suffix in CLI_COMMANDS]
+    codes = set()
+    for i, (suffix, text) in enumerate(cases + mutants(600, seed=7)):
+        path = tmp_path / f"m{i}{suffix}"
+        path.write_text(text)
+        for command in CLI_COMMANDS[suffix]:
+            argv = ["--budget", "20000", *command, str(path)]
+            codes.add(main(argv))
+            assert codes <= {0, 1, 2, 3}, (argv, text)
+        capsys.readouterr()
+    assert codes == {0, 1, 2, 3}  # the inputs reach every verdict

@@ -28,6 +28,7 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    children,
     entry_alpha_eq,
 )
 
@@ -83,6 +84,57 @@ class TestParseTerm:
     def test_unbalanced_parens_rejected(self):
         with pytest.raises(ParseError):
             parse_term("(f x")
+
+    @pytest.mark.parametrize("parse, text, col", [
+        (parse_term, "add 2 add", 10),
+        (parse_term, "add add 1 2", 12),
+        (parse_term, "add 1 2 add", 12),
+        (parse_source, "axiom n : Nat; add add 1 (add 1 n)", 35),
+    ])
+    def test_add_as_an_operand_or_argument_is_rejected_after_the_application(
+            self, parse, text, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"1:{col}: 'add' cannot appear as an argument; parenthesize"
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_add_alone_as_its_operand_lacks_arguments(self):
+        with pytest.raises(ParseError, match=r"^1:8: 'add' needs two arguments$"):
+            parse_term("add add")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_source, "-- a comment\naxiom A : Type 0;\n  A B $", "3:7: unexpected character '$'"),
+        (parse_source, "def x : Nat\n\n", "3:1: expected 'assign', found 'end of input'"),
+        (parse_term, "(x : Nat)\n  Nat", "2:3: expected 'arrow', found 'Nat'"),
+        (parse_term, "fun (x : Nat) x", "1:15: expected 'darrow', found 'x'"),
+        (parse_term, "Type x", "1:6: expected 'nat', found 'x'"),
+    ])
+    def test_errors_give_line_column_and_the_token_expected(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+class TestParseDepth:
+    """Nests as deep as these parse under the default recursion limit;
+    1200 deep gives NestingTooDeep (tests/test_harness.py, tests/test_cli.py)."""
+
+    @pytest.mark.parametrize("open_, close", [("add 1 (", ")"), ("(", ")"), ("f (", ")")])
+    def test_a_nest_300_deep_parses(self, open_, close):
+        t = parse_term(open_ * 300 + "0" + close * 300)
+        depth = 0
+        while not isinstance(t, NatLit):
+            t, depth = children(t)[-1], depth + 1
+        assert depth == (0 if open_ == "(" else 300)
+
+    @pytest.mark.parametrize("link, end", [
+        ("fun (x : Nat) => ", "x"), ("Nat -> ", "Nat"), ("(x : Nat) -> ", "Nat")])
+    def test_a_chain_900_long_parses(self, link, end):
+        t = parse_term(link * 900 + end)
+        depth = 0
+        while isinstance(t, (Lam, Pi)):
+            t, depth = children(t)[-1], depth + 1
+        assert depth == 900
 
 
 class TestShowTerm:
