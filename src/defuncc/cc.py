@@ -42,6 +42,7 @@ from .syntax import (
     Term,
     Universe,
     Var,
+    _ordered_union,
     free_var_set,
     free_vars,
     freshen_binder,
@@ -127,7 +128,7 @@ def fv_telescope(ctx: Ctx, term: Term, ty: Term) -> tuple[tuple[str, Term], ...]
             acc.setdefault(x, a)
         return tuple(acc.items())
 
-    return tele_of_vars(tuple(dict.fromkeys(free_vars(term) + free_vars(ty))))
+    return tele_of_vars(_ordered_union(free_vars(term), free_vars(ty)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .syntax import (
     Term,
     Universe,
     Var,
+    _ordered_union,
     entry_alpha_eq,
     entry_canon,
     map_children,
@@ -74,7 +75,7 @@ class TranslationResult:
         `labels` followed by the definitions they add (no id here moves)."""
         done = [self._run.translate(d) for d in derivs]
         ren = self._run.finalize()
-        labels = ren.label_ctx(_union(self._pids, *(pids for _, pids in done)))
+        labels = ren.label_ctx(_ordered_union(self._pids, *(pids for _, pids in done)))
         return [(ren.term(t), ren.label_ctx(pids)) for t, pids in done], labels
 
     @property
@@ -170,23 +171,23 @@ class Translation:
         elif rule == "ty-Add":
             tl, dl = self.translate(ch[0])
             tr, dr = self.translate(ch[1])
-            out = Add(tl, tr), _union(dl, dr)
+            out = Add(tl, tr), _ordered_union(dl, dr)
         elif rule == "ty-Pi":
             ta, da = self.translate(ch[0])
             tb, db = self.translate(ch[1])
             assert isinstance(deriv.subject, Pi)
-            out = Pi(deriv.subject.binder, ta, tb), _union(da, db)
+            out = Pi(deriv.subject.binder, ta, tb), _ordered_union(da, db)
         elif rule == "ty-Lambda":
             out = self._translate_lambda(deriv)
         elif rule == "ty-Apply":
             tm, dm = self.translate(ch[0])
             tn, dn = self.translate(ch[1])
             dty = self._type_labels(deriv.ctx, deriv.type)
-            out = App(tm, tn), _union(dm, dn, dty)
+            out = App(tm, tn), _ordered_union(dm, dn, dty)
         elif rule == "ty-Equiv":
             tm, dm = self.translate(ch[0])
             dty = self._type_labels(deriv.ctx, deriv.type)
-            out = tm, _union(dm, dty)
+            out = tm, _ordered_union(dm, dty)
         elif rule == "s-ty-Subst":
             tm, dm = self.translate(ch[0])
             assert isinstance(deriv.subject, ESubst)
@@ -197,7 +198,7 @@ class Translation:
                 mapping[sb.name] = tv
                 parts.append(dv)
             self.subst_nodes += 1
-            out = subst_many(tm, mapping), _union(*parts)
+            out = subst_many(tm, mapping), _ordered_union(*parts)
         else:
             raise ValueError(f"cannot translate derivation rule {rule!r}")
         self._done[id(deriv)] = (deriv, out)
@@ -218,7 +219,7 @@ class Translation:
             LabelEntry(-1, tele_t, subject.binder, ta, tm, tb), stamp
         )
         term = Label(pid, tuple(Var(x) for x, _ in tele))
-        return term, _union(da, dm, (pid,))
+        return term, _ordered_union(da, dm, (pid,))
 
     def translate_context(self, ctx: Ctx) -> tuple[Ctx, tuple[int, ...]]:
         """Pointwise translation of a source context plus its definitions."""
@@ -227,7 +228,7 @@ class Translation:
         for i, (x, a) in enumerate(ctx):
             ta, da = self._translate_type(Ctx(ctx.entries[:i]), a)
             out = out.extend(x, ta)
-            defs = _union(defs, da)
+            defs = _ordered_union(defs, da)
         return out, defs
 
     def _type_labels(self, ctx: Ctx, ty: Term) -> tuple[int, ...]:
@@ -332,17 +333,6 @@ def _is_plain(ty: Term, names: frozenset[str]) -> bool:
     return True
 
 
-def _union(*parts: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    seen: set[int] = set()
-    for part in parts:
-        for pid in part:
-            if pid not in seen:
-                seen.add(pid)
-                out.append(pid)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 
@@ -354,7 +344,7 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
     dcc_ctx, ctx_pids = run.translate_context(ctx)
     term_t, term_pids = run.translate(deriv)
     type_t, type_pids = run._translate_type(ctx, deriv.type)
-    label_pids = _union(ctx_pids, term_pids)
+    label_pids = _ordered_union(ctx_pids, term_pids)
     ren = run.finalize()
     return TranslationResult(
         derivation=deriv,

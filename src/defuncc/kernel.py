@@ -37,9 +37,13 @@ from .syntax import (
     Term,
     Universe,
     Var,
+    _aeq,
+    _BINDING,
+    _scopes,
     alpha_eq,
     children,
     free_var_set,
+    free_vars,
     fresh_name,
     freshen_binder,
     rebuild,
@@ -47,9 +51,6 @@ from .syntax import (
 )
 
 DEFAULT_BUDGET = 1_000_000
-
-# Conversion gives up (answers "not equal") below this many nested comparisons.
-ETA_DEPTH_LIMIT = 64
 
 
 class Budget:
@@ -204,7 +205,8 @@ def normalize(calc: Calculus, t: Term, b: Budget) -> Term:
 
 
 def convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool:
-    return _equiv_nf(calc, normalize(calc, a, bud), normalize(calc, b, bud), 0, bud)
+    a, b = normalize(calc, a, bud), normalize(calc, b, bud)
+    return alpha_eq(a, b) or _equiv_nf(calc, a, b, bud, {}, {}, 0)
 
 
 def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable:
@@ -220,40 +222,43 @@ def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable
                 done[j] = normalize(calc, terms[j], b), b.used
         b = Budget(limit)
         b.spend(done[i][1] + done[k][1])
-        return _equiv_nf(calc, done[i][0], done[k][0], 0, b)
+        a, c = done[i][0], done[k][0]
+        return alpha_eq(a, c) or _equiv_nf(calc, a, c, b, {}, {}, 0)
 
     return convertible_at
 
 
-def _equiv_nf(calc: Calculus, a: Term, b: Term, depth: int, bud: Budget) -> bool:
-    """Equivalence of normal forms.  When either side is a function, both are
-    applied to a common fresh name and compared again."""
-    if depth > ETA_DEPTH_LIMIT:
-        return False
-    if alpha_eq(a, b):
-        return True
-    d = depth + 1
-    match a, b:
-        case Pi(x, a1, b1), Pi(y, a2, b2):
-            if not _equiv_nf(calc, a1, a2, d, bud):
-                return False
-            z = fresh_name(x, free_var_set(b1) | free_var_set(b2) | {x, y})
-            return _equiv_nf(calc, subst(b1, x, Var(z)), subst(b2, y, Var(z)), d, bud)
-        case App(f1, x1), App(f2, x2):
-            return _equiv_nf(calc, f1, f2, d, bud) and _equiv_nf(calc, x1, x2, d, bud)
-        case Add(l1, r1), Add(l2, r2):
-            return _equiv_nf(calc, l1, l2, d, bud) and _equiv_nf(calc, r1, r2, d, bud)
-        case Label(i, xs), Label(j, ys) if i == j and len(xs) == len(ys):
-            if all(_equiv_nf(calc, p, q, d, bud) for p, q in zip(xs, ys)):
+def _equiv_nf(calc: Calculus, a: Term, b: Term, bud: Budget, enva: dict[str, int],
+              envb: dict[str, int], depth: int) -> bool:
+    """Equivalence of normal forms under binder maps (name -> binding level,
+    as `_aeq` keeps them), so no bound name is renamed.  Products,
+    applications, additions and label closures compare part by part; any
+    other pair is equal if `_aeq` says so.  Failing that, when either side is
+    a function, both are applied to a common fresh name and compared again:
+    the beta step this spends from the budget is what bounds the bridge."""
+    ta = type(a)
+    if ta is type(b) and ta in (Pi, App, Add, Label):  # compared part by part
+        split = _BINDING[ta][0]
+        (tag_a, names_a, kids_a), (tag_b, names_b, kids_b) = split(a), split(b)
+        if tag_a == tag_b and len(kids_a) == len(kids_b):
+            envs_a, envs_b = _scopes(enva, names_a, depth), _scopes(envb, names_b, depth)
+            for (n, p), (_, q) in zip(kids_a, kids_b):
+                if not _equiv_nf(calc, p, q, bud, envs_a[n], envs_b[n], depth + n):
+                    break
+            else:
                 return True
-            # the closures differ; the bridge below may still equate the labels
+        if ta is not Label:
+            return False
+        # the closures differ; the bridge below may still equate the labels
+    elif _aeq(a, b, enva, envb, depth):
+        return True
     if calc.is_function(a) or calc.is_function(b):
-        z = fresh_name("x", free_var_set(a) | free_var_set(b))
+        z = fresh_name("x", {*enva, *envb}.union(free_vars(a), free_vars(b)))
         a2 = calc.unfold(calc, a, z, bud)
         if a2 is None:
             return False
         b2 = calc.unfold(calc, b, z, bud)
-        return b2 is not None and _equiv_nf(calc, a2, b2, d, bud)
+        return b2 is not None and _equiv_nf(calc, a2, b2, bud, enva, envb, depth)
     return False
 
 

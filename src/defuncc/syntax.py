@@ -280,9 +280,9 @@ def _without(names: tuple[str, ...], bound: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(n for n in names if n not in bound)
 
 
-def _ordered_union(*parts: tuple[str, ...]) -> tuple[str, ...]:
-    """The names of parts in first-occurrence order; a lone non-empty part
-    is returned as it is, so nodes share their child's tuple."""
+def _ordered_union(*parts: tuple) -> tuple:
+    """The items of duplicate-free parts in first-occurrence order; a lone
+    non-empty part is returned as it is, so nodes share their child's tuple."""
     nonempty = [p for p in parts if p]
     if len(nonempty) <= 1:
         return nonempty[0] if nonempty else ()
@@ -447,6 +447,9 @@ class Ctx(_Entries):
         return tuple(n for n, _ in self.entries)
 
 
+_FIELD_HASH[Ctx], Ctx.__hash__ = Ctx.__hash__, _cached_hash  # hashed once, as terms are
+
+
 # ---------------------------------------------------------------------------
 # Label contexts
 
@@ -472,19 +475,13 @@ class LabelEntry:
 
 def entry_canon(e: LabelEntry):
     """Alpha-invariant shape of an entry, keyed for minting and comparison."""
-    env: dict[str, int] = {}
-    parts = []
-    for i, (x, a) in enumerate(e.telescope):
-        parts.append(canon(a, env, i))
-        env[x] = i
     n = len(e.telescope)
-    arg_ty = canon(e.arg_type, env, n)
-    env2 = {**env, e.arg_name: n}
+    envs = _scopes({}, tuple(x for x, _ in e.telescope) + (e.arg_name,), 0)
     return (
-        tuple(parts),
-        arg_ty,
-        canon(e.body, env2, n + 1),
-        canon(e.ret_type, env2, n + 1),
+        tuple(canon(a, envs[i], i) for i, (_, a) in enumerate(e.telescope)),
+        canon(e.arg_type, envs[n], n),
+        canon(e.body, envs[n + 1], n + 1),
+        canon(e.ret_type, envs[n + 1], n + 1),
     )
 
 

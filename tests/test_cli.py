@@ -273,6 +273,36 @@ def test_check_nested_too_deeply_prints_one_line(capsys, tmp_path):
     assert run(capsys, "check", str(deep)) == (1, "", f"{TOO_DEEP}\n")
 
 
+def deep_eta_source(n: int) -> str:
+    """A definition whose type and body's type differ by one eta expansion
+    under n `Nat` binders and the binder `h`."""
+    return (
+        "axiom P : (Nat -> Nat) -> Type 0;\n"
+        "axiom q : (h : Nat -> Nat) -> P h;\n"
+        f"def t : {'Nat -> ' * n}(h : Nat -> Nat) -> P (fun (y : Nat) => h y) :=\n"
+        f"  {''.join(f'fun (x{i} : Nat) => ' for i in range(1, n + 1))}"
+        "fun (h : Nat -> Nat) => q h;\n"
+        "t\n"
+    )
+
+
+@pytest.mark.parametrize("n", [62, 300, 450])
+def test_an_eta_difference_under_many_binders_checks(tmp_path, n):
+    """Conversion has no depth cutoff: it once answered "not equal" past 64
+    nested comparisons, and rejected this body from n=62 on."""
+    path = tmp_path / "deep_eta.cc"
+    path.write_text(deep_eta_source(n))
+    code, out, err = separate_run("check", str(path))
+    assert (code, err) == (0, "")
+    assert out == "Nat -> " * n + "(h : Nat -> Nat) -> P h\n"
+
+
+def test_an_eta_difference_under_too_many_binders_nests_too_deeply(tmp_path):
+    path = tmp_path / "deep_eta.cc"
+    path.write_text(deep_eta_source(600))
+    assert separate_run("check", str(path)) == (1, "", f"{TOO_DEEP}\n")
+
+
 DEFS = (
     "def f : Nat := 1;\n"
     "def g : Type 0 := 2;\n"

@@ -34,6 +34,7 @@ from defuncc.syntax import (
     NatType,
     Universe,
     Var,
+    _ordered_union,
     alpha_eq,
 )
 
@@ -297,7 +298,7 @@ def _private_run_reduction_preservation(ctx, term, budget=DEFAULT_BUDGET) -> Che
         tt, tp = run.translate(deriv)
         tn, npids = run.translate(cc_infer(ctx, nf, budget, check_ctx=False))
         ren = run.finalize()
-        defs = ren.label_ctx(defun_module._union(cp, tp, npids))
+        defs = ren.label_ctx(_ordered_union(cp, tp, npids))
         f_term, f_nf = ren.term(tt), ren.term(tn)
         dcc_nf = dcc_normalize(defs, f_term, budget)
         if isinstance(cc_normalize(deriv.type, budget), NatType):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from defuncc import syntax
 from defuncc.defun import defun
 from defuncc.harness import EnumConfig, enumerate_small_terms
 from defuncc.cc import CC_TERMS
@@ -12,6 +13,7 @@ from defuncc.surface import parse_term
 from defuncc.syntax import (
     Add,
     App,
+    Ctx,
     ESubst,
     Label,
     Lam,
@@ -321,6 +323,16 @@ class TestFreeVariableCache:
         for f in dataclasses.fields(t):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, f.name, None)
+
+    def test_a_context_caches_its_field_hash(self, corpus_judgements):
+        """A context's hash is computed once, kept on it, and is the hash the
+        dataclass gives its fields."""
+        contexts = [Ctx()] + [Ctx(ctx.entries) for _, ctx, _ in corpus_judgements]
+        assert any(len(ctx) > 3 for ctx in contexts)
+        for ctx in contexts:
+            assert "_hash" not in vars(ctx)
+            assert hash(ctx) == syntax._FIELD_HASH[Ctx](ctx) == hash((ctx.entries,))
+            assert vars(ctx)["_hash"] == hash(ctx) == hash(Ctx(ctx.entries))
 
     def test_fields_are_unchanged(self):
         assert {type(t).__name__: tuple(f.name for f in dataclasses.fields(t))
