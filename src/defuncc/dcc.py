@@ -15,7 +15,6 @@ from .errors import (
     ClosureArity,
     ClosureTypeMismatch,
     IllFormedContext,
-    TypeMismatch,
     UnknownLabel,
 )
 from .kernel import (
@@ -25,6 +24,7 @@ from .kernel import (
     Derivation,
     apply_fresh,
     check_context,
+    coerce,
     convertible,
     infer,
     infer_type,
@@ -148,11 +148,7 @@ def check_labels(defs: LabelCtx, b: Budget, start: int = 0) -> None:
         except IllFormedContext as exc:
             raise IllFormedContext(f"closure telescope of {name}: {exc}") from exc
         infer_type(calc, sub, e.ret_type, b)
-        body_ty = infer(calc, sub, e.body, b).type
-        if not convertible(calc, body_ty, e.ret_type, b):
-            raise TypeMismatch(
-                show_term(e.ret_type), show_term(body_ty), f"body of {name}"
-            )
+        coerce(calc, sub, infer(calc, sub, e.body, b), e.ret_type, b, f"body of {name}")
 
 
 def dcc_infer(defs: LabelCtx, ctx: Ctx, t: Term, budget: int = DEFAULT_BUDGET) -> Term:

@@ -105,15 +105,15 @@ class Translation:
     translation would mint nothing.  The other reads need the term itself.
 
     A plain type, one that it and every type of its context build from
-    `_PLAIN` alone and none of whose `Pi` binders is a name of the context
-    or of an enclosing `Pi`, translates to itself with no definitions and is
-    not derived either.  That is exact: with no lambda the derivation mints
-    nothing; with no lambda, `add` or suspension there is no redex, so it
-    spends no step and no budget runs out; the kernel renames a binder only
-    when it is already bound (`kernel.infer`), so the subject it rebuilds is
-    the type itself; and the types read are checked context entries or
-    inferred types, so the derivation cannot fail.  Whether a context is
-    plain, and its names, are kept on the context object.
+    `_PLAIN` alone and none of whose `Pi` binders but `_` is a name of the
+    context or of an enclosing `Pi`, translates to itself with no definitions
+    and is not derived either.  That is exact: with no lambda the derivation
+    mints nothing; with no lambda, `add` or suspension there is no redex, so
+    it spends no step and no budget runs out; the kernel renames a binder
+    only when it is already bound and is not `_` (`kernel.infer`), so the
+    subject it rebuilds is the type itself; and the types read are checked
+    context entries or inferred types, so the derivation cannot fail.
+    Whether a context is plain, and its names, are kept on the context object.
 
     The run derives through one inference table per calculus, so each
     `(ctx, type)` is derived once and a repeat read gets the same derivation
@@ -311,8 +311,8 @@ def _ctx_facts(ctx: Ctx) -> tuple[bool, frozenset[str] | None]:
 
 
 def _is_plain(ty: Term, names: frozenset[str]) -> bool:
-    """ty is built from `_PLAIN` alone, and no `Pi` binder of it is in `names`
-    or binds a name that an enclosing `Pi` binds over it."""
+    """ty is built from `_PLAIN` alone, and no `Pi` binder of it other than
+    `_` is in `names` or binds a name that an enclosing `Pi` binds over it."""
     enclosing: set[str] = set()  # the binders of the Pis whose codomain is being walked
     stack: list[Term | str] = [ty]
     while stack:
@@ -320,6 +320,8 @@ def _is_plain(ty: Term, names: frozenset[str]) -> bool:
         cls = type(t)
         if cls is str:  # the codomain of the Pi binding t is done
             enclosing.remove(t)
+        elif cls is Pi and t.binder == "_":  # never renamed (`kernel.infer`)
+            stack += (t.domain, t.codomain)
         elif cls is Pi:
             x = t.binder
             if x in names or x in enclosing:

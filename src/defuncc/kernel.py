@@ -12,6 +12,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Callable
 
 from .errors import (
@@ -191,13 +192,16 @@ def whnf(calc: Calculus, t: Term, b: Budget) -> Term:
 
 
 def normalize(calc: Calculus, t: Term, b: Budget) -> Term:
-    """Normal form: weak head normal form, then the entered children."""
+    """Normal form: weak head normal form, then the entered children.  A term
+    already in normal form comes back as the same object."""
     t = whnf(calc, t, b)
     if type(t) not in calc.enters:
         return t
     kids = children(t)
-    n = _entered(t, kids)
-    return rebuild(t, tuple([normalize(calc, k, b) for k in kids[:n]]) + kids[n:])
+    new = list(kids)
+    for i in range(_entered(t, kids)):  # a loop, not a comprehension: one frame a level
+        new[i] = normalize(calc, kids[i], b)
+    return rebuild(t, tuple(new)) if any(map(is_not, new, kids)) else t
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,8 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
     A calculus with a table derives each `(ctx, t)` once, exactly: inference
     is a function of `(ctx, t)`, a hit charges the steps the derivation spent
     and failures are never stored, so a budget runs out on the same
-    judgements (`StepBudgetExceeded` carries only the limit)."""
+    judgements (`StepBudgetExceeded` carries only the limit).  A binder bound
+    in ctx is renamed, but for `_`: no variable is named `_`, so none is captured."""
     if type(t) not in calc.allowed:
         raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
     table = calc.table
@@ -284,12 +289,12 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
         if hit is not None:
             b.spend(hit[1])
             return hit[0]
-    if type(t) in (Pi, Lam) and t.binder in ctx:
+    if type(t) in (Pi, Lam) and t.binder != "_" and t.binder in ctx:
         t = freshen_binder(t, 0, ctx.names())
     match t:
         case Var(name):
             ty = ctx.lookup(name)
-            if ty is None:
+            if ty is None or name == "_":
                 raise UnboundVariable(name)
             d = Derivation("ty-Var", ctx, t, ty)
         case Universe(i):

@@ -283,10 +283,15 @@ def _without(names: tuple[str, ...], bound: tuple[str, ...]) -> tuple[str, ...]:
 def _ordered_union(*parts: tuple) -> tuple:
     """The items of duplicate-free parts in first-occurrence order; a lone
     non-empty part is returned as it is, so nodes share their child's tuple."""
-    nonempty = [p for p in parts if p]
-    if len(nonempty) <= 1:
-        return nonempty[0] if nonempty else ()
-    return tuple(dict.fromkeys(n for p in nonempty for n in p))
+    first, seen = (), None  # seen: the union so far, once two parts are non-empty
+    for p in parts:
+        if p and not first:
+            first = p
+        elif p:
+            seen = seen or dict.fromkeys(first)
+            for n in p:
+                seen[n] = None  # a key already there keeps its place
+    return first if seen is None else tuple(seen)
 
 
 def free_var_set(t: Term) -> frozenset[str]:
@@ -429,8 +434,9 @@ class _Entries:
 
 @dataclass(frozen=True)
 class Ctx(_Entries):
-    """An ordered telescope of (name, type) assumptions with distinct names:
-    `check_context` checks a context from outside, the kernel freshens binders."""
+    """An ordered telescope of (name, type) assumptions with distinct names,
+    but for the anonymous binder `_`, which may repeat: `check_context` checks
+    a context from outside, the kernel renames any other binder already bound."""
 
     entries: tuple[tuple[str, Term], ...] = ()
 

@@ -20,6 +20,7 @@ from defuncc.errors import (
     TypeMismatch,
     UnboundVariable,
 )
+from defuncc.dcc import dcc_infer
 from defuncc.kernel import reduce_step
 from defuncc.sigma import ccs_infer
 from defuncc.surface import parse_term
@@ -27,6 +28,7 @@ from defuncc.syntax import (
     Add,
     App,
     Ctx,
+    LabelCtx,
     Lam,
     NatLit,
     NatType,
@@ -97,6 +99,20 @@ class TestInferErrors:
         with pytest.raises(UnboundVariable):
             cc_infer(EMPTY, Var("ghost"))
 
+    @pytest.mark.parametrize(
+        "infer",
+        [cc_infer, ccs_infer, lambda ctx, t: dcc_infer(LabelCtx(), ctx, t)],
+        ids=["cc", "sigma", "dcc"],
+    )
+    def test_the_anonymous_binder_is_no_variable(self, infer):
+        """`_` names no variable, even where the context binds it, so a binder
+        `_` needs no rename: nothing it binds can be captured."""
+        for ctx in (EMPTY, ctx_of(("_", "Nat"))):
+            with pytest.raises(UnboundVariable):
+                infer(ctx, Var("_"))
+        with pytest.raises(UnboundVariable):
+            infer(EMPTY, Pi("_", NatType(), Var("_")))
+
     def test_not_a_function(self):
         with pytest.raises(NotAFunction):
             cc_infer(EMPTY, App(NatLit(1), NatLit(2)))
@@ -151,6 +167,19 @@ class TestNormalize:
 
     def test_universe_is_normal(self):
         assert cc_normalize(Universe(3)) == Universe(3)
+
+    def test_a_normal_form_comes_back_as_itself(self):
+        t = parse_term("(x : Nat) -> A (add x 1) -> Nat")
+        assert cc_normalize(t) is t
+
+    def test_a_deep_pi_chain_normalizes(self):
+        """One Python frame per binder: 800 nested products normalize under
+        the default recursion limit (a frame per child list too stopped at
+        about 500)."""
+        t = NatType()
+        for _ in range(800):
+            t = Pi("_", NatType(), t)
+        assert cc_normalize(t) is t
 
 
 class TestEquiv:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from defuncc import kernel
 from defuncc.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -148,6 +149,44 @@ def test_lambda_chains_go_through_the_emit_pipeline_with_any_binder_letter(capsy
         code, checked, _ = run(capsys, "checkdcc", str(target))
         assert code == 0 and checked.splitlines()[0] == "label context: ok"
         assert run(capsys, "refun", str(target)) == (0, text, "")
+
+
+def test_checkdcc_of_a_lambda_chain_renames_no_binder(capsys, tmp_path, monkeypatch):
+    """The emitted return types `Nat -> ... -> Nat` bind only the anonymous
+    binder `_`, which the kernel never renames (it renamed 1,711 binders
+    while checking the 60-lambda chain)."""
+    source, target = tmp_path / "lambdas.cc", tmp_path / "lambdas.dcc"
+    source.write_text("".join(f"fun (x{i} : Nat) => " for i in range(1, 61)) + "add x1 x60\n")
+    assert run(capsys, "defun", "--out", str(target), str(source))[0] == 0
+    renamed = []
+    freshen = kernel.freshen_binder
+
+    def spy(*args):
+        renamed.append(args)
+        return freshen(*args)
+
+    monkeypatch.setattr(kernel, "freshen_binder", spy)
+    code, out, _ = run(capsys, "checkdcc", str(target))
+    assert code == 0 and out.splitlines()[0] == "label context: ok"
+    assert renamed == []
+
+
+def test_a_binder_made_free_by_a_closure_keeps_its_meaning(capsys, tmp_path):
+    """Renaming a product's binder only when it is free in the codomain is
+    unsound: here the source codomain does not mention `x`, but its
+    translation does, through the closure of the label for `fun z`, which
+    captures the axiom `x`.  The product must not keep its binder `x`."""
+    path = tmp_path / "capture.cc"
+    path.write_text(
+        "axiom B : Type 0;\naxiom x : B;\naxiom P : B -> Type 0;\naxiom y : P x;\n"
+        "axiom Q : P x -> Type 0;\n(x : Nat) -> Q ((fun (z : Nat) => y) 0)\n"
+    )
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    results = [line for line in out.splitlines() if ": main: " in line]
+    assert len(results) == 6 and all(": ok" in line for line in results)
+    code, out, _ = run(capsys, "defun", str(path))
+    assert code == 0 and out.splitlines()[-1] == "Nat -> Q (l0{B, P, x, y} 0)"
 
 
 def test_verify_single_file(capsys):

@@ -514,7 +514,7 @@ class TestPlainTypes:
     @pytest.mark.parametrize(
         "ctx, ty",
         [
-            (EMPTY, "Nat -> Nat -> Nat"),  # `_` is bound under `_`
+            (EMPTY, "(x : Nat) -> (x : Nat) -> Nat"),  # `x` is bound under `x`
             (Ctx((("x", parse_term("Nat")),)), "(x : Nat) -> Nat"),  # `x` is in the context
         ],
     )
@@ -533,6 +533,23 @@ class TestPlainTypes:
         term, pids = Spy(DEFAULT_BUDGET)._translate_type(ctx, ty)
         assert pids == () and alpha_eq(term, ty) and term != ty
         assert derived == [(ctx, ty)]
+
+    def test_an_arrow_chain_is_plain(self):
+        """The anonymous binder `_` is never renamed (`kernel.infer`), so an
+        arrow type that binds it under itself is its own translation and is
+        not derived."""
+        ty = parse_term("Nat -> Nat -> Nat")
+        derived = []
+
+        class Spy(Translation):
+            def _derive(self, ctx, ty):
+                derived.append((ctx, ty))
+                return super()._derive(ctx, ty)
+
+        assert Spy(DEFAULT_BUDGET)._translate_type(EMPTY, ty) == (ty, ())
+        assert derived == []
+        run = Translation(DEFAULT_BUDGET)
+        assert run.translate(run._derive(EMPTY, ty)) == (ty, ())
 
     def test_the_lambda_chain_derives_no_type(self, scaling, monkeypatch):
         """Every type `defun` reads on nested lambdas over Nat is plain, so
