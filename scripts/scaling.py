@@ -10,8 +10,10 @@ of these, each time the best of 3 runs:
 - `defun` on nested lambdas `fun (x1 : Nat) => ... => add x1 xn`;
 - the translate-emit CLI pipeline on the same programs: `defun` as text and
   as JSON, `checkdcc` on the emitted text, `refun`;
-- the six metatheory checks on Vec chains and on nested `twice`, with the
-  commuting-diagram report's σ-steps and labels beside each time.
+- the six metatheory checks on Vec chains, on nested `twice` and on the
+  nested lambdas (a wide program: its label context prints n(n+1)/2
+  return-type nodes), with the commuting-diagram report's σ-steps and
+  labels beside each time.
 
 Each time is printed twice: `cpu_s` is the run's CPU seconds, and
 `scaled_s` the same time at the benchmark's nominal host speed, as
@@ -167,6 +169,8 @@ FAMILIES = [
     ("six checks, Vec chain", six_checks(vec_source), (10, 20, 40, 80), diagram_counts(vec_source)),
     ("six checks, nested twice", six_checks(twice_source), (1, 2, 3, 4, 5, 6),
      diagram_counts(twice_source)),
+    ("six checks, nested lambdas", six_checks(lambda_source), (60, 120, 240),
+     diagram_counts(lambda_source)),
 ]
 
 

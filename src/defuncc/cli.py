@@ -1,8 +1,9 @@
 """Command line driver.
 
 Exit codes: 0 success, 1 type error (or input nested too deeply to check),
-2 parse error (including a name declared twice) or a file that cannot be read
-or written (missing, a directory, not UTF-8 text), 3 verification failure.
+2 parse error (including a name declared twice), a file that cannot be read
+or written (missing, a directory, not UTF-8 text) or a usage error (such as
+a `--budget` below 1), 3 verification failure.
 `verify DIR` reports each file it cannot read, parse or check for nesting too
 deeply on its own line and goes on: it exits 2 if any file failed so, else 3
 if any check failed, else 0.
@@ -126,13 +127,18 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call in a process and reused: building
     it costs about as much as a small command, and parsing leaves it as it
     was."""
+    def budget(text: str) -> int:  # a step budget: at least one step
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+        return int(text)
+
     parser = argparse.ArgumentParser(
         prog="defuncc",
         description="Typecheck, defunctionalize, evaluate, and verify programs.",
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=budget,
         default=DEFAULT_BUDGET,
         help=f"reduction step budget (default {DEFAULT_BUDGET})",
     )

@@ -48,13 +48,13 @@ from .syntax import (
 
 
 def _closure(defs: LabelCtx, label_id: int, args: tuple[Term, ...]):
-    """The entry of l{args} and the closure as a substitution for its telescope."""
+    """The entry of l{args} and its closure as a substitution, less any x |-> x."""
     e = defs.lookup(label_id)
     if e is None:
         raise UnknownLabel(label_name(label_id))
     if len(args) != e.arity():
         raise ClosureArity(label_name(label_id), e.arity(), len(args))
-    return e, {x: v for (x, _), v in zip(e.telescope, args)}
+    return e, {x: v for (x, _), v in zip(e.telescope, args) if not (type(v) is Var and v.name == x)}
 
 
 def label_beta(defs: LabelCtx, label_id: int, args: tuple[Term, ...], arg: Term) -> Term:
@@ -85,7 +85,7 @@ def dcc_calculus(defs: LabelCtx) -> Calculus:
     def ty_label(calc: Calculus, ctx: Ctx, t: Label, b: Budget) -> Derivation:
         """Closure arguments are typed one by one against the telescope, each
         telescope type instantiated with the earlier arguments."""
-        e, _ = _closure(defs, t.label_id, t.args)
+        e, closure = _closure(defs, t.label_id, t.args)
         mapping: dict[str, Term] = {}
         for k, ((xk, ak), mk) in enumerate(zip(e.telescope, t.args)):
             want = subst_many(ak, mapping)
@@ -94,8 +94,9 @@ def dcc_calculus(defs: LabelCtx) -> Calculus:
                 raise ClosureTypeMismatch(
                     label_name(t.label_id), k, show_term(want), show_term(got)
                 )
-            mapping[xk] = mk
-        ty = subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), mapping)
+            if xk in closure:
+                mapping[xk] = mk
+        ty = subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), closure)
         return Derivation("ty-Label", ctx, t, ty)
 
     return Calculus(

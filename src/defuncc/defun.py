@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from operator import is_not
 
 from .cc import CC, CC_TERMS, SIGMA, cc_infer, fv_telescope
 from .errors import LabelClash
@@ -34,9 +35,10 @@ from .syntax import (
     Universe,
     Var,
     _ordered_union,
+    children,
     entry_alpha_eq,
     entry_canon,
-    map_children,
+    rebuild,
     subst_many,
     uses_only,
 )
@@ -270,11 +272,20 @@ class Renumbering:
         self._map = mapping
         self._entries = entries
         self._done: dict[int, LabelEntry] = {}  # renumbered entries, shared by every label_ctx
+        self._terms: dict[int, tuple[Term, Term]] = {}  # id(t) -> (t, t renumbered)
 
     def term(self, t: Term) -> Term:
-        if isinstance(t, Label):
-            return Label(self._map[t.label_id], tuple(self.term(a) for a in t.args))
-        return map_children(self.term, t)
+        """t renumbered: a node with no label inside is itself, a shared one is walked once."""
+        if type(t) is Var:  # the commonest node, and never a label
+            return t
+        hit = self._terms.get(id(t))
+        if hit is None:
+            kids = children(t)
+            new = tuple(map(self.term, kids))
+            out = Label(self._map[t.label_id], new) if type(t) is Label else (
+                rebuild(t, new) if any(map(is_not, new, kids)) else t)
+            hit = self._terms[id(t)] = t, out
+        return hit[1]
 
     def entry(self, pid: int) -> LabelEntry:
         if pid not in self._done:

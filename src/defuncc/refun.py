@@ -8,24 +8,16 @@ input first so ill-typed programs are rejected rather than mistranslated.
 
 from __future__ import annotations
 
-from .dcc import dcc_check, dcc_infer
-from .errors import UnknownLabel
+from .dcc import _closure, dcc_check, dcc_infer
 from .kernel import DEFAULT_BUDGET
-from .surface import label_name
-from .syntax import Ctx, ESubst, Label, LabelCtx, Lam, Term, Var, map_children, subst_many
+from .syntax import Ctx, ESubst, Label, LabelCtx, Lam, Term, map_children, subst_many
 
 
 def refun_expr(defs: LabelCtx, t: Term) -> Term:
     match t:
         case Label(i, args):
-            e = defs.lookup(i)
-            if e is None:
-                raise UnknownLabel(label_name(i))
-            values = [refun_expr(defs, a) for a in args]
+            e, mapping = _closure(defs, i, tuple(refun_expr(defs, a) for a in args))
             lam = Lam(e.arg_name, refun_expr(defs, e.arg_type), refun_expr(defs, e.body))
-            # a value that is its own telescope name substitutes nothing (`!=` recurses)
-            mapping = {x: v for (x, _), v in zip(e.telescope, values)
-                       if not (type(v) is Var and v.name == x)}
             return subst_many(lam, mapping)
         case Lam() | ESubst():
             raise TypeError(f"not a target term: {t!r}")

@@ -28,7 +28,7 @@ from .syntax import (
     Term,
     Universe,
     Var,
-    free_var_set,
+    free_vars,
     subst_many,
 )
 
@@ -73,7 +73,7 @@ def _show(t: Term, prec: int) -> str:
             s = f"fun ({binder} : {_show(domain, _TERM)}) => {_show(body, _TERM)}"
             return f"({s})" if prec > _TERM else s
         case Pi(binder, domain, codomain):
-            if binder in free_var_set(codomain):
+            if binder in free_vars(codomain):
                 s = f"({binder} : {_show(domain, _TERM)}) -> {_show(codomain, _TERM)}"
             else:
                 s = f"{_show(domain, _APP + 1)} -> {_show(codomain, _TERM)}"
@@ -138,14 +138,14 @@ def emit_json(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
 
 _KEYWORDS = {"fun", "axiom", "def", "label", "Type", "Nat", "add"}
 
-# Whitespace and comments match the unnamed alternative, a token the first
-# group, and any other character the second.  A token is an identifier or a
-# keyword exactly when its first character could start a Python identifier.
+# A match skips whitespace and comments, then holds a token in the first
+# group, any other character in the second, or nothing at the end of the
+# text.  A token is an identifier or a keyword exactly when its first
+# character could start a Python identifier.
 _TOKEN_RE = re.compile(
     r"""
-    \s+ | --[^\n]*
-  | (-> | => | := | [0-9]+ | [A-Za-z_][A-Za-z0-9_']* | [(){},:;])
-  | (.)
+    (?: \s+ | --[^\n]* )*
+    (?: (-> | => | := | [0-9]+ | [A-Za-z_][A-Za-z0-9_']* | [(){},:;]) | (.) | $ )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -168,9 +168,9 @@ def tokenize(text: str) -> tuple[list[str], list[int]]:
         group = m.lastindex
         if group == 1:
             tokens.append(m.group(1))
-            offsets.append(m.start())
+            offsets.append(m.start(1))
         elif group:
-            raise _error(f"unexpected character {m.group(2)!r}", text, m.start())
+            raise _error(f"unexpected character {m.group(2)!r}", text, m.start(2))
     tokens.append("")
     offsets.append(len(text))
     return tokens, offsets
@@ -189,6 +189,7 @@ class _Parser:
         self.pos = 0
         self.allow_labels = allow_labels
         self.declared: dict[str, str] = {}  # name -> kind of its declaration
+        self.nodes: dict[tuple, object] = {}  # every node and closure this parse made, by key
 
     # -- token plumbing
 
@@ -203,12 +204,12 @@ class _Parser:
         return self.fail(f"expected {want}, found {self.peek() or 'end of input'!r}")
 
     def expect(self, tok: str) -> None:
-        if self.peek() != tok:
+        if self.tokens[self.pos] != tok:
             raise self.unexpected(repr(_TOKEN_NAMES.get(tok, tok)))
         self.pos += 1
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if not tok[:1].isidentifier():
             raise self.unexpected(what)
         if tok in _KEYWORDS:
@@ -241,22 +242,32 @@ class _Parser:
 
     # -- terms
 
+    def node(self, cls, *fields) -> Term:
+        """cls(*fields), made once per parse: equal terms are one object."""
+        if len(fields) == 1:  # a leaf, by its name or number
+            key = (cls, fields[0])
+        elif len(fields) == 2 and cls is not Label:  # an application or an addition
+            key = (cls, id(fields[0]), id(fields[1]))  # children by id: made here, kept alive
+        else:  # a binder's name or a label's number, then the children
+            key = (cls, fields[0], *map(id, fields[1:]))
+        return self.nodes.get(key) or self.nodes.setdefault(key, cls(*fields))
+
     def term(self) -> Term:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok == "fun":
             self.pos += 1
             binder, domain = self.binding("binder")
             self.expect("=>")
-            return Lam(binder, domain, self.term())
+            return self.node(Lam, binder, domain, self.term())
         if (tok == "(" and self.peek(1)[:1].isidentifier()
                 and self.peek(1) not in _KEYWORDS and self.peek(2) == ":"):
             binder, domain = self.binding("binder")
             self.expect("->")
-            return Pi(binder, domain, self.term())
+            return self.node(Pi, binder, domain, self.term())
         left = self.app()
-        if self.peek() == "->":
+        if self.tokens[self.pos] == "->":
             self.pos += 1
-            return Pi("_", left, self.term())
+            return self.node(Pi, "_", left, self.term())
         return left
 
     def app(self) -> Term:
@@ -269,21 +280,21 @@ class _Parser:
         if _ADD_HEAD in args:
             raise self.fail("'add' cannot appear as an argument; parenthesize")
         if term is _ADD_HEAD:
-            term, args = Add(args[0], args[1]), args[2:]
+            term, args = self.node(Add, args[0], args[1]), args[2:]
         for a in args:
-            term = App(term, a)
+            term = self.node(App, term, a)
         return term
 
     def at_atom_start(self) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok == "(" or tok.isdigit() or (
             tok[:1].isidentifier() and tok not in ("fun", "axiom", "def", "label"))
 
     def atom(self) -> Term:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.isdigit():
             self.pos += 1
-            return NatLit(int(tok))
+            return self.node(NatLit, int(tok))
         if tok == "(":
             self.pos += 1
             inner = self.term()
@@ -297,7 +308,7 @@ class _Parser:
             if not level.isdigit():
                 raise self.unexpected("'nat'")
             self.pos += 1
-            return Universe(int(level))
+            return self.node(Universe, int(level))
         if tok == "Nat":
             self.pos += 1
             return NAT
@@ -310,13 +321,15 @@ class _Parser:
             if not self.allow_labels:
                 raise self.fail("label expressions are not allowed in source files")
             self.pos += 1
-            return Label(int(tok[1:]), self.closure(self.term))
+            args = self.closure(self.term)
+            args = self.nodes.setdefault((tuple, *map(id, args)), args)  # equal closures: one tuple
+            return self.node(Label, int(tok[1:]), args)
         if tok in _KEYWORDS:
             raise self.fail(f"keyword {tok!r} cannot start a term")
         if tok == "_":
             raise self.fail("'_' is not a variable")
         self.pos += 1
-        return Var(tok)
+        return self.node(Var, tok)
 
     # -- declarations
 

@@ -370,6 +370,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: int) -> bool:
+    if a is b:  # one node: equal exactly when each of its free names is bound alike
+        return not (enva or envb) or all(enva.get(x) == envb.get(x) for x in free_vars(a))
     if type(a) is not type(b):
         return False
     if type(a) is Var:

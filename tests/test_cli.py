@@ -487,3 +487,24 @@ def test_no_input_makes_a_command_raise(capsys, tmp_path, mutants):
             assert codes <= {0, 1, 2, 3}, (argv, text)
         capsys.readouterr()
     assert codes == {0, 1, 2, 3}  # the inputs reach every verdict
+
+
+COMMANDS = [["check"], ["defun"], ["checkdcc"], ["eval"], ["refun"], ["verify"]]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_a_budget_below_one_is_a_usage_error(capsys, command, budget):
+    """No command runs on a budget that allows no step: argparse rejects it
+    with exit 2 before the file is read, where it used to run and fail every
+    check that needs a step (`verify` exited 3)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", budget, *command, str(CORPUS / "twice.cc")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --budget: must be at least 1, not {budget}" in err
+
+
+def test_a_budget_of_one_step_still_runs(capsys):
+    code, out, _ = run(capsys, "--budget", "1", "check", str(CORPUS / "two_plus_two.cc"))
+    assert (code, out) == (0, "Nat\n")

@@ -5,6 +5,7 @@ import pytest
 from defuncc.cc import cc_equiv, cc_infer, cc_normalize
 from defuncc.dcc import dcc_calculus, dcc_check, dcc_infer
 from defuncc.defun import defun, label_union
+from defuncc.errors import ClosureArity, UnknownLabel
 from defuncc.kernel import DEFAULT_BUDGET, Budget, reduce_trace
 from defuncc.refun import refun, refun_context, refun_expr
 from defuncc.surface import parse_dcc, parse_term
@@ -55,6 +56,15 @@ class TestExpr:
     def test_closure_arguments_are_substituted(self):
         out = refun_expr(DEFS, Label(3, (NatType(), Add(NatLit(1), NatLit(1)))))
         assert alpha_eq(out, Lam("x", NatType(), Add(NatLit(1), NatLit(1))))
+
+    def test_a_closure_of_the_wrong_length_is_rejected(self):
+        """refun reads a closure as the label check does (`dcc._closure`), so
+        a missing or extra value is an error, not a silently shorter closure."""
+        for closure in ((NatType(),), (NatType(), NatLit(1), NatLit(2))):
+            with pytest.raises(ClosureArity):
+                refun_expr(DEFS, Label(3, closure))
+        with pytest.raises(UnknownLabel):
+            refun_expr(DEFS, Label(7, ()))
 
     def test_variables_pass_through(self):
         assert refun_expr(DEFS, Var("x")) == Var("x")

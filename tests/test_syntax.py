@@ -555,6 +555,12 @@ def assert_walks_match_references(terms) -> None:
     for s, t in zip(by_shape, by_shape[1:] + by_shape[:1]):
         assert alpha_eq(s, t) == reference_alpha_eq(s, t), (s, t)
         assert alpha_eq(s, s) and reference_alpha_eq(s, s)
+    for s in subterms:  # one node against itself, its free names bound alike or not
+        fv = free_vars(s)
+        levels = {x: i for i, x in enumerate(fv)}
+        for other in (levels, {x: i for i, x in enumerate(fv[::-1])}, {}):
+            args = (s, s, levels, other, len(fv))
+            assert syntax._aeq(*args) == reference_alpha_eq(*args), (s, other)
 
     for s in subterms:
         plain = not any(isinstance(x, ESubst) for x in _subterms(s))
