@@ -60,7 +60,7 @@ class TranslationResult:
     dcc_ctx: Ctx  # pointwise-translated context
     labels: LabelCtx  # the judgement's label context: ctx_defs, then the rest of defs
     # the run, still open: `translate` and the commuting-diagram check go on in it
-    _run: "Translation" = field(compare=False, repr=False)
+    run: "Translation" = field(compare=False, repr=False)
     _pids: tuple[int, ...] = field(compare=False, repr=False)  # `labels`, provisional
 
     def translate(self, deriv: Derivation) -> tuple[Term, LabelCtx]:
@@ -75,22 +75,17 @@ class TranslationResult:
         """Translate further derivations in this result's run, in order, and
         finalize once: each translated term with its own definitions, and
         `labels` followed by the definitions they add (no id here moves)."""
-        done = [self._run.translate(d) for d in derivs]
-        ren = self._run.finalize()
+        done = [self.run.translate(d) for d in derivs]
+        ren = self.run.finalize()
         labels = ren.label_ctx(_ordered_union(self._pids, *(pids for _, pids in done)))
         return [(ren.term(t), ren.label_ctx(pids)) for t, pids in done], labels
-
-    @property
-    def subst_nodes(self) -> int:
-        """Explicit-substitution nodes this result's run has translated so far."""
-        return self._run.subst_nodes
 
 
 class Translation:
     """One minting scope.  All artifacts meant to share label ids must be
-    produced by the same Translation and finalized together.  A finalized run
-    may go on translating and be finalized again: a later lambda's stamp ranks
-    after every earlier one, so the ids given out before never move.
+    produced by the same Translation and renumbered by its one `Renumbering`,
+    which each `finalize()` grows: a later lambda's stamp ranks after every
+    earlier one, so no id, entry or term given out before moves.
 
     The run derives the types the translation reads but a derivation does
     not hold (a variable's, an application's, a conversion target's, closure
@@ -132,16 +127,18 @@ class Translation:
 
     def __init__(self, budget: int) -> None:
         self._by_key: dict[object, int] = {}
-        # provisional id = list index; Renumbering gives each entry its final id
+        # provisional id = list index; the run's Renumbering gives each its final id
         self._entries: list[LabelEntry] = []
-        self._first_stamp: dict[int, int] = {}
+        self._first_stamp: list[int] = []
         self._stamp = 0
+        self._renumbering = Renumbering({}, self._entries)
         # translated explicit-substitution nodes; a table hit adds none for
         # the suspensions inside it
         self.subst_nodes = 0
         self._budget = budget
-        # the source and σ calculi with the run's inference tables, made on first use
-        self._cc = self._sigma = None
+        # the source calculus with the run's inference table, made on first use, and
+        # the σ calculus with its own, which the diagram check's σ-states share
+        self._cc, self.sigma = None, replace(SIGMA, table={})
         # id(derivation) -> (that derivation, its translation)
         self._done: dict[int, tuple[Derivation, tuple[Term, tuple[int, ...]]]] = {}
 
@@ -154,7 +151,7 @@ class Translation:
             pid = len(self._entries)
             self._by_key[key] = pid
             self._entries.append(entry)
-            self._first_stamp[pid] = stamp
+            self._first_stamp.append(stamp)
         return pid
 
     # -- translation proper
@@ -254,19 +251,21 @@ class Translation:
         if uses_only(ty, CC_TERMS) and all(uses_only(a, CC_TERMS) for _, a in ctx):
             calc = self._cc = self._cc or replace(CC, table={})
         else:
-            calc = self._sigma = self._sigma or replace(SIGMA, table={})
+            calc = self.sigma
         return infer(calc, ctx, ty, Budget(self._budget))
 
     # -- finalization
 
     def finalize(self) -> "Renumbering":
-        order = sorted(range(len(self._entries)), key=lambda pid: self._first_stamp[pid])
-        final = {pid: rank for rank, pid in enumerate(order)}
-        return Renumbering(final, self._entries)
+        final = self._renumbering._map  # extended by the pids minted since the last call
+        new = sorted(range(len(final), len(self._entries)), key=self._first_stamp.__getitem__)
+        final.update(zip(new, range(len(final), len(self._entries))))
+        return self._renumbering
 
 
 class Renumbering:
-    """Applies the provisional-to-final id mapping to run artifacts."""
+    """Applies the provisional-to-final id mapping to run artifacts.  Its run
+    only adds ids to the mapping, so what it renumbered before stays right."""
 
     def __init__(self, mapping: dict[int, int], entries: list[LabelEntry]):
         self._map = mapping
@@ -368,7 +367,7 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
         ctx_defs=ren.label_ctx(ctx_pids),
         dcc_ctx=ren.ctx(dcc_ctx),
         labels=ren.label_ctx(label_pids),
-        _run=run,
+        run=run,
         _pids=label_pids,
     )
 

@@ -12,7 +12,7 @@ commuting diagram.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cc import SIGMA, cc_infer, cc_reduce_trace
 from .dcc import check_labels, dcc_calculus, dcc_check, dcc_equiv, dcc_infer, dcc_normalize
@@ -49,8 +49,10 @@ class Judgement:
     the source derivation it walked, checked with the context), the steps
     `target_checked()` spent checking its labels and context, the translated
     term's `target_type()` and `target_nf()`, the source `trace()` ending in
-    the normal form, and that form's `nf_derivation()`.  Each is built on
-    first use; a failure is not kept, so each check that reads it meets it."""
+    the normal form, and that form's `nf_derivation()`: the translation's own
+    derivation when the term takes no step, as inference is a function of
+    `(ctx, term)`.  Each is built on first use; a failure is not kept, so each
+    check that reads it meets it."""
 
     def __init__(self, ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET, translate=defun):
         self.ctx, self.term, self.budget = ctx, term, budget
@@ -62,7 +64,8 @@ class Judgement:
         self.target_nf = _once(lambda: dcc_normalize(res().labels, res().term, budget))
         # no closure refers to the judgement, so dropping it frees them at once
         trace = self.trace = _once(lambda: cc_reduce_trace(term, budget))
-        self.nf_derivation = _once(lambda: cc_infer(ctx, trace()[-1], budget, check_ctx=False))
+        self.nf_derivation = _once(lambda: res().derivation if len(trace()) == 1 else
+                                   cc_infer(ctx, trace()[-1], budget, check_ctx=False))
 
 
 def _once(build):
@@ -94,8 +97,9 @@ class DiagramReport:
     labels: int
     # suspension translations the check made in the judgement's shared run:
     # a suspension whose derivation that run walked before (in a type it read
-    # before, or in what an earlier state shares) adds none, and nor does a
-    # suspended type read only for its definitions, lambda-free as its context is
+    # before, or in what an earlier state shares) adds none, nor does a state
+    # whose derivation a type read already made, nor a suspended type read only
+    # for its definitions, lambda-free as its context is
     subst_nodes: int
 
 
@@ -145,7 +149,7 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
         "sigma-normal form of the embedding vs the source normal form",
     )
 
-    subst_before = res.subst_nodes
+    subst_before = res.run.subst_nodes
 
     def report(labels: int) -> DiagramReport:
         return DiagramReport(
@@ -154,21 +158,19 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
             cc_steps=len(cc_trace) - 1,
             sigma_steps=len(s_trace) - 1,
             labels=labels,
-            subst_nodes=res.subst_nodes - subst_before,
+            subst_nodes=res.run.subst_nodes - subst_before,
         )
 
     untyped: list[str] = []
-    # one table for the trace, so a state derives only the spine its step
-    # rebuilt; a one-state trace has nothing to share
-    calc = replace(SIGMA, table={}) if len(s_trace) > 1 else SIGMA
 
     def state_derivations():
-        """Every state's derivation, each under its own budget; in report mode
-        the first state sigma-inference rejects ends them, and the report
-        with them."""
+        """Every state's derivation, each under its own budget and through
+        the run's σ table, so a state derives only the spine its step rebuilt;
+        in report mode the first state sigma-inference rejects ends them, and
+        the report with them."""
         for i, x in enumerate(s_trace):
             try:
-                d = _s_infer(ctx, x, Budget(budget), calc)
+                d = _s_infer(ctx, x, Budget(budget), res.run.sigma)
             except TypeCheckError as exc:
                 if raise_on_failure:
                     raise

@@ -264,26 +264,23 @@ class _Parser:
             binder, domain = self.binding("binder")
             self.expect("->")
             return self.node(Pi, binder, domain, self.term())
-        left = self.app()
+        # an application, read here so a parenthesis level costs two frames
+        left = self.atom()
+        args: list = []
+        while self.at_atom_start():
+            args.append(self.atom())
+        if left is _ADD_HEAD and len(args) < 2:
+            raise self.fail("'add' needs two arguments")
+        if _ADD_HEAD in args:
+            raise self.fail("'add' cannot appear as an argument; parenthesize")
+        if left is _ADD_HEAD:
+            left, args = self.node(Add, args[0], args[1]), args[2:]
+        for a in args:
+            left = self.node(App, left, a)
         if self.tokens[self.pos] == "->":
             self.pos += 1
             return self.node(Pi, "_", left, self.term())
         return left
-
-    def app(self) -> Term:
-        term = self.atom()
-        args: list = []
-        while self.at_atom_start():
-            args.append(self.atom())
-        if term is _ADD_HEAD and len(args) < 2:
-            raise self.fail("'add' needs two arguments")
-        if _ADD_HEAD in args:
-            raise self.fail("'add' cannot appear as an argument; parenthesize")
-        if term is _ADD_HEAD:
-            term, args = self.node(Add, args[0], args[1]), args[2:]
-        for a in args:
-            term = self.node(App, term, a)
-        return term
 
     def at_atom_start(self) -> bool:
         tok = self.tokens[self.pos]

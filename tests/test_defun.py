@@ -3,10 +3,11 @@
 import dataclasses
 import importlib
 import inspect
+import operator
 
 import pytest
 
-from defuncc.cc import CC, SIGMA
+from defuncc.cc import CC, SIGMA, cc_infer
 from defuncc.defun import (
     Translation,
     defun,
@@ -277,6 +278,24 @@ class TestDeterminism:
         assert defun(elab.ctx, elab.main).defs == result.defs
 
 
+class TestFinalize:
+    def test_a_second_finalize_grows_the_first_renumbering(self):
+        """The run keeps one Renumbering: a later finalize() extends it, so
+        the entries and terms an earlier one gave out come back as they were."""
+        run = Translation(DEFAULT_BUDGET)
+        outer = parse_term("fun (x : Nat) => fun (y : Nat) => x")
+        term, pids = run.translate(cc_infer(Ctx(), outer))
+        ren = run.finalize()
+        first_term, first_entries = ren.term(term), ren.label_ctx(pids).entries
+        later, later_pids = run.translate(cc_infer(Ctx(), parse_term("fun (z : Nat) => z")))
+        again = run.finalize()
+        assert again is ren
+        assert again.term(term) is first_term
+        assert all(map(operator.is_, again.label_ctx(pids).entries, first_entries))
+        assert [e.label_id for e in again.label_ctx(later_pids)] == [2]
+        assert again.term(later) == Label(2, ())
+
+
 class TestBudget:
     def test_every_derivation_gets_the_callers_budget(self, elaborated, monkeypatch):
         """The derivations the translation walks, the judgement's and the
@@ -312,7 +331,7 @@ class _AlwaysDerive(Translation):
 
     def __init__(self, budget):
         super().__init__(budget)
-        self._cc, self._sigma = CC, SIGMA
+        self._cc, self.sigma = CC, SIGMA
 
     def translate(self, deriv):
         self._done.pop(id(deriv), None)  # never answered by the identity table

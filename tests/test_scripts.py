@@ -42,6 +42,8 @@ def test_verify_corpus_exits_one_on_a_failing_check(tmp_path):
 
 
 def test_fingerprint_flags_on_the_corpus_match_the_golden_verdicts():
+    """The flags against the budget verdicts, and every line, digests too,
+    against the corpus part of the fingerprint as it was recorded."""
     proc = _run_script("fingerprint.py", "corpus")
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
@@ -50,6 +52,7 @@ def test_fingerprint_flags_on_the_corpus_match_the_golden_verdicts():
     assert all(f.endswith("@1000000: ok ok ok ok ok ok") for f in flags[::7])
     golden = (ROOT / "tests" / "golden" / "budget_verdicts.txt").read_text().splitlines()
     assert [f for i, f in enumerate(flags) if i % 7] == golden
+    assert proc.stdout == (ROOT / "tests" / "golden" / "fingerprint_corpus.txt").read_text()
 
 
 def test_fingerprint_emit_part_runs_every_cli_command():

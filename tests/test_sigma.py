@@ -1,6 +1,7 @@
 """The explicit-substitution machine and its commuting-diagram checker."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -36,6 +37,7 @@ from defuncc.syntax import (
 )
 
 EMPTY = Ctx()
+defun_module = importlib.import_module("defuncc.defun")
 
 
 def nat_ctx(*names: str) -> Ctx:
@@ -304,10 +306,10 @@ class TestDiagram:
 
 
 class TestTraceTable:
-    """check_diagram derives the states of a trace through one table, so a
-    state derives only what its step rebuilt.  That must change nothing: each
-    derivation equals a fresh one, and a small budget runs out on the same
-    states."""
+    """check_diagram derives the states of a trace through the run's σ table,
+    so a state derives only what its step rebuilt.  That must change nothing:
+    each derivation equals a fresh one, and a small budget runs out on the
+    same states."""
 
     @pytest.fixture(scope="class")
     def programs(self, corpus_judgements, scaling):
@@ -328,16 +330,39 @@ class TestTraceTable:
         shared = 0
         for ctx, term in programs:
             calls.clear()
-            assert check_diagram(Judgement(ctx, term)).ok
+            j = Judgement(ctx, term)
+            assert check_diagram(j).ok
             diagram = list(calls)  # ccs_infer below records its calls too
             assert [t for _, t, _, _ in diagram] == ccs_reduce_trace(term)
-            table = diagram[0][2].table
             assert len({id(calc) for _, _, calc, _ in diagram}) == 1
-            assert (table is not None) == (len(diagram) > 1)
+            assert diagram[0][2] is j.translation().run.sigma
             for c, t, _, d in diagram:
                 assert d == ccs_infer(c, t)
             shared += len(diagram) > 1
         assert shared > 10
+
+    def test_states_and_sigma_type_reads_share_the_runs_table(self, programs, monkeypatch):
+        """The σ types the run reads and the diagram's states are derived in
+        one table, the run's; the diagram check makes none of its own."""
+        reads = []
+        infer = defun_module.infer
+
+        def recording(calc, ctx, t, b):
+            if calc.name == SIGMA.name:
+                reads.append(calc)
+            return infer(calc, ctx, t, b)
+
+        monkeypatch.setattr(defun_module, "infer", recording)
+        with_reads = 0
+        for ctx, term in programs:
+            reads.clear()
+            j = Judgement(ctx, term)
+            assert check_diagram(j).ok
+            sigma = j.translation().run.sigma
+            assert all(calc is sigma for calc in reads)
+            assert all((ctx, x) in sigma.table for x in ccs_reduce_trace(term))
+            with_reads += bool(reads)
+        assert with_reads > 0
 
     def test_a_budget_runs_out_on_the_same_states(self, programs):
         def exhausted(ctx, states, calc, budget):

@@ -120,12 +120,12 @@ class TestParseDepth:
     1200 deep gives NestingTooDeep (tests/test_harness.py, tests/test_cli.py)."""
 
     @pytest.mark.parametrize("open_, close", [("add 1 (", ")"), ("(", ")"), ("f (", ")")])
-    def test_a_nest_300_deep_parses(self, open_, close):
-        t = parse_term(open_ * 300 + "0" + close * 300)
+    def test_a_nest_420_deep_parses(self, open_, close):
+        t = parse_term(open_ * 420 + "0" + close * 420)
         depth = 0
         while not isinstance(t, NatLit):
             t, depth = children(t)[-1], depth + 1
-        assert depth == (0 if open_ == "(" else 300)
+        assert depth == (0 if open_ == "(" else 420)
 
     @pytest.mark.parametrize("link, end", [
         ("fun (x : Nat) => ", "x"), ("Nat -> ", "Nat"), ("(x : Nat) -> ", "Nat")])
