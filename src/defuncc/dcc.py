@@ -68,8 +68,8 @@ DCC_TERMS = frozenset({Var, Universe, Pi, App, NatType, NatLit, Add, Label})
 _ENTERS = frozenset({App, Add, Pi, Label})
 
 
-def dcc_calculus(defs: LabelCtx) -> Calculus:
-    """The target calculus over one label context."""
+def dcc_calculus(defs: LabelCtx, table: dict | None = None) -> Calculus:
+    """The target calculus over one label context, with a given table of closed terms."""
 
     def head(t: Term) -> Term | None:
         match t:
@@ -108,6 +108,8 @@ def dcc_calculus(defs: LabelCtx) -> Calculus:
         unfold=unfold,
         rules={Label: ty_label},
         type_only=True,
+        table=table,
+        closed_table=True,
     )
 
 
@@ -134,15 +136,18 @@ def check_labels(defs: LabelCtx, b: Budget, start: int = 0) -> None:
     Each entry is checked under the strictly earlier entries: its telescope
     followed by its argument binder must be a well-formed context, the return
     type must be a type over it, and the body must inhabit the return type.
+    The entries' calculi share one table of closed terms: each label context
+    extends the previous one with a new id, so a closed term keeps its type.
     """
     seen_ids = {e.label_id for e in defs.entries[:start]}
+    table: dict = {}
     for idx in range(start, len(defs)):
         e = defs.entries[idx]
         name = label_name(e.label_id)
         if e.label_id in seen_ids:
             raise IllFormedContext(f"label {name} declared twice")
         seen_ids.add(e.label_id)
-        calc = dcc_calculus(LabelCtx(defs.entries[:idx]))
+        calc = dcc_calculus(LabelCtx(defs.entries[:idx]), table)
         sub = Ctx(e.telescope + ((e.arg_name, e.arg_type),))
         try:
             check_context(calc, sub, b)

@@ -105,10 +105,11 @@ class Calculus:
     rules: dict = field(default_factory=dict)  # typing rules only it has, by constructor
     # read function types in normal form
     type_only: bool = False
-    # (ctx, term) -> (its derivation, the steps it spent), read and filled by
-    # `infer`; only run-scoped copies carry one: a translation run's of `cc.CC`
-    # and `cc.SIGMA`, and a diagram trace's of `cc.SIGMA`
+    # key -> (a derivation, the steps it spent), read and filled by `infer`;
+    # only run-scoped copies carry one: a translation run's of `cc.CC` and
+    # `cc.SIGMA`, and the one a label check shares among its label contexts
     table: dict | None = None
+    closed_table: bool = False  # the table keys closed terms alone; else (ctx, term)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +279,18 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
     A calculus with a table derives each `(ctx, t)` once, exactly: inference
     is a function of `(ctx, t)`, a hit charges the steps the derivation spent
     and failures are never stored, so a budget runs out on the same
-    judgements (`StepBudgetExceeded` carries only the limit).  A binder bound
+    judgements (`StepBudgetExceeded` carries only the limit).  With
+    `closed_table`, a closed t is keyed alone and derived in the empty context:
+    in a calculus without lambda a binder rename changes no type, so a closed
+    term has one type and one step count in every context.  A binder bound
     in ctx is renamed, but for `_`: no variable is named `_`, so none is captured."""
     if type(t) not in calc.allowed:
         raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
     table = calc.table
+    if table is not None and calc.closed_table:  # an open term is not tabled
+        table, ctx = (None, ctx) if free_vars(t) else (table, Ctx())
     if table is not None:
-        key, used = (ctx, t), b.used
+        key, used = (t if calc.closed_table else (ctx, t)), b.used
         hit = table.get(key)
         if hit is not None:
             b.spend(hit[1])

@@ -17,11 +17,11 @@ from typing import Iterator, Union, get_args
 
 
 class _Node:
-    """Base of every term constructor: two slots, outside the dataclass
-    fields, caching the node's free variables (filled by `free_vars`) and its
-    hash (filled by `hash`)."""
+    """Base of every term constructor: three slots, outside the dataclass
+    fields, caching the node's free variables (filled by `free_vars`), its
+    hash (filled by `hash`) and its canonical key (filled by `canon`)."""
 
-    __slots__ = ("_fv", "_hash")
+    __slots__ = ("_fv", "_hash", "_canon")
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,22 +397,32 @@ def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: in
 
 
 def canon(t: Term, env: dict[str, int] | None = None, depth: int = 0):
-    """Hashable alpha-invariant shape of a term.
+    """Hashable alpha-invariant shape of a term under env (name -> binding
+    level, as `_scopes` keeps them) at depth.
 
-    Bound names become binding levels; free names stay nominal; labels stay
-    nominal by id.
-    """
-    env = env or {}
+    Bound names become de Bruijn indices, free names stay nominal, labels
+    stay nominal by id; so a term none of whose free names env binds has one
+    key at every depth, computed once and kept on the node."""
     if type(t) is Var:
-        return ("b", env[t.name]) if t.name in env else ("f", t.name)
+        x = t.name
+        return ("b", depth - 1 - env[x]) if env and x in env else ("f", x)
     entry = _BINDING.get(type(t))
     if entry is None:
         return t  # closed, and hashable as it stands
+    kept = not env or env.keys().isdisjoint(free_vars(t))
+    if kept:
+        try:
+            return t._canon
+        except AttributeError:
+            env = {}
     tag, names, kids = entry[0](t)
     envs, out = _scopes(env, names, depth), [type(t).__name__, tag]
     for n, c in kids:
         out.append(canon(c, envs[n], depth + n))
-    return tuple(out)
+    key = tuple(out)
+    if kept:
+        object.__setattr__(t, "_canon", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +505,7 @@ def entry_canon(e: LabelEntry):
 
 def entry_alpha_eq(e1: LabelEntry, e2: LabelEntry) -> bool:
     """Entry equality modulo telescope and argument names (ids must agree)."""
-    return e1.label_id == e2.label_id and entry_canon(e1) == entry_canon(e2)
+    return e1 is e2 or e1.label_id == e2.label_id and entry_canon(e1) == entry_canon(e2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Target-language typing and reduction: labels applied to closures."""
 
+from pathlib import Path
+
 import pytest
 
+from defuncc import dcc as dcc_module
+from defuncc import kernel
 from defuncc.cc import cc_infer
 from defuncc.dcc import (
     dcc_calculus,
@@ -15,17 +19,20 @@ from defuncc.defun import Translation, defun, label_union
 from defuncc.errors import (
     ClosureArity,
     ClosureTypeMismatch,
+    StepBudgetExceeded,
     TypeCheckError,
     UnboundVariable,
     UnknownLabel,
 )
-from defuncc.kernel import DEFAULT_BUDGET, Budget, reduce_step, reduce_trace
-from defuncc.surface import parse_dcc, parse_term
+from defuncc.harness import load_file
+from defuncc.kernel import DEFAULT_BUDGET, Budget, infer, reduce_step, reduce_trace
+from defuncc.surface import emit_text, parse_dcc, parse_term
 from defuncc.syntax import (
     Add,
     App,
     Ctx,
     Label,
+    LabelCtx,
     NatLit,
     NatType,
     Universe,
@@ -34,6 +41,7 @@ from defuncc.syntax import (
 )
 
 EMPTY = Ctx()
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PAIR_DEFS = parse_dcc(
     """
@@ -237,3 +245,75 @@ class TestWellFormedness:
         ).labels
         dcc_check(defs, EMPTY)
         assert dcc_normalize(defs, parse_dcc("l1{} 1").main) == NatLit(3)
+
+
+# Two entries restate the closed return type `l1{} Nat`.  Typing it reads the
+# type of `l1{}` in normal form, which unfolds `l0{} (Type 0)` twice: 2 steps.
+SHARED_RETURN = parse_dcc(
+    """
+    label l0 {} (A : Type 1) -> Type 1 := A;
+    label l1 {} (B : l0{} (Type 0)) -> l0{} (Type 0) := B;
+    label l2 {} (x : Nat) -> l1{} Nat := 0;
+    label l3 {} (x : Nat) -> l1{} Nat := 1;
+    """
+).labels
+# dcc_check's step counts as they were before the label check kept a table of
+# closed terms; every other emitted corpus file and golden label file spends none
+_STEPS = {"type_family_lambda": 1}
+
+
+class TestClosedTable:
+    """The label check types each closed term once, under all its label
+    contexts (`check_labels`); no step count, verdict or exhaustion moves."""
+
+    def test_emitted_and_golden_label_files_spend_the_same_steps(self, corpus_paths):
+        for path in corpus_paths:
+            elab = load_file(path)
+            res = defun(elab.ctx, elab.main)
+            emitted = parse_dcc(emit_text(res.labels, res.dcc_ctx, res.term)).elaborate()
+            assert dcc_check(emitted.labels, emitted.ctx) == _STEPS.get(path.stem, 0), path
+        golden = sorted(GOLDEN.glob("*.dcc"))
+        assert len(golden) == len(corpus_paths)
+        for path in golden:
+            elab = load_file(path)
+            assert dcc_check(elab.labels, elab.ctx) == _STEPS.get(path.stem, 0), path
+
+    def test_a_restated_closed_type_charges_its_steps_each_time(self):
+        entries = SHARED_RETURN.entries
+        assert entries[2].ret_type == entries[3].ret_type
+        steps = [dcc_check(LabelCtx(entries[:i]), EMPTY) for i in range(1, 5)]
+        assert steps == [0, 0, 3, 6]
+        for budget in range(1, 6):  # the last one short runs out in the table hit
+            with pytest.raises(StepBudgetExceeded):
+                dcc_check(SHARED_RETURN, EMPTY, budget)
+
+    def test_a_closed_term_naming_a_later_label_fails_until_it_is_defined(self):
+        t = App(Label(2, (Label(0),)), NatLit(1))  # closed, and names l2
+        ctx, table = Ctx((("y", NatType()),)), {}
+        for i in range(len(PAIR_DEFS) + 1):
+            calc = dcc_calculus(LabelCtx(PAIR_DEFS.entries[:i]), table)
+            if i <= 2:  # l2 is the third entry
+                with pytest.raises(UnknownLabel):
+                    infer(calc, ctx, t, Budget(DEFAULT_BUDGET))
+                assert t not in table  # failures are not stored
+            else:
+                d = infer(calc, ctx, t, Budget(DEFAULT_BUDGET))
+                assert d.type == NatType() and d.ctx == EMPTY and table[t][0] is d
+
+    def test_the_60_lambda_chain_types_each_closed_type_once(self, scaling, monkeypatch):
+        """Its label context restates 1,830 return-type nodes; the label check
+        made 3,840 `infer` calls before it kept a table of closed terms."""
+        ctx, main = scaling("lambdas", 60)
+        res = defun(ctx, main)
+        emitted = parse_dcc(emit_text(res.labels, res.dcc_ctx, res.term)).elaborate()
+        calls = []
+        real = kernel.infer
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "infer", spy)
+        monkeypatch.setattr(dcc_module, "infer", spy)
+        assert dcc_check(emitted.labels, emitted.ctx) == 0
+        assert len(calls) <= 450

@@ -44,6 +44,7 @@ EMPTY = Ctx()
 defun_module = importlib.import_module("defuncc.defun")
 harness_module = importlib.import_module("defuncc.harness")
 sigma_module = importlib.import_module("defuncc.sigma")
+syntax_module = importlib.import_module("defuncc.syntax")
 
 
 def closure_names(entry) -> list[str]:
@@ -262,6 +263,26 @@ class TestLabelAlgebra:
     def test_union_rejects_conflicting_definitions(self):
         with pytest.raises(LabelClash):
             label_union(self.D1, self.D3)
+
+    def test_an_entry_compared_with_itself_builds_no_key(self, elaborated, monkeypatch):
+        """The weakening check compares a run's labels with a union holding the
+        same entry objects; each such comparison answers at once."""
+        elab = elaborated("compose_dependent")
+        d = defun(elab.ctx, elab.main).labels
+        extra = parse_dcc("label l9 {} (x : Nat) -> Nat := x;").labels
+        keys = []
+        entry_canon = syntax_module.entry_canon
+
+        def spy(e):
+            keys.append(e)
+            return entry_canon(e)
+
+        monkeypatch.setattr(syntax_module, "entry_canon", spy)
+        assert len(d) > 1
+        assert label_subset(d, label_union(d, extra))
+        assert keys == []
+        # an equal entry that is another object is still compared by its key
+        assert label_subset(self.D1, self.D2) and len(keys) == 2
 
 
 class TestDeterminism:

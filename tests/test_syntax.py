@@ -547,7 +547,8 @@ def assert_walks_match_references(terms) -> None:
     for s in subterms:
         env = {x: i for i, x in enumerate(free_vars(s)[::2])}
         keys.append((reference_canon(s), canon(s)))
-        keys.append(((reference_canon(s, env, len(env)), 1), (canon(s, env, len(env)), 1)))
+        depth = len(env)  # keys are compared only under the same scopes, so at one depth
+        keys.append(((reference_canon(s, env, depth), depth), (canon(s, env, depth), depth)))
     # the new keys identify exactly the terms the old keys identified
     assert len({r for r, _ in keys}) == len({n for _, n in keys}) == len(set(keys))
 
@@ -637,6 +638,27 @@ class TestBindingWalks:
             states += ccs_reduce_trace(term)
         assert any(isinstance(s, ESubst) for s in _subterms(*states))
         assert_walks_match_references(states)
+
+    def test_a_key_independent_of_env_is_kept_on_the_node(self):
+        """Bound names are keyed by de Bruijn index, so a subterm none of whose
+        free names env binds has one key at every depth, kept on the node."""
+
+        def inner():
+            return Pi("z", NatType(), App(Var("f"), Var("z")))
+
+        s = inner()
+        t = Lam("x", NatType(), Pi("y", Var("x"), s))
+        key = canon(t)  # walks s under x and y, which bind none of its free names
+        kept = key[-1][-1]
+        assert canon(s) is kept and canon(s, {"x": 0, "y": 1}, 2) is kept
+        assert s._canon is kept
+        # the same key as a fresh copy's, computed in place at another depth
+        deeper = canon(Lam("a", NatType(), Lam("b", NatType(), Lam("c", Var("a"), inner()))))
+        assert deeper[-1][-1][-1] == kept
+        # a subterm with a name env binds is keyed in place, and not kept
+        u = App(Var("x"), Var("f"))
+        assert canon(Lam("x", NatType(), u))[-1] == ("App", None, ("b", 0), ("f", "f"))
+        assert not hasattr(u, "_canon")
 
     def test_substitution_renames_only_binders_it_would_capture_under(self):
         # y occurs only in the value, outside the scope of the suspension's x
