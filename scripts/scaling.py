@@ -165,7 +165,7 @@ def diagram_counts(source):
 
 FAMILIES = [
     ("defun, nested lambdas", defun_lambdas, (20, 40, 80, 160), None),
-    ("translate-emit CLI, nested lambdas", emit_lambdas, (20, 30, 40, 50, 60), None),
+    ("translate-emit CLI, nested lambdas", emit_lambdas, (20, 30, 40, 50, 60, 120, 240), None),
     ("six checks, Vec chain", six_checks(vec_source), (10, 20, 40, 80), diagram_counts(vec_source)),
     ("six checks, nested twice", six_checks(twice_source), (1, 2, 3, 4, 5, 6),
      diagram_counts(twice_source)),

@@ -110,7 +110,10 @@ class Translation:
     only when it is already bound and is not `_` (`kernel.infer`), so the
     subject it rebuilds is the type itself; and the types read are checked
     context entries or inferred types, so the derivation cannot fail.
-    Whether a context is plain, and its names, are kept on the context object.
+    What the shortcuts ask of a context is kept on it, growing along
+    `Ctx.extend` (`_ctx_facts`); what they ask of a type is kept in the run,
+    and a walk stops at a type read before (`_plain_binders`): the restated
+    contexts and return types of nested lambdas are read once.
 
     The run derives through one inference table per calculus, so each
     `(ctx, type)` is derived once and a repeat read gets the same derivation
@@ -141,6 +144,8 @@ class Translation:
         self._cc, self.sigma = None, replace(SIGMA, table={})
         # id(derivation) -> (that derivation, its translation)
         self._done: dict[int, tuple[Derivation, tuple[Term, tuple[int, ...]]]] = {}
+        # id(type read) -> (that type, its `_plain_binders`)
+        self._binders: dict[int, tuple[Term, frozenset[str] | None]] = {}
 
     # -- minting
 
@@ -222,11 +227,11 @@ class Translation:
 
     def translate_context(self, ctx: Ctx) -> tuple[Ctx, tuple[int, ...]]:
         """Pointwise translation of a source context plus its definitions."""
-        out = Ctx()
+        out = prefix = Ctx()
         defs: tuple[int, ...] = ()
-        for i, (x, a) in enumerate(ctx):
-            ta, da = self._translate_type(Ctx(ctx.entries[:i]), a)
-            out = out.extend(x, ta)
+        for x, a in ctx:
+            ta, da = self._translate_type(prefix, a)
+            out, prefix = out.extend(x, ta), prefix.extend(x, a)
             defs = _ordered_union(defs, da)
         return out, defs
 
@@ -240,15 +245,49 @@ class Translation:
         """Translate a type the walk reads: a plain one is itself (see the
         class), any other goes through its derivation."""
         names = _ctx_facts(ctx)[1]
-        if names is not None and _is_plain(ty, names):
-            return ty, ()
+        if names is not None:
+            binders = self._plain_binders(ty)
+            if binders is not None and names.isdisjoint(binders):
+                return ty, ()
         return self.translate(self._derive(ctx, ty))
+
+    def _plain_binders(self, ty: Term) -> frozenset[str] | None:
+        """The `Pi` binders of ty but `_`, or None if ty is not built from
+        `_PLAIN` alone or one rebinds a name an enclosing `Pi` binds: ty is
+        plain under a plain context exactly when these miss its names.  Kept
+        in the run per type read; the walk (a stack) stops at a kept one."""
+        memo = self._binders
+        if id(ty) not in memo:
+            binders: set[str] | None = set()
+            enclosing: set[str] = set()  # the binders whose codomain is being walked
+            stack: list[Term | str] = [ty]
+            while stack and binders is not None:
+                t = stack.pop()
+                cls = type(t)
+                if cls is str:  # the codomain of the Pi binding t is done
+                    enclosing.remove(t)
+                elif cls is not Pi and cls is not App:
+                    binders = binders if cls in _PLAIN else None
+                elif id(t) in memo:  # a type read before
+                    kept = memo[id(t)][1]
+                    ok = kept is not None and enclosing.isdisjoint(kept)
+                    binders = binders | kept if ok else None
+                elif cls is App or t.binder == "_":  # `_` is never renamed (`kernel.infer`)
+                    stack += (t.fn, t.arg) if cls is App else (t.domain, t.codomain)
+                elif t.binder in enclosing:
+                    binders = None
+                else:
+                    binders.add(t.binder)
+                    enclosing.add(t.binder)
+                    stack += (t.domain, t.binder, t.codomain)  # domain: after the binder is released
+            memo[id(ty)] = ty, None if binders is None else frozenset(binders)
+        return memo[id(ty)][1]
 
     def _derive(self, ctx: Ctx, ty: Term) -> Derivation:
         """The derivation of a type, under a fresh budget.  Source inference
         can neither reduce nor enter a suspension, so it takes only a type
         whose context holds none either."""
-        if uses_only(ty, CC_TERMS) and all(uses_only(a, CC_TERMS) for _, a in ctx):
+        if _ctx_facts(ctx)[2] and uses_only(ty, CC_TERMS):
             calc = self._cc = self._cc or replace(CC, table={})
         else:
             calc = self.sigma
@@ -306,43 +345,30 @@ class Renumbering:
         return Ctx(tuple((x, self.term(a)) for x, a in c))
 
 
-def _ctx_facts(ctx: Ctx) -> tuple[bool, frozenset[str] | None]:
-    """What the two shortcuts ask of a context (see `Translation`): whether
-    every type is lambda-free, and its names if every type is plain.  Found
-    once and kept on the context, as a term keeps its free variables."""
-    facts = getattr(ctx, "_defun_facts", None)
-    if facts is None:
-        types = [a for _, a in ctx]
-        plain = all(uses_only(a, _PLAIN) for a in types)
-        lam_free = plain or all(uses_only(a, _LAM_FREE) for a in types)
-        facts = (lam_free, frozenset(ctx.names()) if plain else None)
-        object.__setattr__(ctx, "_defun_facts", facts)  # the context is frozen
+def _ctx_facts(ctx: Ctx) -> tuple[bool, frozenset[str] | None, bool]:
+    """What the shortcuts ask of a context (see `Translation`): whether every
+    type is lambda-free, its names if every type is plain, and whether every
+    type is a source term.  Kept on the context, as a term keeps its free
+    variables; a context that `extend` made adds its last entry to its
+    parent's, so a chain of contexts reads each type once."""
+    todo = []  # ctx and the contexts it extends, up to the first with facts kept
+    while (facts := getattr(ctx, "_defun_facts", None)) is None:
+        todo.append(ctx)
+        ctx = getattr(ctx, "_parent", None)
+        if ctx is None:
+            facts = (True, frozenset(), True)  # the empty context's
+            break
+    for c in reversed(todo):
+        lam_free, names, source = facts
+        for x, a in c.entries[-1:] if hasattr(c, "_parent") else c.entries:
+            if uses_only(a, _PLAIN):  # so lambda-free and a source term too
+                names = None if names is None else names | {x}
+            else:
+                lam_free = lam_free and uses_only(a, _LAM_FREE)
+                names, source = None, source and uses_only(a, CC_TERMS)
+        facts = lam_free, names, source
+        object.__setattr__(c, "_defun_facts", facts)  # the context is frozen
     return facts
-
-
-def _is_plain(ty: Term, names: frozenset[str]) -> bool:
-    """ty is built from `_PLAIN` alone, and no `Pi` binder of it other than
-    `_` is in `names` or binds a name that an enclosing `Pi` binds over it."""
-    enclosing: set[str] = set()  # the binders of the Pis whose codomain is being walked
-    stack: list[Term | str] = [ty]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        if cls is str:  # the codomain of the Pi binding t is done
-            enclosing.remove(t)
-        elif cls is Pi and t.binder == "_":  # never renamed (`kernel.infer`)
-            stack += (t.domain, t.codomain)
-        elif cls is Pi:
-            x = t.binder
-            if x in names or x in enclosing:
-                return False
-            enclosing.add(x)
-            stack += (t.domain, x, t.codomain)  # the domain comes after x is released
-        elif cls is App:
-            stack += (t.fn, t.arg)
-        elif cls not in _PLAIN:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ matching l<digits> are reserved for labels in both dialects.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+import string
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -47,88 +49,94 @@ def label_name(label_id: int) -> str:
 
 
 def show_term(t: Term) -> str:
-    return _show(t, _TERM)
+    return _show(t, {})
 
 
-def _show(t: Term, prec: int) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Universe(level):
-            return f"Type {level}"
-        case NatType():
-            return "Nat"
-        case NatLit(value):
-            return str(value)
-        case Label(label_id, args):
-            inner = ", ".join(_show(a, _TERM) for a in args)
-            return f"{label_name(label_id)}{{{inner}}}"
-        case App(fn, arg):
-            s = f"{_show(fn, _APP)} {_show(arg, _ATOM)}"
-            return f"({s})" if prec > _APP else s
-        case Add(lhs, rhs):
-            s = f"add {_show(lhs, _ATOM)} {_show(rhs, _ATOM)}"
-            return f"({s})" if prec > _APP else s
-        case Lam(binder, domain, body):
-            s = f"fun ({binder} : {_show(domain, _TERM)}) => {_show(body, _TERM)}"
-            return f"({s})" if prec > _TERM else s
-        case Pi(binder, domain, codomain):
-            if binder in free_vars(codomain):
-                s = f"({binder} : {_show(domain, _TERM)}) -> {_show(codomain, _TERM)}"
-            else:
-                s = f"{_show(domain, _APP + 1)} -> {_show(codomain, _TERM)}"
-            return f"({s})" if prec > _TERM else s
-        case ESubst(subject, bindings):
-            pairs = ", ".join(
-                f"{sb.name} |-> {_show(sb.value, _TERM)}" for sb in bindings
-            )
-            return f"{_show(subject, _ATOM)}{{{pairs}}}"
-    raise TypeError(f"not a term: {t!r}")
+# the precedence a node needs to stand without parentheses; any other node is an atom
+_NEEDS = {App: _APP, Add: _APP, Lam: _TERM, Pi: _TERM}
 
 
-def show_entry(e: LabelEntry) -> str:
-    tele = ", ".join(f"{x} : {show_term(a)}" for x, a in e.telescope)
+def _show(t: Term, memo: dict[int, str], prec: int = _TERM) -> str:
+    """t's text where precedence `prec` reads it.  `memo` maps id(node) to
+    the node's text without parentheses, which depends on the node alone;
+    one document shares one memo, and its nodes stay alive while it prints,
+    so it prints each node once however often the node is restated."""
+    cls = type(t)
+    if cls is Var:
+        return t.name
+    s = memo.get(id(t))
+    if s is None:
+        if cls is App:
+            s = f"{_show(t.fn, memo, _APP)} {_show(t.arg, memo, _ATOM)}"
+        elif cls is Pi and t.binder in free_vars(t.codomain):
+            s = f"({t.binder} : {_show(t.domain, memo)}) -> {_show(t.codomain, memo)}"
+        elif cls is Pi:
+            s = f"{_show(t.domain, memo, _APP + 1)} -> {_show(t.codomain, memo)}"
+        elif cls is Lam:
+            s = f"fun ({t.binder} : {_show(t.domain, memo)}) => {_show(t.body, memo)}"
+        elif cls is Label:
+            inner = ", ".join(_show(a, memo) for a in t.args)
+            s = f"{label_name(t.label_id)}{{{inner}}}"
+        elif cls is Add:
+            s = f"add {_show(t.lhs, memo, _ATOM)} {_show(t.rhs, memo, _ATOM)}"
+        elif cls is NatType:
+            s = "Nat"
+        elif cls is Universe:
+            s = f"Type {t.level}"
+        elif cls is NatLit:
+            s = str(t.value)
+        elif cls is ESubst:
+            pairs = ", ".join(f"{sb.name} |-> {_show(sb.value, memo)}" for sb in t.bindings)
+            s = f"{_show(t.subject, memo, _ATOM)}{{{pairs}}}"
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        memo[id(t)] = s
+    return f"({s})" if prec > _NEEDS.get(cls, _ATOM) else s
+
+
+def show_entry(e: LabelEntry, memo: dict[int, str] | None = None) -> str:
+    """A label block; `memo` is its document's, if it is part of one (see `_show`)."""
+    memo = {} if memo is None else memo
+    tele = ", ".join(f"{x} : {_show(a, memo)}" for x, a in e.telescope)
     return (
         f"label {label_name(e.label_id)} {{{tele}}} "
-        f"({e.arg_name} : {show_term(e.arg_type)}) -> {show_term(e.ret_type)} "
-        f":= {show_term(e.body)};"
+        f"({e.arg_name} : {_show(e.arg_type, memo)}) -> {_show(e.ret_type, memo)} "
+        f":= {_show(e.body, memo)};"
     )
 
 
-def show_label_ctx(defs: LabelCtx) -> str:
-    return "\n".join(show_entry(e) for e in defs)
+def show_label_ctx(defs: LabelCtx, memo: dict[int, str] | None = None) -> str:
+    memo = {} if memo is None else memo
+    return "\n".join(show_entry(e, memo) for e in defs)
 
 
-def show_ctx(ctx: Ctx) -> str:
-    return "\n".join(f"axiom {x} : {show_term(a)};" for x, a in ctx)
+def show_ctx(ctx: Ctx, memo: dict[int, str] | None = None) -> str:
+    memo = {} if memo is None else memo
+    return "\n".join(f"axiom {x} : {_show(a, memo)};" for x, a in ctx)
 
 
 def emit_text(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
     """Re-checkable .dcc document: label blocks, axioms, main term."""
-    parts = []
-    if len(defs):
-        parts.append(show_label_ctx(defs))
-    if len(ctx):
-        parts.append(show_ctx(ctx))
-    if term is not None:
-        parts.append(show_term(term))
-    return "\n".join(parts) + "\n"
+    memo: dict[int, str] = {}
+    parts = show_label_ctx(defs, memo), show_ctx(ctx, memo), term and _show(term, memo)
+    return "\n".join(filter(None, parts)) + "\n"  # an empty part is left out
 
 
 def emit_json(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
+    show = functools.partial(_show, memo={})
     doc = {
         "labels": [
             {
                 "name": label_name(e.label_id),
-                "fvs": [{"x": x, "type": show_term(a)} for x, a in e.telescope],
-                "arg": {"x": e.arg_name, "type": show_term(e.arg_type)},
-                "body": show_term(e.body),
-                "ret": show_term(e.ret_type),
+                "fvs": [{"x": x, "type": show(a)} for x, a in e.telescope],
+                "arg": {"x": e.arg_name, "type": show(e.arg_type)},
+                "body": show(e.body),
+                "ret": show(e.ret_type),
             }
             for e in defs
         ],
-        "context": [{"x": x, "type": show_term(a)} for x, a in ctx],
-        "term": None if term is None else show_term(term),
+        "context": [{"x": x, "type": show(a)} for x, a in ctx],
+        "term": None if term is None else show(term),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -160,6 +168,22 @@ def _error(message: str, text: str, offset: int) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
+# One match per token, comment or other non-space character (unexpected if no token)
+_FLAT_RE = re.compile(r"->|=>|:=|[0-9]+|[A-Za-z_][A-Za-z0-9_']*|[(){},:;]|--[^\n]*|\S")
+_ONE_CHAR_TOKENS = frozenset("(){},:;_0123456789" + string.ascii_letters)
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of `text`, as `tokenize` finds them, in one regex call."""
+    tokens = _FLAT_RE.findall(text)
+    if "--" in text:
+        tokens = [tok for tok in tokens if not tok.startswith("--")]
+    if not all(len(tok) > 1 or tok in _ONE_CHAR_TOKENS for tok in set(tokens)):
+        tokenize(text)  # raises the error at the first unexpected character
+    tokens.append("")
+    return tokens
+
+
 def tokenize(text: str) -> tuple[list[str], list[int]]:
     """The tokens of `text` and their start offsets; "" ends the input."""
     tokens: list[str] = []
@@ -185,7 +209,7 @@ _ADD_HEAD = object()
 class _Parser:
     def __init__(self, text: str, allow_labels: bool):
         self.text = text
-        self.tokens, self.offsets = tokenize(text)
+        self.tokens = _tokens(text)
         self.pos = 0
         self.allow_labels = allow_labels
         self.declared: dict[str, str] = {}  # name -> kind of its declaration
@@ -198,7 +222,8 @@ class _Parser:
         return self.tokens[self.pos + ahead]
 
     def fail(self, message: str, at: int | None = None) -> ParseError:
-        return _error(message, self.text, self.offsets[self.pos if at is None else at])
+        offsets = tokenize(self.text)[1]
+        return _error(message, self.text, offsets[self.pos if at is None else at])
 
     def unexpected(self, want: str) -> ParseError:
         return self.fail(f"expected {want}, found {self.peek() or 'end of input'!r}")

@@ -402,24 +402,26 @@ def canon(t: Term, env: dict[str, int] | None = None, depth: int = 0):
 
     Bound names become de Bruijn indices, free names stay nominal, labels
     stay nominal by id; so a term none of whose free names env binds has one
-    key at every depth, computed once and kept on the node."""
+    key at every depth, computed once and kept on the node.  A key holds
+    tuples, strings, ints and None only, so hashing it runs no Python code."""
     if type(t) is Var:
         x = t.name
         return ("b", depth - 1 - env[x]) if env and x in env else ("f", x)
     entry = _BINDING.get(type(t))
-    if entry is None:
-        return t  # closed, and hashable as it stands
-    kept = not env or env.keys().isdisjoint(free_vars(t))
+    kept = entry is None or not env or env.keys().isdisjoint(free_vars(t))
     if kept:
         try:
             return t._canon
         except AttributeError:
             env = {}
-    tag, names, kids = entry[0](t)
-    envs, out = _scopes(env, names, depth), [type(t).__name__, tag]
-    for n, c in kids:
-        out.append(canon(c, envs[n], depth + n))
-    key = tuple(out)
+    if entry is None:  # a closed leaf: a plain tuple, so a key holding it hashes in C
+        key = (type(t).__name__, *map(t.__getattribute__, t.__match_args__))
+    else:
+        tag, names, kids = entry[0](t)
+        envs, out = _scopes(env, names, depth), [type(t).__name__, tag]
+        for n, c in kids:
+            out.append(canon(c, envs[n], depth + n))
+        key = tuple(out)
     if kept:
         object.__setattr__(t, "_canon", key)
     return key
@@ -459,13 +461,19 @@ class Ctx(_Entries):
         return None
 
     def extend(self, name: str, ty: Term) -> "Ctx":
-        return Ctx(self.entries + ((name, ty),))
+        """This context and one more entry, linked to this one (`_parent`, not
+        a field), so what is kept on a context can grow from its parent's."""
+        child = _new(Ctx)  # set directly: as fast as the frozen __init__ alone
+        _set(child, "entries", self.entries + ((name, ty),))
+        _set(child, "_parent", self)
+        return child
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
 
 
 _FIELD_HASH[Ctx], Ctx.__hash__ = Ctx.__hash__, _cached_hash  # hashed once, as terms are
+_new, _set = object.__new__, object.__setattr__
 
 
 # ---------------------------------------------------------------------------

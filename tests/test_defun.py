@@ -4,10 +4,11 @@ import dataclasses
 import importlib
 import inspect
 import operator
+import sys
 
 import pytest
 
-from defuncc.cc import CC, SIGMA, cc_infer
+from defuncc.cc import CC, CC_TERMS, SIGMA, cc_infer
 from defuncc.defun import (
     Translation,
     defun,
@@ -32,11 +33,17 @@ from defuncc.syntax import (
     LabelCtx,
     Lam,
     NatLit,
+    NatType,
+    Pi,
+    SBind,
     Universe,
     Var,
     alpha_eq,
+    canon,
+    entry_canon,
     map_children,
     subst_many,
+    uses_only,
 )
 
 EMPTY = Ctx()
@@ -605,3 +612,169 @@ class TestPlainTypes:
         ctx, term = scaling("lambdas", 60)
         assert len(defun(ctx, term).labels) == 60
         assert derived == []
+
+
+def reference_ctx_facts(ctx: Ctx):
+    """`_ctx_facts` from scratch: every type of the context read again."""
+    types = [a for _, a in ctx]
+    plain = all(uses_only(a, defun_module._PLAIN) for a in types)
+    lam_free = plain or all(uses_only(a, defun_module._LAM_FREE) for a in types)
+    source = all(uses_only(a, CC_TERMS) for a in types)
+    return lam_free, frozenset(ctx.names()) if plain else None, source
+
+
+def reference_is_plain(ty, names: frozenset[str]) -> bool:
+    """The plain-type walk the run's binder table replaced, kept verbatim:
+    ty is built from `_PLAIN` alone, and no `Pi` binder of it other than
+    `_` is in `names` or binds a name that an enclosing `Pi` binds over it."""
+    enclosing: set[str] = set()  # the binders of the Pis whose codomain is being walked
+    stack: list = [ty]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is str:  # the codomain of the Pi binding t is done
+            enclosing.remove(t)
+        elif cls is Pi and t.binder == "_":  # never renamed (`kernel.infer`)
+            stack += (t.domain, t.codomain)
+        elif cls is Pi:
+            x = t.binder
+            if x in names or x in enclosing:
+                return False
+            enclosing.add(x)
+            stack += (t.domain, x, t.codomain)  # the domain comes after x is released
+        elif cls is App:
+            stack += (t.fn, t.arg)
+        elif cls not in defun_module._PLAIN:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def shortcut_reads(corpus_judgements, scaling):
+    """What the shortcuts read while the diagram check (and with it `defun`)
+    runs over the corpus, the scaling families and the enumeration: every
+    context with the facts kept on it, and every plain-context type read
+    whole with its context's names and whether the run copied it."""
+    facts: list = []
+    reads: list = []
+    kept_facts = defun_module._ctx_facts
+
+    def spy_facts(ctx):
+        out = kept_facts(ctx)
+        facts.append((ctx, out))
+        return out
+
+    class Spy(Translation):
+        derived = 0
+
+        def _derive(self, ctx, ty):
+            self.derived += 1
+            return super()._derive(ctx, ty)
+
+        def _translate_type(self, ctx, ty):
+            names, before = kept_facts(ctx)[1], self.derived
+            out = super()._translate_type(ctx, ty)
+            if names is not None:
+                reads.append((ty, names, self.derived == before))
+            return out
+
+    programs = [(ctx, term) for _, ctx, term in corpus_judgements]
+    programs += [scaling("vec", n) for n in range(2, 7)]
+    programs += [scaling("twice", k) for k in (1, 2, 3)]
+    programs += [scaling("lambdas", n) for n in range(20, 61, 10)]
+    programs += enumerate_small_terms(EnumConfig(size_budget=6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(defun_module, "_ctx_facts", spy_facts)
+        for module in (defun_module, harness_module, sigma_module):
+            mp.setattr(module, "Translation", Spy)
+        for ctx, term in programs:
+            report = check_diagram(Judgement(ctx, term), raise_on_failure=False)
+            assert report.ok, report.edges
+    return facts, reads
+
+
+class TestShortcutFacts:
+    """The facts a context keeps, and the run's table of plain binders, give
+    what the from-scratch walks give on every read."""
+
+    def test_kept_facts_are_the_facts(self, shortcut_reads):
+        facts, _ = shortcut_reads
+        assert len({id(ctx) for ctx, _ in facts}) > 1000
+        kinds = {(lam_free, names is None) for _, (lam_free, names, _) in facts}
+        assert kinds == {(True, False), (True, True), (False, True)}
+        assert [(ctx, out) for ctx, out in facts if out != reference_ctx_facts(ctx)] == []
+
+    def test_the_binder_table_agrees_with_the_walk(self, shortcut_reads):
+        _, reads = shortcut_reads
+        assert len(reads) > 1000
+        assert {plain for *_, plain in reads} == {True, False}
+        assert [r for r in reads if reference_is_plain(r[0], r[1]) != r[2]] == []
+
+    def test_a_context_adds_its_last_entry_to_its_parents_facts(self):
+        """A context `extend` made reads one type; one built whole reads all."""
+        base = Ctx((("A", Universe(0)), ("n", NatType())))
+        suspended = ESubst(Var("k"), (SBind("k", NatType(), NatLit(1)),))
+        for x, ty in (("m", NatType()), ("f", parse_term("(fun (A : Type 0) => A) Nat")),
+                      ("s", suspended)):
+            made, fresh = base.extend(x, ty), Ctx(base.entries + ((x, ty),))
+            seen = []
+
+            def spy(t, allowed, uses_only=uses_only):
+                seen.append(t)
+                return uses_only(t, allowed)
+
+            defun_module._ctx_facts(base)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(defun_module, "uses_only", spy)
+                assert defun_module._ctx_facts(made) == reference_ctx_facts(made)
+                assert {id(t) for t in seen} == {id(made.entries[-1][1])}
+                seen.clear()
+                assert defun_module._ctx_facts(fresh) == reference_ctx_facts(fresh)
+                assert {id(t) for t in seen} == {id(a) for _, a in fresh}
+
+    def test_a_deep_pi_chain_read_as_a_return_type(self):
+        """The binder table has no recursion: the return type of
+        `fun (y : Nat) => c` is c's 990-link Π chain, and it is plain."""
+        chain = NatType()
+        for i in range(990, 0, -1):
+            chain = Pi(f"x{i}", NatType(), chain)
+            canon(chain)  # keeps free variables and keys bottom-up: those walks recurse
+        ctx = Ctx((("c", chain),))
+        deriv = cc_infer(ctx, parse_term("fun (y : Nat) => c"), check_ctx=False)
+        run = Translation(DEFAULT_BUDGET)
+        term, pids = run.translate(deriv)
+        assert term == Label(0, (Var("c"),)) and pids == (0,)
+        assert run._entries[0].ret_type is chain
+
+    def test_the_lambda_chain_reads_few_types_and_hashes_keys_in_c(self, scaling, monkeypatch):
+        """One `defun` of the 60-lambda chain: each context reads its last
+        type once (1,832 `uses_only` calls when every context read all of
+        its types), and no minting key runs Python code to hash."""
+        used, keys = [], []
+
+        def spy_uses_only(t, allowed):
+            used.append(t)
+            return uses_only(t, allowed)
+
+        def spy_entry_canon(entry):
+            keys.append(entry_canon(entry))
+            return keys[-1]
+
+        monkeypatch.setattr(defun_module, "uses_only", spy_uses_only)
+        monkeypatch.setattr(defun_module, "entry_canon", spy_entry_canon)
+        ctx, term = scaling("lambdas", 60)
+        assert len(defun(ctx, term).labels) == 60
+        assert len(used) <= 100 and len(keys) == 60
+        python_calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                python_calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for key in keys:
+                hash(key)
+        finally:
+            sys.setprofile(None)
+        assert python_calls == []

@@ -56,6 +56,9 @@ def test_fingerprint_flags_on_the_corpus_match_the_golden_verdicts():
 
 
 def test_fingerprint_emit_part_runs_every_cli_command():
+    """Exit codes as the files ask, and every line against the emit part of
+    the fingerprint as it was recorded: each hash covers a command's whole
+    stdout and stderr, so no emitted byte can move unseen."""
     proc = _run_script("fingerprint.py", "emit")
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
@@ -72,6 +75,8 @@ def test_fingerprint_emit_part_runs_every_cli_command():
         head for head in codes if head.startswith("bad/")
     ]
     assert codes["lambdas-60.cc refun"] == codes["compose_dependent.cc defun --emit json"] == 0
+    # every line, digests of the emitted text and JSON too, as it was recorded
+    assert proc.stdout == (ROOT / "tests" / "golden" / "fingerprint_emit.txt").read_text()
 
 
 def test_scaling_header_prints_the_source_line_count(monkeypatch, capsys):

@@ -7,12 +7,13 @@ builds an `Add` of its `add` sentinel, and the parser must raise."""
 
 from __future__ import annotations
 
+import random
 import re
 from typing import NamedTuple
 
 import pytest
 
-from defuncc import syntax
+from defuncc import surface, syntax
 from defuncc.errors import ParseError
 from defuncc.surface import SourceFile, parse_dcc, parse_source, parse_term
 from defuncc.syntax import (
@@ -401,3 +402,54 @@ ADD_ARGUMENTS = ["add 2 add", "add add 1 2", "axiom n : Nat; add add 1 (add 1 n)
 def test_only_a_leaked_add_may_differ(text):
     seen = assert_parsers_agree([text])
     assert seen["leak"] and not seen["parsed"]
+
+
+# ---------------------------------------------------------------------------
+# The one-call tokenizer against `tokenize`, which keeps every token's offset
+
+
+class _EagerOffsets(surface._Parser):
+    """The parser with every token's offset found up front, as it was
+    before offsets were found only for an error."""
+
+    def __init__(self, text: str, allow_labels: bool):
+        super().__init__(text, allow_labels)
+        self.offsets = surface.tokenize(text)[1]
+
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        return surface._error(message, self.text, self.offsets[self.pos if at is None else at])
+
+
+# what a random text is made of: tokens, comments (one at the end of the
+# input too), lone characters that are no token, non-ASCII letters and
+# digits, and Unicode whitespace
+_PIECES = ("(", ")", "{", "}", ",", ":", ";", "->", "=>", ":=", "add", "fun", "Type", "Nat",
+           "label", "axiom", "def", "l0", "l12", "_", "x", "y'", "x1", "0", "42",
+           "--", "-- c", "---", "-- x\n", "-", "=", ">", "'", "$", "é", "λ", "٣", "²",
+           " ", "\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", " ", " ",
+           "　")
+
+
+def _result(run):
+    try:
+        return run()
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.col)
+
+
+def test_random_texts_tokenize_and_fail_alike():
+    rng = random.Random(25)
+    seen = {"tokens": 0, "token error": 0, "parsed": 0, "parse error": 0}
+    for _ in range(200_000):
+        text = "".join(rng.choices(_PIECES, k=rng.randrange(9)))
+        tokens = _result(lambda: surface._tokens(text))
+        reference = _result(lambda: surface.tokenize(text)[0])
+        assert tokens == reference, text
+        if isinstance(tokens, tuple):
+            seen["token error"] += 1
+            continue
+        seen["tokens"] += 1
+        parsed = _result(lambda: parse_dcc(text))
+        assert parsed == _result(lambda: _EagerOffsets(text, allow_labels=True).file()), text
+        seen["parse error" if isinstance(parsed, tuple) else "parsed"] += 1
+    assert min(seen.values()) > 1000, seen
