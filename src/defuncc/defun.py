@@ -227,13 +227,14 @@ class Translation:
 
     def translate_context(self, ctx: Ctx) -> tuple[Ctx, tuple[int, ...]]:
         """Pointwise translation of a source context plus its definitions."""
-        out = prefix = Ctx()
+        out, prefix = [], Ctx()
         defs: tuple[int, ...] = ()
         for x, a in ctx:
             ta, da = self._translate_type(prefix, a)
-            out, prefix = out.extend(x, ta), prefix.extend(x, a)
+            out.append((x, ta))
+            prefix = prefix.extend(x, a)
             defs = _ordered_union(defs, da)
-        return out, defs
+        return Ctx(tuple(out)), defs
 
     def _type_labels(self, ctx: Ctx, ty: Term) -> tuple[int, ...]:
         """The definitions of a type read only for them (see the class)."""
@@ -350,17 +351,17 @@ def _ctx_facts(ctx: Ctx) -> tuple[bool, frozenset[str] | None, bool]:
     type is lambda-free, its names if every type is plain, and whether every
     type is a source term.  Kept on the context, as a term keeps its free
     variables; a context that `extend` made adds its last entry to its
-    parent's, so a chain of contexts reads each type once."""
-    todo = []  # ctx and the contexts it extends, up to the first with facts kept
-    while (facts := getattr(ctx, "_defun_facts", None)) is None:
+    parent's, so a chain of contexts reads each type once, and then drops
+    its link to the parent."""
+    todo, facts = [], None  # ctx and the contexts it extends, up to one with facts kept
+    while ctx is not None and (facts := getattr(ctx, "_defun_facts", None)) is None:
         todo.append(ctx)
         ctx = getattr(ctx, "_parent", None)
-        if ctx is None:
-            facts = (True, frozenset(), True)  # the empty context's
-            break
     for c in reversed(todo):
-        lam_free, names, source = facts
-        for x, a in c.entries[-1:] if hasattr(c, "_parent") else c.entries:
+        lam_free, names, source = facts or (True, frozenset(), True)  # or the empty context's
+        if facts is not None:  # c is linked to the context it extends: read once, so unlinked
+            object.__setattr__(c, "_parent", None)
+        for x, a in c.entries if facts is None else c.entries[-1:]:
             if uses_only(a, _PLAIN):  # so lambda-free and a source term too
                 names = None if names is None else names | {x}
             else:

@@ -7,7 +7,6 @@ matching l<digits> are reserved for labels in both dialects.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import string
@@ -94,9 +93,8 @@ def _show(t: Term, memo: dict[int, str], prec: int = _TERM) -> str:
     return f"({s})" if prec > _NEEDS.get(cls, _ATOM) else s
 
 
-def show_entry(e: LabelEntry, memo: dict[int, str] | None = None) -> str:
-    """A label block; `memo` is its document's, if it is part of one (see `_show`)."""
-    memo = {} if memo is None else memo
+def show_entry(e: LabelEntry, memo: dict[int, str]) -> str:
+    """A label block; `memo` is its document's (see `_show`)."""
     tele = ", ".join(f"{x} : {_show(a, memo)}" for x, a in e.telescope)
     return (
         f"label {label_name(e.label_id)} {{{tele}}} "
@@ -105,8 +103,7 @@ def show_entry(e: LabelEntry, memo: dict[int, str] | None = None) -> str:
     )
 
 
-def show_label_ctx(defs: LabelCtx, memo: dict[int, str] | None = None) -> str:
-    memo = {} if memo is None else memo
+def show_label_ctx(defs: LabelCtx, memo: dict[int, str]) -> str:
     return "\n".join(show_entry(e, memo) for e in defs)
 
 
@@ -123,20 +120,20 @@ def emit_text(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
 
 
 def emit_json(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
-    show = functools.partial(_show, memo={})
+    memo: dict[int, str] = {}
     doc = {
         "labels": [
             {
                 "name": label_name(e.label_id),
-                "fvs": [{"x": x, "type": show(a)} for x, a in e.telescope],
-                "arg": {"x": e.arg_name, "type": show(e.arg_type)},
-                "body": show(e.body),
-                "ret": show(e.ret_type),
+                "fvs": [{"x": x, "type": _show(a, memo)} for x, a in e.telescope],
+                "arg": {"x": e.arg_name, "type": _show(e.arg_type, memo)},
+                "body": _show(e.body, memo),
+                "ret": _show(e.ret_type, memo),
             }
             for e in defs
         ],
-        "context": [{"x": x, "type": show(a)} for x, a in ctx],
-        "term": None if term is None else show(term),
+        "context": [{"x": x, "type": _show(a, memo)} for x, a in ctx],
+        "term": None if term is None else _show(term, memo),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -145,18 +142,6 @@ def emit_json(defs: LabelCtx, ctx: Ctx, term: Term | None) -> str:
 # Tokenizer
 
 _KEYWORDS = {"fun", "axiom", "def", "label", "Type", "Nat", "add"}
-
-# A match skips whitespace and comments, then holds a token in the first
-# group, any other character in the second, or nothing at the end of the
-# text.  A token is an identifier or a keyword exactly when its first
-# character could start a Python identifier.
-_TOKEN_RE = re.compile(
-    r"""
-    (?: \s+ | --[^\n]* )*
-    (?: (-> | => | := | [0-9]+ | [A-Za-z_][A-Za-z0-9_']* | [(){},:;]) | (.) | $ )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
 
 # How "expected ..." names the tokens that are not named by their own text
 _TOKEN_NAMES = {"->": "arrow", "=>": "darrow", ":=": "assign"}
@@ -168,36 +153,29 @@ def _error(message: str, text: str, offset: int) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-# One match per token, comment or other non-space character (unexpected if no token)
-_FLAT_RE = re.compile(r"->|=>|:=|[0-9]+|[A-Za-z_][A-Za-z0-9_']*|[(){},:;]|--[^\n]*|\S")
+# One match per token, comment or other non-space character, which is
+# unexpected unless it is a token.  A token is an identifier or a keyword
+# exactly when its first character could start a Python identifier.
+_TOKEN_RE = re.compile(r"->|=>|:=|[0-9]+|[A-Za-z_][A-Za-z0-9_']*|[(){},:;]|--[^\n]*|\S")
 _ONE_CHAR_TOKENS = frozenset("(){},:;_0123456789" + string.ascii_letters)
 
 
 def _tokens(text: str) -> list[str]:
-    """The tokens of `text`, as `tokenize` finds them, in one regex call."""
-    tokens = _FLAT_RE.findall(text)
+    """The tokens of `text`, in one regex call; "" ends the input."""
+    tokens = _TOKEN_RE.findall(text)
     if "--" in text:
         tokens = [tok for tok in tokens if not tok.startswith("--")]
     if not all(len(tok) > 1 or tok in _ONE_CHAR_TOKENS for tok in set(tokens)):
-        tokenize(text)  # raises the error at the first unexpected character
+        for m in _TOKEN_RE.finditer(text):
+            if len(m[0]) == 1 and m[0] not in _ONE_CHAR_TOKENS:
+                raise _error(f"unexpected character {m[0]!r}", text, m.start())
     tokens.append("")
     return tokens
 
 
-def tokenize(text: str) -> tuple[list[str], list[int]]:
-    """The tokens of `text` and their start offsets; "" ends the input."""
-    tokens: list[str] = []
-    offsets: list[int] = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            tokens.append(m.group(1))
-            offsets.append(m.start(1))
-        elif group:
-            raise _error(f"unexpected character {m.group(2)!r}", text, m.start(2))
-    tokens.append("")
-    offsets.append(len(text))
-    return tokens, offsets
+def _offsets(text: str) -> list[int]:
+    """Where each of the tokens of `text` starts: found only for an error."""
+    return [m.start() for m in _TOKEN_RE.finditer(text) if not m[0].startswith("--")] + [len(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +200,7 @@ class _Parser:
         return self.tokens[self.pos + ahead]
 
     def fail(self, message: str, at: int | None = None) -> ParseError:
-        offsets = tokenize(self.text)[1]
-        return _error(message, self.text, offsets[self.pos if at is None else at])
+        return _error(message, self.text, _offsets(self.text)[self.pos if at is None else at])
 
     def unexpected(self, want: str) -> ParseError:
         return self.fail(f"expected {want}, found {self.peek() or 'end of input'!r}")
@@ -436,18 +413,18 @@ class SourceFile:
         definition bodies are checked (elsewhere) against their annotations.
         """
         expansion: dict[str, Term] = {}
-        ctx = Ctx()
+        axioms: list[tuple[str, Term]] = []
         checked: list[tuple[str, Term, Term]] = []
         for name, ty, body in self.decls:
             ty = subst_many(ty, expansion)
             if body is None:
-                ctx = ctx.extend(name, ty)
+                axioms.append((name, ty))
             else:
                 body = subst_many(body, expansion)
                 checked.append((name, ty, body))
                 expansion[name] = body
         main = None if self.main is None else subst_many(self.main, expansion)
-        return Elaborated(ctx=ctx, defs=tuple(checked), labels=self.labels, main=main)
+        return Elaborated(ctx=Ctx(tuple(axioms)), defs=tuple(checked), labels=self.labels, main=main)
 
 
 @dataclass(frozen=True)

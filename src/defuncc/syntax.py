@@ -462,7 +462,8 @@ class Ctx(_Entries):
 
     def extend(self, name: str, ty: Term) -> "Ctx":
         """This context and one more entry, linked to this one (`_parent`, not
-        a field), so what is kept on a context can grow from its parent's."""
+        a field) until `defun._ctx_facts` grows the child's facts from its
+        parent's; so a context kept long is built whole, not by `extend`."""
         child = _new(Ctx)  # set directly: as fast as the frozen __init__ alone
         _set(child, "entries", self.entries + ((name, ty),))
         _set(child, "_parent", self)

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import operator
 import sys
+import weakref
 
 import pytest
 
@@ -731,6 +732,29 @@ class TestShortcutFacts:
                 seen.clear()
                 assert defun_module._ctx_facts(fresh) == reference_ctx_facts(fresh)
                 assert {id(t) for t in seen} == {id(a) for _, a in fresh}
+
+    def test_no_kept_context_keeps_the_chain_it_was_built_from(self):
+        """A context `extend` made links to its parent only until its facts
+        are read, and a file's axioms and a translated context are built
+        whole: no chain of N contexts, each with its own N-long entries,
+        stays alive behind the last one."""
+        n = 300
+        made = [Ctx()]
+        for i in range(n):
+            made.append(made[-1].extend(f"x{i}", NatType()))
+        last, earlier = made[-1], [weakref.ref(c) for c in made[:-1]]
+        del made
+        assert all(ref() is not None for ref in earlier)  # linked, not yet read
+        assert defun_module._ctx_facts(last) == reference_ctx_facts(last)
+        assert [ref for ref in earlier if ref() is not None] == []
+        assert defun_module._ctx_facts(last) == reference_ctx_facts(last)
+        source = parse_source("".join(f"axiom x{i} : Nat -> Nat;\n" for i in range(n)) + "x0")
+        elaborated = source.elaborate()
+        assert len(elaborated.ctx) == n and not hasattr(elaborated.ctx, "_parent")
+        result = defun(elaborated.ctx, elaborated.main)
+        out, _ = result.run.translate_context(elaborated.ctx)
+        assert len(out) == len(result.dcc_ctx) == n
+        assert [c for c in (out, result.dcc_ctx) if hasattr(c, "_parent")] == []
 
     def test_a_deep_pi_chain_read_as_a_return_type(self):
         """The binder table has no recursion: the return type of

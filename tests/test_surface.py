@@ -213,7 +213,7 @@ class TestEmitters:
 
     def test_entry_rendering_shape(self, translated):
         entry = translated.defs.lookup(2)
-        line = show_entry(entry)
+        line = show_entry(entry, {})
         assert line.startswith("label l2 {")
         assert "(x : A) -> C := f (g x);" in line
 

@@ -405,19 +405,22 @@ def test_only_a_leaked_add_may_differ(text):
 
 
 # ---------------------------------------------------------------------------
-# The one-call tokenizer against `tokenize`, which keeps every token's offset
+# The one-call tokenizer against the reference, which keeps every token's
+# line and column
 
 
-class _EagerOffsets(surface._Parser):
-    """The parser with every token's offset found up front, as it was
-    before offsets were found only for an error."""
+class _EagerPositions(surface._Parser):
+    """The parser with every token's line and column found up front by the
+    reference tokenizer, as it was before offsets were found only for an
+    error."""
 
     def __init__(self, text: str, allow_labels: bool):
         super().__init__(text, allow_labels)
-        self.offsets = surface.tokenize(text)[1]
+        self.positions = tokenize(text)
 
     def fail(self, message: str, at: int | None = None) -> ParseError:
-        return surface._error(message, self.text, self.offsets[self.pos if at is None else at])
+        tok = self.positions[self.pos if at is None else at]
+        return ParseError(message, tok.line, tok.col)
 
 
 # what a random text is made of: tokens, comments (one at the end of the
@@ -443,13 +446,13 @@ def test_random_texts_tokenize_and_fail_alike():
     for _ in range(200_000):
         text = "".join(rng.choices(_PIECES, k=rng.randrange(9)))
         tokens = _result(lambda: surface._tokens(text))
-        reference = _result(lambda: surface.tokenize(text)[0])
+        reference = _result(lambda: [tok.text for tok in tokenize(text)])
         assert tokens == reference, text
         if isinstance(tokens, tuple):
             seen["token error"] += 1
             continue
         seen["tokens"] += 1
         parsed = _result(lambda: parse_dcc(text))
-        assert parsed == _result(lambda: _EagerOffsets(text, allow_labels=True).file()), text
+        assert parsed == _result(lambda: _EagerPositions(text, allow_labels=True).file()), text
         seen["parse error" if isinstance(parsed, tuple) else "parsed"] += 1
     assert min(seen.values()) > 1000, seen
