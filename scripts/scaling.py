@@ -13,7 +13,10 @@ of these, each time the best of 3 runs:
 - the six metatheory checks on Vec chains, on nested `twice` and on the
   nested lambdas (a wide program: its label context prints n(n+1)/2
   return-type nodes), with the commuting-diagram report's σ-steps and
-  labels beside each time.
+  labels beside each time;
+- `harness.enumerate_small_terms` at size budgets 3, 5 and 7, with the
+  judgements it kept beside each time (size 7 takes about a minute:
+  three timed runs and one more for the count).
 
 Each time is printed twice: `cpu_s` is the run's CPU seconds, and
 `scaled_s` the same time at the benchmark's nominal host speed, as
@@ -153,14 +156,27 @@ def six_checks(source):
 
 
 def diagram_counts(source):
-    """The commuting-diagram report's σ-steps and labels, outside the timing."""
+    """The column names of the commuting-diagram report's σ-steps and labels,
+    and a function giving them at size n, outside the timing."""
 
     def counts(n: int) -> tuple[int, int]:
         elab = parse_source(source(n)).elaborate()
         report = check_diagram(Judgement(elab.ctx, elab.main))
         return report.sigma_steps, report.labels
 
-    return counts
+    return ("sigma_steps", "labels"), counts
+
+
+def enumeration(n: int, work: Path):
+    def run():
+        return len(harness.enumerate_small_terms(harness.EnumConfig(size_budget=n))) > 0
+
+    return lambda: run
+
+
+def enumeration_kept(n: int) -> tuple[int]:
+    """How many judgements the enumeration at size n keeps, outside the timing."""
+    return (len(harness.enumerate_small_terms(harness.EnumConfig(size_budget=n))),)
 
 
 FAMILIES = [
@@ -171,22 +187,25 @@ FAMILIES = [
      diagram_counts(twice_source)),
     ("six checks, nested lambdas", six_checks(lambda_source), (60, 120, 240, 480),
      diagram_counts(lambda_source)),
+    ("enumeration", enumeration, (3, 5, 7), (("kept",), enumeration_kept)),
 ]
 
 
 def main() -> int:
     print(f"src/defuncc/*.py: {src_lines()} lines\n", flush=True)
-    curves = []  # per family: (n, its best run or None, its diagram counts or None)
+    curves = []  # per family: (n, its best run or None, its counts or None)
     with tempfile.TemporaryDirectory() as tmp, speed_meter() as speed:
-        for _, make, sizes, counts in FAMILIES:
+        for _, make, sizes, counted in FAMILIES:
             curve = []
             for n in sizes:
                 best = best_cpu(make(n, Path(tmp)), speed)
-                curve.append((n, best, counts(n) if counts and best else None))
+                curve.append((n, best, counted[1](n) if counted and best else None))
             curves.append(curve)
     failed = False
-    for (title, _, _, counts), curve in zip(FAMILIES, curves):
-        extra = f"  {'sigma_steps':>11}  {'labels':>6}" if counts else ""
+    for (title, _, _, counted), curve in zip(FAMILIES, curves):
+        columns = counted[0] if counted else ()
+        widths = [max(len(c), 6) for c in columns]
+        extra = "".join(f"  {c:>{w}}" for c, w in zip(columns, widths))
         print(f"{title}\n{'n':>5}  {'cpu_s':>8}  {'scaled_s':>8}{extra}")
         for n, best, count in curve:
             failed = failed or best is None
@@ -195,7 +214,7 @@ def main() -> int:
                 continue
             cpu, start, end = best
             line = f"{n:>5}  {cpu:>8.3f}  {speed.scaled(start, end):>8.3f}"
-            print(line + (f"  {count[0]:>11}  {count[1]:>6}" if count else ""))
+            print(line + "".join(f"  {v:>{w}}" for v, w in zip(count or (), widths)))
         print()
     return 1 if failed else 0
 

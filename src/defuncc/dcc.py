@@ -30,7 +30,7 @@ from .kernel import (
     infer_type,
     normalize,
 )
-from .surface import label_name, show_term
+from .surface import label_name
 from .syntax import (
     Add,
     App,
@@ -91,9 +91,7 @@ def dcc_calculus(defs: LabelCtx, table: dict | None = None) -> Calculus:
             want = subst_many(ak, mapping)
             got = infer(calc, ctx, mk, b).type
             if not convertible(calc, got, want, b):
-                raise ClosureTypeMismatch(
-                    label_name(t.label_id), k, show_term(want), show_term(got)
-                )
+                raise ClosureTypeMismatch(label_name(t.label_id), k, want, got)
             if xk in closure:
                 mapping[xk] = mk
         ty = subst_many(Pi(e.arg_name, e.arg_type, e.ret_type), closure)

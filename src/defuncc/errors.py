@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .syntax import Term
+
 
 class DefunccError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,6 +43,15 @@ class TypeCheckError(DefunccError):
     """Base class for judgement failures in any of the calculi."""
 
 
+def _text(t: Term) -> str:
+    """t as surface text.  The failures that name terms keep them and print
+    them only when their message is read (a search that drops its failures
+    prints none); `surface` imports this module, so it is imported here."""
+    from .surface import show_term
+
+    return show_term(t)
+
+
 class UnboundVariable(TypeCheckError):
     def __init__(self, name: str):
         self.name = name
@@ -48,27 +59,62 @@ class UnboundVariable(TypeCheckError):
 
 
 class NotAFunction(TypeCheckError):
-    def __init__(self, detail: str):
-        super().__init__(f"application head is not a function: {detail}")
+    """An application whose head `fn` has type `fn_type`, no function type."""
+
+    def __init__(self, fn: Term, fn_type: Term):
+        super().__init__(fn, fn_type)
+
+    def __str__(self) -> str:
+        fn, fn_type = self.args
+        return f"application head is not a function: {_text(fn)} has type {_text(fn_type)}"
 
 
 class TypeMismatch(TypeCheckError):
-    def __init__(self, expected: str, actual: str, where: str = ""):
-        self.expected = expected
-        self.actual = actual
+    def __init__(self, expected: Term, actual: Term, where: str = ""):
+        super().__init__(expected, actual, where)
+
+    @property
+    def expected(self) -> str:
+        return _text(self.args[0])
+
+    @property
+    def actual(self) -> str:
+        return _text(self.args[1])
+
+    def __str__(self) -> str:
+        where = self.args[2]
         suffix = f" in {where}" if where else ""
-        super().__init__(f"type mismatch{suffix}: expected {expected}, got {actual}")
+        return f"type mismatch{suffix}: expected {self.expected}, got {self.actual}"
 
 
 class NotAType(TypeCheckError):
-    def __init__(self, detail: str):
-        super().__init__(f"expected a type (a term of some universe): {detail}")
+    """`subject` has type `ty`, no universe; with no `ty`, the subject's
+    constructor is not part of the `calculus` calculus."""
+
+    def __init__(self, subject: Term, ty: Term | None = None, calculus: str = ""):
+        super().__init__(subject, ty, calculus)
+
+    def __str__(self) -> str:
+        subject, ty, calculus = self.args
+        detail = (
+            f"constructor not part of the {calculus} calculus: {_text(subject)}"
+            if ty is None
+            else f"{_text(subject)} has type {_text(ty)}"
+        )
+        return f"expected a type (a term of some universe): {detail}"
 
 
 class AnnotationMismatch(TypeCheckError):
-    def __init__(self, name: str, body_type: str, annotation: str):
-        self.body_type = body_type
-        super().__init__(f"def {name}: body has type {body_type}, annotation says {annotation}")
+    def __init__(self, name: str, body_type: Term, annotation: Term):
+        super().__init__(name, body_type, annotation)
+
+    @property
+    def body_type(self) -> str:
+        return _text(self.args[1])
+
+    def __str__(self) -> str:
+        name, _, annotation = self.args
+        return f"def {name}: body has type {self.body_type}, annotation says {_text(annotation)}"
 
 
 class UnknownLabel(TypeCheckError):
@@ -85,9 +131,14 @@ class ClosureArity(TypeCheckError):
 
 
 class ClosureTypeMismatch(TypeCheckError):
-    def __init__(self, label: str, index: int, expected: str, actual: str):
-        super().__init__(
-            f"closure argument {index} of {label}: expected {expected}, got {actual}"
+    def __init__(self, label: str, index: int, expected: Term, actual: Term):
+        super().__init__(label, index, expected, actual)
+
+    def __str__(self) -> str:
+        label, index, expected, actual = self.args
+        return (
+            f"closure argument {index} of {label}: "
+            f"expected {_text(expected)}, got {_text(actual)}"
         )
 
 

@@ -248,22 +248,67 @@ def _raw_terms(
     return out
 
 
+def _a_universe(ty: Term) -> bool:
+    """Whether ty normalizes to a universe within the enumeration budget."""
+    try:
+        return isinstance(cc_normalize(ty, ENUM_INFER_BUDGET), Universe)
+    except StepBudgetExceeded:
+        return False
+
+
+def _a_premise_fails(t: Term, infers: set[int], types: set[int]) -> bool:
+    """Whether a premise `kernel.infer` derives for t under t's own context
+    failed alone: a part of an application or addition that does not infer
+    (is not in `infers`), or a product's or lambda's domain that is no type
+    (is not in `types`); both sets hold ids of smaller candidates."""
+    tt = type(t)
+    if tt is App:
+        return id(t.fn) not in infers or id(t.arg) not in infers
+    if tt is Add:
+        return id(t.lhs) not in infers or id(t.rhs) not in infers
+    if tt is Pi or tt is Lam:
+        return id(t.domain) not in types
+    return False
+
+
 def enumerate_small_terms(cfg: EnumConfig = EnumConfig()) -> list[tuple[Ctx, Term]]:
     """All well-typed judgements over the seed contexts up to the size budget.
 
     Every alpha-distinct raw term within the budget is produced exactly once
     (binder names are fixed by depth) and kept iff it typechecks.
+
+    A candidate is not inferred when a premise under its own context failed
+    alone: a part of an application or addition that does not infer, or a
+    product's or lambda's domain that is no type.  (A codomain or body is
+    read under a longer context, so it is not consulted.)  The verdicts are
+    kept by identity for the candidates of at most `size_budget - 2`, the
+    largest a premise can be; `_raw_terms`' memo keeps them alive.  This is
+    exact: `kernel.infer` derives the first premise from an unspent budget
+    and the later ones on the same budget, so a premise that fails alone, by
+    a type error or by running out of steps, fails inside the candidate too.
+    Enumeration binders `b<depth>` are no seed context's names, so
+    `freshen_binder` rewrites no candidate, and the kept judgements come out
+    in the order the candidates are produced.
     """
     out: list[tuple[Ctx, Term]] = []
     memo: dict = {}
     for ctx in seed_contexts():
+        infers: set[int] = set()  # premise-sized candidates that infer
+        types: set[int] = set()  # those of them whose type is a universe
         for size in range(1, cfg.size_budget + 1):
+            premise_sized = size <= cfg.size_budget - 2
             for t in _raw_terms(ctx.names(), size, 0, memo):
+                if _a_premise_fails(t, infers, types):
+                    continue
                 try:
-                    cc_infer(ctx, t, ENUM_INFER_BUDGET, check_ctx=False)
+                    d = cc_infer(ctx, t, ENUM_INFER_BUDGET, check_ctx=False)
                 except (TypeCheckError, StepBudgetExceeded):
                     continue
                 out.append((ctx, t))
+                if premise_sized:
+                    infers.add(id(t))
+                    if _a_universe(d.type):
+                        types.add(id(t))
     return out
 
 
@@ -304,7 +349,7 @@ def check_annotations(
             d = cc_infer(elab.ctx, body, budget, check_ctx=False)
             cc_infer(elab.ctx, annot, budget, check_ctx=False)
             if not cc_equiv(d.type, annot, budget):
-                error = AnnotationMismatch(name, show_term(d.type), show_term(annot))
+                error = AnnotationMismatch(name, d.type, annot)
         except DefunccError as exc:
             error = exc
         yield name, error

@@ -23,7 +23,6 @@ from .errors import (
     TypeMismatch,
     UnboundVariable,
 )
-from .surface import show_term
 from .syntax import (
     NAT,
     Add,
@@ -285,7 +284,7 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
     term has one type and one step count in every context.  A binder bound
     in ctx is renamed, but for `_`: no variable is named `_`, so none is captured."""
     if type(t) not in calc.allowed:
-        raise NotAType(f"constructor not part of the {calc.name} calculus: {show_term(t)}")
+        raise NotAType(t, calculus=calc.name)
     table = calc.table
     if table is not None and calc.closed_table:  # an open term is not tabled
         table, ctx = (None, ctx) if free_vars(t) else (table, Ctx())
@@ -329,7 +328,7 @@ def infer(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> Derivation:
             if not isinstance(fn_ty, Pi):
                 w = normalize(calc, fn_ty, b)
                 if not isinstance(w, Pi):
-                    raise NotAFunction(f"{show_term(fn)} has type {show_term(fn_ty)}")
+                    raise NotAFunction(fn, fn_ty)
                 dm = _conversion(ctx, dm, fn, w)
                 fn_ty = w
             dn = coerce(calc, ctx, infer(calc, ctx, arg, b), fn_ty.domain, b, "argument")
@@ -354,7 +353,7 @@ def infer_type(calc: Calculus, ctx: Ctx, t: Term, b: Budget) -> tuple[Derivation
     w = normalize(calc, d.type, b)
     if isinstance(w, Universe):
         return _conversion(ctx, d, t, w), w.level
-    raise NotAType(f"{show_term(t)} has type {show_term(d.type)}")
+    raise NotAType(t, d.type)
 
 
 def coerce(
@@ -364,7 +363,7 @@ def coerce(
     if alpha_eq(d.type, want):
         return d
     if not convertible(calc, d.type, want, b):
-        raise TypeMismatch(show_term(want), show_term(d.type), where)
+        raise TypeMismatch(want, d.type, where)
     return _conversion(ctx, d, d.subject, want)
 
 

@@ -6,14 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from defuncc import harness, kernel
+from defuncc import harness, kernel, surface
 from defuncc.cc import CC, cc_infer, cc_normalize
-from defuncc.dcc import dcc_equiv, dcc_normalize
-from defuncc.errors import DefunccError, NestingTooDeep
+from defuncc.dcc import dcc_equiv, dcc_infer, dcc_normalize
+from defuncc.errors import (
+    AnnotationMismatch,
+    ClosureTypeMismatch,
+    DefunccError,
+    NestingTooDeep,
+    NotAFunction,
+    NotAType,
+    StepBudgetExceeded,
+    TypeCheckError,
+    TypeMismatch,
+)
 from defuncc.harness import (
     ALL_CHECKS,
     CheckResult,
     EnumConfig,
+    check_annotations,
     check_reduction_preservation,
     check_round_trip,
     check_type_preservation,
@@ -24,14 +35,18 @@ from defuncc.harness import (
     verify_file,
     verify_path,
 )
-from defuncc.kernel import DEFAULT_BUDGET, reduce_step
-from defuncc.surface import parse_term, show_term
+from defuncc.kernel import DEFAULT_BUDGET, Budget, coerce, reduce_step
+from defuncc.surface import parse_dcc, parse_source, parse_term, show_term
 from defuncc.syntax import (
+    NAT,
     Add,
+    App,
     Ctx,
+    Label,
     Lam,
     NatLit,
     NatType,
+    Pi,
     Universe,
     Var,
     _ordered_union,
@@ -403,6 +418,93 @@ class TestEnumeration:
         six = enumerate_small_terms(EnumConfig(size_budget=6))
         assert len(five) == 2525
         assert five == six
+
+
+def naive_enumeration(size_budget: int) -> list:
+    """Every `_raw_terms` candidate through `cc_infer`, in order: the
+    enumeration without its premise pruning."""
+    out, memo = [], {}
+    for ctx in seed_contexts():
+        for size in range(1, size_budget + 1):
+            for t in harness._raw_terms(ctx.names(), size, 0, memo):
+                try:
+                    cc_infer(ctx, t, harness.ENUM_INFER_BUDGET, check_ctx=False)
+                except (TypeCheckError, StepBudgetExceeded):
+                    continue
+                out.append((ctx, t))
+    return out
+
+
+class TestEnumerationPruning:
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    def test_pruning_keeps_what_inference_keeps(self, size):
+        assert enumerate_small_terms(EnumConfig(size_budget=size)) == naive_enumeration(size)
+
+    def test_the_enumeration_prints_no_term(self, monkeypatch):
+        """Rejected candidates' failures are never read, so none is
+        formatted: `show_term` is not called, nor `_show`, which every
+        printer reaches."""
+        calls = []
+        for name in ("show_term", "_show"):
+            real = getattr(surface, name)
+            monkeypatch.setattr(
+                surface, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        assert len(enumerate_small_terms(EnumConfig(size_budget=6))) == 2525
+        assert calls == []
+
+
+def _failure(judge):
+    with pytest.raises(TypeCheckError) as info:
+        judge()
+    return info.value
+
+
+class TestFailureText:
+    """Failures that name terms print them only when read, in the same text."""
+
+    def test_a_constructor_outside_the_calculus(self):
+        exc = _failure(lambda: cc_infer(Ctx(), Label(0, ())))
+        assert type(exc) is NotAType
+        assert str(exc) == (
+            "expected a type (a term of some universe): "
+            "constructor not part of the source calculus: l0{}"
+        )
+
+    def test_a_head_that_is_no_function(self):
+        exc = _failure(lambda: cc_infer(Ctx(), App(NatLit(1), NatLit(1))))
+        assert type(exc) is NotAFunction
+        assert str(exc) == "application head is not a function: 1 has type Nat"
+
+    def test_a_domain_that_is_no_type(self):
+        exc = _failure(lambda: cc_infer(Ctx(), Pi("x", NatLit(1), NAT)))
+        assert type(exc) is NotAType
+        assert str(exc) == "expected a type (a term of some universe): 1 has type Nat"
+
+    def test_a_mismatch_in_a_named_place(self):
+        exc = _failure(lambda: cc_infer(Ctx(), Add(NatLit(1), NAT)))
+        assert type(exc) is TypeMismatch
+        assert str(exc) == "type mismatch in right operand of add: expected Nat, got Type 0"
+        assert (exc.expected, exc.actual) == ("Nat", "Type 0")
+
+    def test_a_mismatch_in_no_named_place(self):
+        d = cc_infer(Ctx(), NAT)
+        exc = _failure(lambda: coerce(CC, Ctx(), d, NAT, Budget(DEFAULT_BUDGET), ""))
+        assert type(exc) is TypeMismatch
+        assert str(exc) == "type mismatch: expected Nat, got Type 0"
+
+    def test_a_closure_argument_of_the_wrong_type(self):
+        elab = parse_dcc("label l0 {n : Nat} (x : Nat) -> Nat := add n x;\nl0{Nat} 3\n").elaborate()
+        exc = _failure(lambda: dcc_infer(elab.labels, elab.ctx, elab.main))
+        assert type(exc) is ClosureTypeMismatch
+        assert str(exc) == "closure argument 0 of l0: expected Nat, got Type 0"
+
+    def test_a_body_that_does_not_meet_its_annotation(self):
+        elab = parse_source("def g : Type 0 := add 1 2;\n").elaborate()
+        [(name, exc)] = check_annotations(elab)
+        assert (name, type(exc)) == ("g", AnnotationMismatch)
+        assert str(exc) == "def g: body has type Nat, annotation says Type 0"
+        assert exc.body_type == "Nat"
 
 
 class TestVerification:
