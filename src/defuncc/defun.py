@@ -45,6 +45,10 @@ from .syntax import (
 
 _LAM_FREE = SIGMA.allowed - {Lam}  # a type built from these mints no label
 _PLAIN = frozenset({Var, Universe, NatType, NatLit, Pi, App})  # ... and holds no redex either
+# a context's facts (see `Translation`): every type is lambda-free, its names
+# if every type is plain, every type is a source term
+_Facts = tuple[bool, frozenset[str] | None, bool]
+_EMPTY_FACTS: _Facts = (True, frozenset(), True)
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,12 @@ class Translation:
     only when it is already bound and is not `_` (`kernel.infer`), so the
     subject it rebuilds is the type itself; and the types read are checked
     context entries or inferred types, so the derivation cannot fail.
-    What the shortcuts ask of a context is kept on it, growing along
-    `Ctx.extend` (`_ctx_facts`); what they ask of a type is kept in the run,
-    and a walk stops at a type read before (`_plain_binders`): the restated
-    contexts and return types of nested lambdas are read once.
+    What the shortcuts ask of a context, its facts, goes down the walk with
+    it: a premise whose context adds the names its rule binds (a Π's
+    codomain, a lambda's body, a suspension's subject; `kernel.infer`) gets
+    the facts grown by those entries (`_grow`), any other its conclusion's.
+    What they ask of a type is kept in the run, and a walk stops at a type
+    read before (`_plain_binders`): nested lambdas' return types are read once.
 
     The run derives through one inference table per calculus, so each
     `(ctx, type)` is derived once and a repeat read gets the same derivation
@@ -163,42 +169,46 @@ class Translation:
 
     def translate(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
         """Translated term plus the extracted definitions (provisional ids)."""
+        return self._walk(deriv, _grow(_EMPTY_FACTS, deriv.ctx.entries))
+
+    def _walk(self, deriv: Derivation, facts: _Facts) -> tuple[Term, tuple[int, ...]]:
+        """`translate`, given the facts of `deriv.ctx`."""
         hit = self._done.get(id(deriv))
         if hit is not None:
             return hit[1]
         rule = deriv.rule
         ch = deriv.children
         if rule == "ty-Var":
-            out = deriv.subject, self._type_labels(deriv.ctx, deriv.type)
+            out = deriv.subject, self._type_labels(deriv.ctx, facts, deriv.type)
         elif rule in ("ty-Universe", "ty-Nat", "ty-NatLit"):
             out = deriv.subject, ()
         elif rule == "ty-Add":
-            tl, dl = self.translate(ch[0])
-            tr, dr = self.translate(ch[1])
+            tl, dl = self._walk(ch[0], facts)
+            tr, dr = self._walk(ch[1], facts)
             out = Add(tl, tr), _ordered_union(dl, dr)
         elif rule == "ty-Pi":
-            ta, da = self.translate(ch[0])
-            tb, db = self.translate(ch[1])
+            ta, da = self._walk(ch[0], facts)
+            tb, db = self._walk(ch[1], _grow(facts, ch[1].ctx.entries[len(deriv.ctx):]))
             assert isinstance(deriv.subject, Pi)
             out = Pi(deriv.subject.binder, ta, tb), _ordered_union(da, db)
         elif rule == "ty-Lambda":
-            out = self._translate_lambda(deriv)
+            out = self._translate_lambda(deriv, facts)
         elif rule == "ty-Apply":
-            tm, dm = self.translate(ch[0])
-            tn, dn = self.translate(ch[1])
-            dty = self._type_labels(deriv.ctx, deriv.type)
+            tm, dm = self._walk(ch[0], facts)
+            tn, dn = self._walk(ch[1], facts)
+            dty = self._type_labels(deriv.ctx, facts, deriv.type)
             out = App(tm, tn), _ordered_union(dm, dn, dty)
         elif rule == "ty-Equiv":
-            tm, dm = self.translate(ch[0])
-            dty = self._type_labels(deriv.ctx, deriv.type)
+            tm, dm = self._walk(ch[0], facts)
+            dty = self._type_labels(deriv.ctx, facts, deriv.type)
             out = tm, _ordered_union(dm, dty)
         elif rule == "s-ty-Subst":
-            tm, dm = self.translate(ch[0])
+            tm, dm = self._walk(ch[0], _grow(facts, ch[0].ctx.entries[len(deriv.ctx):]))
             assert isinstance(deriv.subject, ESubst)
             mapping: dict[str, Term] = {}
             parts = [dm]
             for sb, child in zip(deriv.subject.bindings, ch[1:]):
-                tv, dv = self.translate(child)
+                tv, dv = self._walk(child, facts)
                 mapping[sb.name] = tv
                 parts.append(dv)
             self.subst_nodes += 1
@@ -208,17 +218,18 @@ class Translation:
         self._done[id(deriv)] = (deriv, out)
         return out
 
-    def _translate_lambda(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
+    def _translate_lambda(self, deriv: Derivation, facts: _Facts) -> tuple[Term, tuple[int, ...]]:
         stamp = self._stamp
         self._stamp += 1
         da_deriv, dm_deriv = deriv.children
-        ta, da = self.translate(da_deriv)
-        tm, dm = self.translate(dm_deriv)
+        body_facts = _grow(facts, dm_deriv.ctx.entries[len(deriv.ctx):])
+        ta, da = self._walk(da_deriv, facts)
+        tm, dm = self._walk(dm_deriv, body_facts)
         subject = deriv.subject
         assert isinstance(subject, Lam)
         tele = fv_telescope(deriv.ctx, subject, deriv.type)
-        tele_t = tuple((x, self._translate_type(deriv.ctx, a)[0]) for x, a in tele)
-        tb, _ = self._translate_type(dm_deriv.ctx, dm_deriv.type)
+        tele_t = tuple((x, self._translate_type(deriv.ctx, facts, a)[0]) for x, a in tele)
+        tb, _ = self._translate_type(dm_deriv.ctx, body_facts, dm_deriv.type)
         pid = self._mint(
             LabelEntry(-1, tele_t, subject.binder, ta, tm, tb), stamp
         )
@@ -227,30 +238,34 @@ class Translation:
 
     def translate_context(self, ctx: Ctx) -> tuple[Ctx, tuple[int, ...]]:
         """Pointwise translation of a source context plus its definitions."""
-        out, prefix = [], Ctx()
+        return self._translate_context(ctx)[:2]
+
+    def _translate_context(self, ctx: Ctx) -> tuple[Ctx, tuple[int, ...], _Facts]:
+        """`translate_context`, and the facts of ctx."""
+        out, prefix, facts = [], Ctx(), _EMPTY_FACTS
         defs: tuple[int, ...] = ()
         for x, a in ctx:
-            ta, da = self._translate_type(prefix, a)
+            ta, da = self._translate_type(prefix, facts, a)
             out.append((x, ta))
-            prefix = prefix.extend(x, a)
+            prefix, facts = prefix.extend(x, a), _grow(facts, ((x, a),))
             defs = _ordered_union(defs, da)
-        return Ctx(tuple(out)), defs
+        return Ctx(tuple(out)), defs, facts
 
-    def _type_labels(self, ctx: Ctx, ty: Term) -> tuple[int, ...]:
+    def _type_labels(self, ctx: Ctx, facts: _Facts, ty: Term) -> tuple[int, ...]:
         """The definitions of a type read only for them (see the class)."""
-        if _ctx_facts(ctx)[0] and uses_only(ty, _LAM_FREE):
+        if facts[0] and uses_only(ty, _LAM_FREE):
             return ()
-        return self._translate_type(ctx, ty)[1]
+        return self._translate_type(ctx, facts, ty)[1]
 
-    def _translate_type(self, ctx: Ctx, ty: Term) -> tuple[Term, tuple[int, ...]]:
+    def _translate_type(self, ctx: Ctx, facts: _Facts, ty: Term) -> tuple[Term, tuple[int, ...]]:
         """Translate a type the walk reads: a plain one is itself (see the
         class), any other goes through its derivation."""
-        names = _ctx_facts(ctx)[1]
+        names = facts[1]
         if names is not None:
             binders = self._plain_binders(ty)
             if binders is not None and names.isdisjoint(binders):
                 return ty, ()
-        return self.translate(self._derive(ctx, ty))
+        return self._walk(self._derive(ctx, facts, ty), facts)
 
     def _plain_binders(self, ty: Term) -> frozenset[str] | None:
         """The `Pi` binders of ty but `_`, or None if ty is not built from
@@ -284,11 +299,11 @@ class Translation:
             memo[id(ty)] = ty, None if binders is None else frozenset(binders)
         return memo[id(ty)][1]
 
-    def _derive(self, ctx: Ctx, ty: Term) -> Derivation:
+    def _derive(self, ctx: Ctx, facts: _Facts, ty: Term) -> Derivation:
         """The derivation of a type, under a fresh budget.  Source inference
         can neither reduce nor enter a suspension, so it takes only a type
         whose context holds none either."""
-        if _ctx_facts(ctx)[2] and uses_only(ty, CC_TERMS):
+        if facts[2] and uses_only(ty, CC_TERMS):
             calc = self._cc = self._cc or replace(CC, table={})
         else:
             calc = self.sigma
@@ -346,30 +361,16 @@ class Renumbering:
         return Ctx(tuple((x, self.term(a)) for x, a in c))
 
 
-def _ctx_facts(ctx: Ctx) -> tuple[bool, frozenset[str] | None, bool]:
-    """What the shortcuts ask of a context (see `Translation`): whether every
-    type is lambda-free, its names if every type is plain, and whether every
-    type is a source term.  Kept on the context, as a term keeps its free
-    variables; a context that `extend` made adds its last entry to its
-    parent's, so a chain of contexts reads each type once, and then drops
-    its link to the parent."""
-    todo, facts = [], None  # ctx and the contexts it extends, up to one with facts kept
-    while ctx is not None and (facts := getattr(ctx, "_defun_facts", None)) is None:
-        todo.append(ctx)
-        ctx = getattr(ctx, "_parent", None)
-    for c in reversed(todo):
-        lam_free, names, source = facts or (True, frozenset(), True)  # or the empty context's
-        if facts is not None:  # c is linked to the context it extends: read once, so unlinked
-            object.__setattr__(c, "_parent", None)
-        for x, a in c.entries if facts is None else c.entries[-1:]:
-            if uses_only(a, _PLAIN):  # so lambda-free and a source term too
-                names = None if names is None else names | {x}
-            else:
-                lam_free = lam_free and uses_only(a, _LAM_FREE)
-                names, source = None, source and uses_only(a, CC_TERMS)
-        facts = lam_free, names, source
-        object.__setattr__(c, "_defun_facts", facts)  # the context is frozen
-    return facts
+def _grow(facts: _Facts, entries: Iterable[tuple[str, Term]]) -> _Facts:
+    """The facts of a context with these entries appended, from its own."""
+    lam_free, names, source = facts
+    for x, a in entries:
+        if uses_only(a, _PLAIN):  # so lambda-free and a source term too
+            names = None if names is None else names | {x}
+        else:
+            lam_free = lam_free and uses_only(a, _LAM_FREE)
+            names, source = None, source and uses_only(a, CC_TERMS)
+    return lam_free, names, source
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +381,9 @@ def defun(ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET) -> TranslationResu
     """Translate a judgement: context first, then the term, then its type."""
     deriv = cc_infer(ctx, term, budget)
     run = Translation(budget)
-    dcc_ctx, ctx_pids = run.translate_context(ctx)
-    term_t, term_pids = run.translate(deriv)
-    type_t, type_pids = run._translate_type(ctx, deriv.type)
+    dcc_ctx, ctx_pids, facts = run._translate_context(ctx)
+    term_t, term_pids = run._walk(deriv, facts)
+    type_t, type_pids = run._translate_type(ctx, facts, deriv.type)
     label_pids = _ordered_union(ctx_pids, term_pids)
     ren = run.finalize()
     return TranslationResult(

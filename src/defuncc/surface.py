@@ -44,7 +44,29 @@ _LABEL_RE = re.compile(r"^l[0-9]+$")
 
 
 def label_name(label_id: int) -> str:
-    return f"l{label_id}"
+    return "l" + _digits(label_id)
+
+
+def _digits(n: int) -> str:
+    """n in decimal, however long: `str` alone stops at 4,300 digits, and
+    `decimal` converts exactly at any length (imported only when needed, as
+    it adds about a millisecond to every start)."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
+def _number(text: str) -> int:
+    """The value of a digit string, however long (see `_digits`)."""
+    try:
+        return int(text)
+    except ValueError:
+        from decimal import Decimal
+
+        return int(Decimal(text))
 
 
 def show_term(t: Term) -> str:
@@ -81,9 +103,9 @@ def _show(t: Term, memo: dict[int, str], prec: int = _TERM) -> str:
         elif cls is NatType:
             s = "Nat"
         elif cls is Universe:
-            s = f"Type {t.level}"
+            s = "Type " + _digits(t.level)
         elif cls is NatLit:
-            s = str(t.value)
+            s = _digits(t.value)
         elif cls is ESubst:
             pairs = ", ".join(f"{sb.name} |-> {_show(sb.value, memo)}" for sb in t.bindings)
             s = f"{_show(t.subject, memo, _ATOM)}{{{pairs}}}"
@@ -293,7 +315,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.isdigit():
             self.pos += 1
-            return self.node(NatLit, int(tok))
+            return self.node(NatLit, _number(tok))
         if tok == "(":
             self.pos += 1
             inner = self.term()
@@ -307,7 +329,7 @@ class _Parser:
             if not level.isdigit():
                 raise self.unexpected("'nat'")
             self.pos += 1
-            return self.node(Universe, int(level))
+            return self.node(Universe, _number(level))
         if tok == "Nat":
             self.pos += 1
             return NAT
@@ -322,7 +344,7 @@ class _Parser:
             self.pos += 1
             args = self.closure(self.term)
             args = self.nodes.setdefault((tuple, *map(id, args)), args)  # equal closures: one tuple
-            return self.node(Label, int(tok[1:]), args)
+            return self.node(Label, _number(tok[1:]), args)
         if tok in _KEYWORDS:
             raise self.fail(f"keyword {tok!r} cannot start a term")
         if tok == "_":
@@ -357,7 +379,7 @@ class _Parser:
 
     def label_block(self) -> LabelEntry:
         self.expect("label")
-        label_id = int(self.declared_name("label")[1:])
+        label_id = _number(self.declared_name("label")[1:])
         telescope = self.closure(self.typed_name)
         arg, arg_type = self.binding("argument binder")
         self.expect("->")

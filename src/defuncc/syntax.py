@@ -1,7 +1,7 @@
 """Shared term syntax for the three calculi plus contexts and binding operations.
 
 One node family covers all calculi; each calculus restricts the constructors it
-accepts.  Source terms never contain Label; defunctionalized terms never
+accepts.  Source terms never contain Label; label-calculus terms never
 contain Lam or ESubst; the explicit-substitution calculus is the source
 calculus plus ESubst nodes.
 
@@ -461,12 +461,10 @@ class Ctx(_Entries):
         return None
 
     def extend(self, name: str, ty: Term) -> "Ctx":
-        """This context and one more entry, linked to this one (`_parent`, not
-        a field) until `defun._ctx_facts` grows the child's facts from its
-        parent's; so a context kept long is built whole, not by `extend`."""
+        """This context and one more entry, and nothing else: a translation
+        carries what it asks of a context down its walk instead."""
         child = _new(Ctx)  # set directly: as fast as the frozen __init__ alone
         _set(child, "entries", self.entries + ((name, ty),))
-        _set(child, "_parent", self)
         return child
 
     def names(self) -> tuple[str, ...]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from defuncc.harness import load_file, source_judgements
+from defuncc.harness import EnumConfig, enumerate_small_terms, load_file, source_judgements
 from defuncc.surface import parse_source
 from defuncc.syntax import alpha_eq
 
@@ -44,6 +44,13 @@ def corpus_judgements(corpus_paths):
         for name, ctx, term in source_judgements(elab):
             out.append((f"{path.name}:{name}", ctx, term))
     return out
+
+
+@pytest.fixture(scope="session")
+def enumerated() -> tuple:
+    """The 2,525 judgements of the size-6 enumeration, built once for every
+    test that only reads them."""
+    return tuple(enumerate_small_terms(EnumConfig(size_budget=6)))
 
 
 @pytest.fixture(scope="session")

@@ -10,19 +10,15 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from defuncc.cc import cc_infer, cc_normalize
 from defuncc.cli import main as cli_main
 from defuncc.defun import defun
 from defuncc.harness import (
     ALL_CHECKS,
-    EnumConfig,
     check_reduction_preservation,
     check_round_trip,
     check_type_preservation,
     check_type_safety,
-    enumerate_small_terms,
 )
 from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_dcc, parse_term
@@ -129,11 +125,6 @@ def _matches_up_to_renumbering(mine: LabelCtx, mine_term: Term,
         if not entry_alpha_eq(mapped, other):
             return False
     return alpha_eq(_map_label_ids(mine_term, mapping), ref_term)
-
-
-@pytest.fixture(scope="module")
-def enumerated():
-    return enumerate_small_terms(EnumConfig(size_budget=6))
 
 
 def test_criterion_1_dependent_compose_golden_translation(elaborated):

@@ -508,3 +508,54 @@ def test_a_budget_below_one_is_a_usage_error(capsys, command, budget):
 def test_a_budget_of_one_step_still_runs(capsys):
     code, out, _ = run(capsys, "--budget", "1", "check", str(CORPUS / "two_plus_two.cc"))
     assert (code, out) == (0, "Nat\n")
+
+
+BIG = "9" * 5000  # past the 4,300 digits `int` and `str` convert by default
+
+
+def test_numerals_levels_and_label_ids_of_any_length_go_through_every_command(
+    capsys, tmp_path
+):
+    """A numeral, a `Type` level and a label id of 5,000 digits each parse
+    and print exactly through every command that reads them."""
+    nat, level, label = (tmp_path / name for name in ("nat.cc", "level.cc", "label.dcc"))
+    nat.write_text(f"{BIG}\n")
+    level.write_text(f"fun (A : Type {BIG}) => A\n")
+    label.write_text(f"label l{BIG} {{}} (x : Nat) -> Nat := x;\nl{BIG}{{}}\n")
+    expected = {
+        ("check", nat): "Nat\n",
+        ("eval", nat): f"{BIG}\n",
+        ("eval", "--target", "dcc", nat): f"{BIG}\n",
+        ("defun", nat): f"{BIG}\n",
+        ("check", level): f"Type {BIG} -> Type {BIG}\n",
+        ("eval", level): f"fun (A : Type {BIG}) => A\n",
+        ("defun", level): f"label l0 {{}} (A : Type {BIG}) -> Type {BIG} := A;\nl0{{}}\n",
+        ("checkdcc", label): "label context: ok\nmain: Nat -> Nat\n",
+        ("eval", label): f"l{BIG}{{}}\n",
+        ("refun", label): "fun (x : Nat) => x\n",
+        ("verify", label): "label.dcc: label context: ok\nlabel.dcc: main: Nat -> Nat\n",
+    }
+    for argv, out in expected.items():
+        assert run(capsys, *map(str, argv)) == (0, out, ""), argv
+    code, out, _ = run(capsys, "defun", "--emit", "json", str(level))
+    assert code == 0 and json.loads(out)["labels"][0]["ret"] == f"Type {BIG}"
+    for path in (nat, level):
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and out.count(": ok") == 7, out  # the context and the six checks
+    assert f"ground value {BIG}" in run(capsys, "verify", str(nat))[1]
+    universe = tmp_path / "universe.cc"
+    universe.write_text(f"Type {BIG}\n")
+    assert run(capsys, "check", str(universe)) == (0, f"Type 1{'0' * 5000}\n", "")
+
+
+def test_a_sum_of_any_length_prints_exactly(capsys, tmp_path):
+    """Two 4,300-digit numerals add to a 4,301-digit sum, which `eval` and
+    the ground-value detail of `verify` print whole, with no traceback."""
+    path = tmp_path / "sum.cc"
+    path.write_text(f"add {'9' * 4300} {'9' * 4300}\n")
+    total = "1" + "9" * 4299 + "8"
+    assert run(capsys, "eval", str(path)) == (0, f"{total}\n", "")
+    assert run(capsys, "eval", "--target", "dcc", str(path)) == (0, f"{total}\n", "")
+    code, out, err = separate_run("verify", str(path))
+    assert (code, err) == (0, "")
+    assert f"sum.cc: main: reduction-preservation: ok (ground value {total})\n" in out

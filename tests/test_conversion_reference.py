@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from defuncc import kernel
 from defuncc.cc import CC, SIGMA
 from defuncc.errors import StepBudgetExceeded
-from defuncc.harness import ALL_CHECKS, EnumConfig, enumerate_small_terms
+from defuncc.harness import ALL_CHECKS
 from defuncc.kernel import DEFAULT_BUDGET, Budget, Calculus, normalize
 from defuncc.syntax import (
     NAT,
@@ -167,16 +167,15 @@ class Spy:
 
 
 @pytest.fixture(scope="module")
-def judgements(corpus_judgements, scaling):
+def judgements(corpus_judgements, scaling, enumerated):
     """The corpus, Vec n=2..8, `twice` k=1..3, the lambda chains n=20..60
     and the enumerated judgements."""
     out = [(ctx, term) for _, ctx, term in corpus_judgements]
     out += [scaling("vec", n) for n in range(2, 9)]
     out += [scaling("twice", k) for k in range(1, 4)]
     out += [scaling("lambdas", n) for n in range(20, 61, 10)]
-    enumerated = enumerate_small_terms(EnumConfig(size_budget=6))
     assert len(enumerated) == 2525
-    return out + enumerated
+    return out + list(enumerated)
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 30])

@@ -5,7 +5,6 @@ import importlib
 import inspect
 import operator
 import sys
-import weakref
 
 import pytest
 
@@ -17,11 +16,7 @@ from defuncc.defun import (
     label_union,
 )
 from defuncc.errors import IllFormedContext, LabelClash
-from defuncc.harness import (
-    EnumConfig,
-    check_reduction_preservation,
-    enumerate_small_terms,
-)
+from defuncc.harness import check_reduction_preservation
 from defuncc.kernel import DEFAULT_BUDGET
 from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_dcc, parse_source, parse_term
@@ -36,7 +31,6 @@ from defuncc.syntax import (
     NatLit,
     NatType,
     Pi,
-    SBind,
     Universe,
     Var,
     alpha_eq,
@@ -362,9 +356,9 @@ class _AlwaysDerive(Translation):
         super().__init__(budget)
         self._cc, self.sigma = CC, SIGMA
 
-    def translate(self, deriv):
+    def _walk(self, deriv, facts):
         self._done.pop(id(deriv), None)  # never answered by the identity table
-        return super().translate(deriv)
+        return super()._walk(deriv, facts)
 
 
 def _use_translation(monkeypatch, cls) -> None:
@@ -386,8 +380,8 @@ class TestTypeMemo:
                 runs.append(self.seen)
                 super().__init__(budget)
 
-            def _derive(self, ctx, ty):
-                d = super()._derive(ctx, ty)
+            def _derive(self, ctx, facts, ty):
+                d = super()._derive(ctx, facts, ty)
                 self.seen.setdefault((ctx, ty), []).append(d)
                 return d
 
@@ -424,25 +418,25 @@ class TestTypeMemo:
             return real_infer(calc, ctx, t, b)
 
         class Spy(Translation):
-            def _translate_lambda(self, deriv):
+            def _translate_lambda(self, deriv, facts):
                 walks.append(deriv.subject)
-                return super()._translate_lambda(deriv)
+                return super()._translate_lambda(deriv, facts)
 
         monkeypatch.setattr(defun_module, "infer", spy_infer)
-        run = Spy(DEFAULT_BUDGET)
-        first = run._translate_type(EMPTY, ty)
-        assert run._translate_type(EMPTY, ty) == first
+        run, facts = Spy(DEFAULT_BUDGET), reference_ctx_facts(EMPTY)
+        first = run._translate_type(EMPTY, facts, ty)
+        assert run._translate_type(EMPTY, facts, ty) == first
         assert first[1] == (0,)
-        assert run._derive(EMPTY, ty) is run._derive(EMPTY, ty)
+        assert run._derive(EMPTY, facts, ty) is run._derive(EMPTY, facts, ty)
         assert misses == [ty]
         assert len(walks) == 1
 
-    def test_memo_changes_no_output(self, corpus_judgements, scaling, monkeypatch):
+    def test_memo_changes_no_output(self, corpus_judgements, scaling, enumerated, monkeypatch):
         """With and without the run's tables, every translation result is
         equal, and every diagram report is equal apart from its suspension
         count."""
         judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
-        judgements += enumerate_small_terms(EnumConfig(size_budget=6))
+        judgements += enumerated
         judgements += [scaling("vec", n) for n in range(2, 9)]
         judgements += [scaling("twice", k) for k in (1, 2)]
 
@@ -483,15 +477,15 @@ class TestLabelFreeReads:
         translate_type = Translation._translate_type
 
         class Spy(Translation):
-            def _translate_type(self, ctx, ty):
+            def _translate_type(self, ctx, facts, ty):
                 derived.append((ctx, ty))
-                return translate_type(self, ctx, ty)
+                return translate_type(self, ctx, facts, ty)
 
-            def _type_labels(self, ctx, ty):
+            def _type_labels(self, ctx, facts, ty):
                 before = len(derived)
-                out = super()._type_labels(ctx, ty)
+                out = super()._type_labels(ctx, facts, ty)
                 if len(derived) == before:
-                    skipped.add((ctx, ty))
+                    skipped.add((ctx, facts, ty))
                 return out
 
         _use_translation(monkeypatch, Spy)
@@ -503,17 +497,19 @@ class TestLabelFreeReads:
             results = [check(ctx, term) for check in harness_module.ALL_CHECKS]
             assert all(r.ok for r in results), [r.line() for r in results]
         assert len(skipped) > 100
-        assert any(isinstance(ty, ESubst) for _, ty in skipped)
+        assert any(isinstance(ty, ESubst) for *_, ty in skipped)
         minting = []
-        for ctx, ty in skipped:
-            term, pids = translate_type(Translation(DEFAULT_BUDGET), ctx, ty)
+        for ctx, facts, ty in skipped:
+            term, pids = translate_type(Translation(DEFAULT_BUDGET), ctx, facts, ty)
             if pids or not alpha_eq(term, _forced(ty)):
                 minting.append((ctx, ty))
         assert minting == []
 
 
 class TestPlainTypes:
-    def test_plain_reads_are_their_own_translation(self, corpus_judgements, scaling, monkeypatch):
+    def test_plain_reads_are_their_own_translation(
+        self, corpus_judgements, scaling, enumerated, monkeypatch
+    ):
         """A type the walk reads whole (a closure telescope type, a return
         type, a context entry, the judgement's type) is not derived when it
         and its context are plain (see `Translation`).  Deriving it would
@@ -523,15 +519,15 @@ class TestPlainTypes:
         derived: list = []
 
         class Spy(Translation):
-            def _derive(self, ctx, ty):
+            def _derive(self, ctx, facts, ty):
                 derived.append((ctx, ty))
-                return super()._derive(ctx, ty)
+                return super()._derive(ctx, facts, ty)
 
-            def _translate_type(self, ctx, ty):
+            def _translate_type(self, ctx, facts, ty):
                 before = len(derived)
-                out = super()._translate_type(ctx, ty)
+                out = super()._translate_type(ctx, facts, ty)
                 if len(derived) == before:  # not derived
-                    answered[ctx, ty] = out
+                    answered[ctx, facts, ty] = out
                 return out
 
         _use_translation(monkeypatch, Spy)
@@ -539,7 +535,7 @@ class TestPlainTypes:
         programs += [scaling("vec", n) for n in range(2, 7)]
         programs += [scaling("twice", k) for k in (1, 2, 3)]
         programs += [scaling("lambdas", n) for n in range(20, 61, 10)]
-        programs += enumerate_small_terms(EnumConfig(size_budget=6))
+        programs += enumerated
         # a context type holding a lambda: the plain-looking `P y` read under it is derived
         lam_ctx = parse_source(
             "axiom P : ((fun (A : Type 0) => A) Nat) -> Type 0;\n"
@@ -553,9 +549,9 @@ class TestPlainTypes:
             assert report.ok, report.edges
         assert len(answered) > 1000
         wrong = []
-        for (ctx, ty), out in answered.items():
+        for (ctx, facts, ty), out in answered.items():
             run = Translation(0)  # a derivation that spends a step raises
-            if out != (ty, ()) or run.translate(run._derive(ctx, ty)) != (ty, ()):
+            if out != (ty, ()) or run.translate(run._derive(ctx, facts, ty)) != (ty, ()):
                 wrong.append((ctx, ty))
         assert wrong == []
 
@@ -574,11 +570,11 @@ class TestPlainTypes:
         derived = []
 
         class Spy(Translation):
-            def _derive(self, ctx, ty):
+            def _derive(self, ctx, facts, ty):
                 derived.append((ctx, ty))
-                return super()._derive(ctx, ty)
+                return super()._derive(ctx, facts, ty)
 
-        term, pids = Spy(DEFAULT_BUDGET)._translate_type(ctx, ty)
+        term, pids = Spy(DEFAULT_BUDGET)._translate_type(ctx, reference_ctx_facts(ctx), ty)
         assert pids == () and alpha_eq(term, ty) and term != ty
         assert derived == [(ctx, ty)]
 
@@ -590,14 +586,15 @@ class TestPlainTypes:
         derived = []
 
         class Spy(Translation):
-            def _derive(self, ctx, ty):
+            def _derive(self, ctx, facts, ty):
                 derived.append((ctx, ty))
-                return super()._derive(ctx, ty)
+                return super()._derive(ctx, facts, ty)
 
-        assert Spy(DEFAULT_BUDGET)._translate_type(EMPTY, ty) == (ty, ())
+        facts = reference_ctx_facts(EMPTY)
+        assert Spy(DEFAULT_BUDGET)._translate_type(EMPTY, facts, ty) == (ty, ())
         assert derived == []
         run = Translation(DEFAULT_BUDGET)
-        assert run.translate(run._derive(EMPTY, ty)) == (ty, ())
+        assert run.translate(run._derive(EMPTY, facts, ty)) == (ty, ())
 
     def test_the_lambda_chain_derives_no_type(self, scaling, monkeypatch):
         """Every type `defun` reads on nested lambdas over Nat is plain, so
@@ -605,9 +602,9 @@ class TestPlainTypes:
         derived = []
 
         class Spy(Translation):
-            def _derive(self, ctx, ty):
+            def _derive(self, ctx, facts, ty):
                 derived.append(ty)
-                return super()._derive(ctx, ty)
+                return super()._derive(ctx, facts, ty)
 
         _use_translation(monkeypatch, Spy)
         ctx, term = scaling("lambdas", 60)
@@ -616,7 +613,7 @@ class TestPlainTypes:
 
 
 def reference_ctx_facts(ctx: Ctx):
-    """`_ctx_facts` from scratch: every type of the context read again."""
+    """A context's facts from scratch: every type of the context read again."""
     types = [a for _, a in ctx]
     plain = all(uses_only(a, defun_module._PLAIN) for a in types)
     lam_free = plain or all(uses_only(a, defun_module._LAM_FREE) for a in types)
@@ -650,44 +647,57 @@ def reference_is_plain(ty, names: frozenset[str]) -> bool:
     return True
 
 
-@pytest.fixture(scope="module")
-def shortcut_reads(corpus_judgements, scaling):
-    """What the shortcuts read while the diagram check (and with it `defun`)
-    runs over the corpus, the scaling families and the enumeration: every
-    context with the facts kept on it, and every plain-context type read
-    whole with its context's names and whether the run copied it."""
-    facts: list = []
-    reads: list = []
-    kept_facts = defun_module._ctx_facts
-
-    def spy_facts(ctx):
-        out = kept_facts(ctx)
-        facts.append((ctx, out))
-        return out
+def _read_spy():
+    """A run class that records each type read, and the two lists it records
+    into: every read's context with the facts the walk carries with it, and,
+    for a read whole under a plain context, the type, the context's names
+    and whether the run copied it."""
+    facts, reads = [], []
 
     class Spy(Translation):
         derived = 0
 
-        def _derive(self, ctx, ty):
+        def _derive(self, ctx, ctx_facts, ty):
             self.derived += 1
-            return super()._derive(ctx, ty)
+            return super()._derive(ctx, ctx_facts, ty)
 
-        def _translate_type(self, ctx, ty):
-            names, before = kept_facts(ctx)[1], self.derived
-            out = super()._translate_type(ctx, ty)
-            if names is not None:
-                reads.append((ty, names, self.derived == before))
+        def _type_labels(self, ctx, ctx_facts, ty):
+            facts.append((ctx, ctx_facts))
+            return super()._type_labels(ctx, ctx_facts, ty)
+
+        def _translate_type(self, ctx, ctx_facts, ty):
+            facts.append((ctx, ctx_facts))
+            before = self.derived
+            out = super()._translate_type(ctx, ctx_facts, ty)
+            if ctx_facts[1] is not None:
+                reads.append((ty, ctx_facts[1], self.derived == before))
             return out
 
+    return Spy, facts, reads
+
+
+@pytest.fixture(scope="module")
+def shortcut_reads(corpus_judgements, scaling, enumerated):
+    """What the shortcuts read while the diagram check (and with it `defun`)
+    runs over the corpus, the scaling families and the enumeration: every
+    context a type is read under with the facts carried with it, and every
+    plain-context type read whole with its context's names and whether the
+    run copied it."""
     programs = [(ctx, term) for _, ctx, term in corpus_judgements]
     programs += [scaling("vec", n) for n in range(2, 7)]
     programs += [scaling("twice", k) for k in (1, 2, 3)]
     programs += [scaling("lambdas", n) for n in range(20, 61, 10)]
-    programs += enumerate_small_terms(EnumConfig(size_budget=6))
+    programs += enumerated
+    # σ-states that push a suspension into a Π: its codomain is read under a
+    # context whose last entry is a suspension, so not of source terms
+    for text in ("(fun (B : Type 0) => (a : B) -> B) Nat",
+                 "axiom P : Nat -> Type 0;\n(fun (n : Nat) => (p : P n) -> P n) 3"):
+        elab = parse_source(text + "\n").elaborate()
+        programs.append((elab.ctx, elab.main))
+    spy, facts, reads = _read_spy()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(defun_module, "_ctx_facts", spy_facts)
         for module in (defun_module, harness_module, sigma_module):
-            mp.setattr(module, "Translation", Spy)
+            mp.setattr(module, "Translation", spy)
         for ctx, term in programs:
             report = check_diagram(Judgement(ctx, term), raise_on_failure=False)
             assert report.ok, report.edges
@@ -695,14 +705,15 @@ def shortcut_reads(corpus_judgements, scaling):
 
 
 class TestShortcutFacts:
-    """The facts a context keeps, and the run's table of plain binders, give
-    what the from-scratch walks give on every read."""
+    """The facts the walk carries with each context, and the run's table of
+    plain binders, give what the from-scratch walks give on every read."""
 
     def test_kept_facts_are_the_facts(self, shortcut_reads):
         facts, _ = shortcut_reads
         assert len({id(ctx) for ctx, _ in facts}) > 1000
         kinds = {(lam_free, names is None) for _, (lam_free, names, _) in facts}
         assert kinds == {(True, False), (True, True), (False, True)}
+        assert {source for _, (_, _, source) in facts} == {True, False}
         assert [(ctx, out) for ctx, out in facts if out != reference_ctx_facts(ctx)] == []
 
     def test_the_binder_table_agrees_with_the_walk(self, shortcut_reads):
@@ -711,50 +722,24 @@ class TestShortcutFacts:
         assert {plain for *_, plain in reads} == {True, False}
         assert [r for r in reads if reference_is_plain(r[0], r[1]) != r[2]] == []
 
-    def test_a_context_adds_its_last_entry_to_its_parents_facts(self):
-        """A context `extend` made reads one type; one built whole reads all."""
-        base = Ctx((("A", Universe(0)), ("n", NatType())))
-        suspended = ESubst(Var("k"), (SBind("k", NatType(), NatLit(1)),))
-        for x, ty in (("m", NatType()), ("f", parse_term("(fun (A : Type 0) => A) Nat")),
-                      ("s", suspended)):
-            made, fresh = base.extend(x, ty), Ctx(base.entries + ((x, ty),))
-            seen = []
-
-            def spy(t, allowed, uses_only=uses_only):
-                seen.append(t)
-                return uses_only(t, allowed)
-
-            defun_module._ctx_facts(base)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(defun_module, "uses_only", spy)
-                assert defun_module._ctx_facts(made) == reference_ctx_facts(made)
-                assert {id(t) for t in seen} == {id(made.entries[-1][1])}
-                seen.clear()
-                assert defun_module._ctx_facts(fresh) == reference_ctx_facts(fresh)
-                assert {id(t) for t in seen} == {id(a) for _, a in fresh}
-
-    def test_no_kept_context_keeps_the_chain_it_was_built_from(self):
-        """A context `extend` made links to its parent only until its facts
-        are read, and a file's axioms and a translated context are built
-        whole: no chain of N contexts, each with its own N-long entries,
-        stays alive behind the last one."""
-        n = 300
-        made = [Ctx()]
-        for i in range(n):
-            made.append(made[-1].extend(f"x{i}", NatType()))
-        last, earlier = made[-1], [weakref.ref(c) for c in made[:-1]]
-        del made
-        assert all(ref() is not None for ref in earlier)  # linked, not yet read
-        assert defun_module._ctx_facts(last) == reference_ctx_facts(last)
-        assert [ref for ref in earlier if ref() is not None] == []
-        assert defun_module._ctx_facts(last) == reference_ctx_facts(last)
-        source = parse_source("".join(f"axiom x{i} : Nat -> Nat;\n" for i in range(n)) + "x0")
-        elaborated = source.elaborate()
-        assert len(elaborated.ctx) == n and not hasattr(elaborated.ctx, "_parent")
-        result = defun(elaborated.ctx, elaborated.main)
-        out, _ = result.run.translate_context(elaborated.ctx)
-        assert len(out) == len(result.dcc_ctx) == n
-        assert [c for c in (out, result.dcc_ctx) if hasattr(c, "_parent")] == []
+    def test_a_read_context_holds_nothing_but_its_entries(self, corpus_judgements, scaling):
+        """The translation keeps nothing on the contexts it reads: during the
+        six checks, every context a type is read under holds no instance
+        attribute but its entries and its cached hash."""
+        programs = [(ctx, term) for _, ctx, term in corpus_judgements]
+        programs += [scaling("vec", n) for n in range(2, 5)]
+        programs += [scaling("twice", k) for k in (1, 2)]
+        spy, facts, _ = _read_spy()
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (defun_module, harness_module, sigma_module):
+                mp.setattr(module, "Translation", spy)
+            for ctx, term in programs:
+                harness_module._judgement.cache_clear()  # its defun run must be spied on
+                results = [check(ctx, term) for check in harness_module.ALL_CHECKS]
+                assert all(r.ok for r in results), [r.line() for r in results]
+        contexts = {id(ctx): ctx for ctx, _ in facts}.values()
+        assert len(contexts) > 500
+        assert [ctx for ctx in contexts if not set(vars(ctx)) <= {"entries", "_hash"}] == []
 
     def test_a_deep_pi_chain_read_as_a_return_type(self):
         """The binder table has no recursion: the return type of
@@ -771,9 +756,9 @@ class TestShortcutFacts:
         assert run._entries[0].ret_type is chain
 
     def test_the_lambda_chain_reads_few_types_and_hashes_keys_in_c(self, scaling, monkeypatch):
-        """One `defun` of the 60-lambda chain: each context reads its last
-        type once (1,832 `uses_only` calls when every context read all of
-        its types), and no minting key runs Python code to hash."""
+        """One `defun` of the 60-lambda chain: each binder's type is read
+        once to grow the facts (1,832 `uses_only` calls when every context
+        read all of its types), and no minting key runs Python code to hash."""
         used, keys = [], []
 
         def spy_uses_only(t, allowed):

@@ -281,7 +281,7 @@ class TestSharedArtifact:
         assert all(r.ok for r in results), [r.line() for r in results]
         assert (calls.count("dcc_infer"), calls.count("dcc_normalize")) == (2, 1)
 
-    def test_label_context_is_checked_once_per_judgement(self, monkeypatch):
+    def test_label_context_is_checked_once_per_judgement(self, enumerated, monkeypatch):
         """Type preservation checks the judgement's labels and context and the
         diagram check reads that check, then checks only the entries it
         minted.  Over every fifth judgement of the size-6 enumeration that is
@@ -295,7 +295,7 @@ class TestSharedArtifact:
 
         for module in (cc_module, dcc_module):
             monkeypatch.setattr(module, "check_context", counting)
-        judgements = enumerate_small_terms(EnumConfig(size_budget=6))[::5]
+        judgements = enumerated[::5]
         assert len(judgements) == 505
         for ctx, term in judgements:
             assert all(check(ctx, term).ok for check in ALL_CHECKS)
@@ -357,10 +357,9 @@ class TestReductionPreservation:
             [(c, t, b) for c, t in programs for b in (5, 30, 100, DEFAULT_BUDGET)]
         )
 
-    def test_enumerated_judgements(self):
-        pairs = enumerate_small_terms(EnumConfig(size_budget=6))
-        assert len(pairs) == 2525
-        self._assert_unchanged([(c, t, DEFAULT_BUDGET) for c, t in pairs])
+    def test_enumerated_judgements(self, enumerated):
+        assert len(enumerated) == 2525
+        self._assert_unchanged([(c, t, DEFAULT_BUDGET) for c, t in enumerated])
 
 
 class TestJoinable:

@@ -13,7 +13,7 @@ import pytest
 
 from defuncc import surface
 from defuncc.defun import defun
-from defuncc.harness import EnumConfig, enumerate_small_terms, load_file, source_judgements
+from defuncc.harness import load_file, source_judgements
 from defuncc.surface import emit_json, emit_text, parse_dcc, parse_source, show_ctx, show_term
 from defuncc.syntax import (
     NAT,
@@ -171,10 +171,9 @@ def test_the_golden_label_files_print_alike():
         assert_prints_alike(elab.labels, elab.ctx, elab.main)
 
 
-def test_the_enumeration_prints_alike():
-    judgements = enumerate_small_terms(EnumConfig(size_budget=6))
-    assert len(judgements) == 2525
-    for ctx, term in judgements:
+def test_the_enumeration_prints_alike(enumerated):
+    assert len(enumerated) == 2525
+    for ctx, term in enumerated:
         assert_translation_prints_alike(ctx, term)
 
 

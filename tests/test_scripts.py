@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -77,6 +79,16 @@ def test_fingerprint_emit_part_runs_every_cli_command():
     assert codes["lambdas-60.cc refun"] == codes["compose_dependent.cc defun --emit json"] == 0
     # every line, digests of the emitted text and JSON too, as it was recorded
     assert proc.stdout == (ROOT / "tests" / "golden" / "fingerprint_emit.txt").read_text()
+
+
+@pytest.mark.parametrize("part", ["vec", "twice"])
+def test_fingerprint_diagram_parts_match_the_golden(part):
+    """Every line of the Vec-chain and nested-`twice` parts, as recorded: these
+    run the diagram over σ-states, where a suspension's subject is typed
+    under several names more than its conclusion."""
+    proc = _run_script("fingerprint.py", part)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (ROOT / "tests" / "golden" / f"fingerprint_{part}.txt").read_text()
 
 
 def test_scaling_header_prints_the_source_line_count(monkeypatch, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from defuncc import syntax
 from defuncc.defun import defun
-from defuncc.harness import EnumConfig, enumerate_small_terms
 from defuncc.cc import CC_TERMS
 from defuncc.sigma import ccs_reduce_trace
 from defuncc.surface import parse_term
@@ -291,10 +290,9 @@ class TestFreeVariableCache:
                 )
         assert Label in seen
 
-    def test_enumerated_terms(self):
-        judgements = enumerate_small_terms(EnumConfig(size_budget=6))
-        assert len(judgements) == 2525
-        for ctx, term in judgements:
+    def test_enumerated_terms(self, enumerated):
+        assert len(enumerated) == 2525
+        for ctx, term in enumerated:
             assert_cache_matches_reference(term, *(ty for _, ty in ctx))
 
     def test_sigma_states_of_diagram_traces(self, corpus_judgements, scaling):
@@ -623,11 +621,10 @@ class TestBindingWalks:
                 terms += [*(a for _, a in e.telescope), e.arg_type, e.body, e.ret_type]
         assert_walks_match_references(terms)
 
-    def test_enumerated_terms(self):
-        judgements = enumerate_small_terms(EnumConfig(size_budget=6))
-        assert len(judgements) == 2525
+    def test_enumerated_terms(self, enumerated):
+        assert len(enumerated) == 2525
         assert_walks_match_references(
-            [t for ctx, term in judgements for t in (term, *(ty for _, ty in ctx))]
+            [t for ctx, term in enumerated for t in (term, *(ty for _, ty in ctx))]
         )
 
     def test_sigma_states_of_diagram_traces(self, corpus_judgements, scaling):
