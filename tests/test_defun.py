@@ -5,6 +5,7 @@ import importlib
 import inspect
 import operator
 import sys
+import weakref
 
 import pytest
 
@@ -31,6 +32,7 @@ from defuncc.syntax import (
     NatLit,
     NatType,
     Pi,
+    SBind,
     Universe,
     Var,
     alpha_eq,
@@ -721,6 +723,55 @@ class TestShortcutFacts:
         assert len(reads) > 1000
         assert {plain for *_, plain in reads} == {True, False}
         assert [r for r in reads if reference_is_plain(r[0], r[1]) != r[2]] == []
+
+    def test_a_context_adds_its_last_entry_to_its_parents_facts(self):
+        """Growing a context's facts by one entry reads that entry's type
+        alone; the facts of a context grown from nothing read all of them."""
+        base = Ctx((("A", Universe(0)), ("n", NatType())))
+        base_facts = defun_module._grow(defun_module._EMPTY_FACTS, base.entries)
+        assert base_facts == reference_ctx_facts(base)
+        suspended = ESubst(Var("k"), (SBind("k", NatType(), NatLit(1)),))
+        for x, ty in (("m", NatType()), ("f", parse_term("(fun (A : Type 0) => A) Nat")),
+                      ("s", suspended)):
+            made = base.extend(x, ty)
+            seen = []
+
+            def spy(t, allowed, uses_only=uses_only):
+                seen.append(t)
+                return uses_only(t, allowed)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(defun_module, "uses_only", spy)
+                assert defun_module._grow(base_facts, ((x, ty),)) == reference_ctx_facts(made)
+                assert {id(t) for t in seen} == {id(made.entries[-1][1])}
+                seen.clear()
+                grown = defun_module._grow(defun_module._EMPTY_FACTS, made.entries)
+                assert grown == reference_ctx_facts(made)
+                assert {id(t) for t in seen} == {id(a) for _, a in made}
+
+    def test_no_kept_context_keeps_the_chain_it_was_built_from(self):
+        """A context `extend` made holds no link to its parent, and a file's
+        axioms and a translated context are built whole: no chain of N
+        contexts, each with its own N-long entries, stays alive behind the
+        last one."""
+        n = 300
+        made = [Ctx()]
+        for i in range(n):
+            made.append(made[-1].extend(f"x{i}", NatType()))
+        last, earlier = made[-1], [weakref.ref(c) for c in made[:-1]]
+        del made
+        assert [ref for ref in earlier if ref() is not None] == []
+        assert set(vars(last)) <= {"entries", "_hash"} and len(last) == n
+        facts = defun_module._grow(defun_module._EMPTY_FACTS, last.entries)
+        assert facts == reference_ctx_facts(last)
+        source = parse_source("".join(f"axiom x{i} : Nat -> Nat;\n" for i in range(n)) + "x0")
+        elaborated = source.elaborate()
+        assert len(elaborated.ctx) == n
+        result = defun(elaborated.ctx, elaborated.main)
+        out, _ = result.run.translate_context(elaborated.ctx)
+        assert len(out) == len(result.dcc_ctx) == n
+        kept = (elaborated.ctx, out, result.dcc_ctx)
+        assert [c for c in kept if not set(vars(c)) <= {"entries", "_hash"}] == []
 
     def test_a_read_context_holds_nothing_but_its_entries(self, corpus_judgements, scaling):
         """The translation keeps nothing on the contexts it reads: during the
