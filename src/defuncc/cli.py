@@ -6,7 +6,7 @@ or written (missing, a directory, not UTF-8 text) or a usage error (such as
 a `--budget` below 1), 3 verification failure.
 `verify DIR` reports each file it cannot read, parse or check for nesting too
 deeply on its own line and goes on: it exits 2 if any file failed so, else 3
-if any check failed, else 0.
+if any check failed, else 0.  A DIR with no .cc or .dcc file in it exits 2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import INPUT_ERRORS, DefunccError, NestingTooDeep, input_error_mess
 from .harness import check_annotations, load_file, verify_dcc, verify_path
 from .kernel import DEFAULT_BUDGET
 from .refun import refun
-from .surface import emit_json, emit_text, show_ctx, show_term
+from .surface import _number, emit_json, emit_text, show_ctx, show_term
 from .syntax import Term
 
 EXIT_OK = 0
@@ -127,10 +127,11 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call in a process and reused: building
     it costs about as much as a small command, and parsing leaves it as it
     was."""
-    def budget(text: str) -> int:  # a step budget: at least one step
-        if int(text) < 1:
+    def budget(text: str) -> int:  # a step budget: at least one step, of any length
+        value = _number(text) if text.isdecimal() else int(text)
+        if value < 1:
             raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
-        return int(text)
+        return value
 
     parser = argparse.ArgumentParser(
         prog="defuncc",

@@ -63,15 +63,9 @@ class TranslationResult:
     ctx_defs: LabelCtx  # label definitions extracted from the context
     dcc_ctx: Ctx  # pointwise-translated context
     labels: LabelCtx  # the judgement's label context: ctx_defs, then the rest of defs
-    # the run, still open: `translate` and the commuting-diagram check go on in it
+    # the run, still open: reduction preservation and the diagram check go on in it
     run: "Translation" = field(compare=False, repr=False)
     _pids: tuple[int, ...] = field(compare=False, repr=False)  # `labels`, provisional
-
-    def translate(self, deriv: Derivation) -> tuple[Term, LabelCtx]:
-        """Translate another derivation in this result's run: the term, and
-        `labels` followed by the definitions it adds (no id here moves)."""
-        ((term, _),), labels = self.translate_many((deriv,))
-        return term, labels
 
     def translate_many(
         self, derivs: Iterable[Derivation]
@@ -169,7 +163,8 @@ class Translation:
 
     def translate(self, deriv: Derivation) -> tuple[Term, tuple[int, ...]]:
         """Translated term plus the extracted definitions (provisional ids)."""
-        return self._walk(deriv, _grow(_EMPTY_FACTS, deriv.ctx.entries))
+        hit = self._done.get(id(deriv))  # before the context's facts are read
+        return hit[1] if hit else self._walk(deriv, _grow(_EMPTY_FACTS, deriv.ctx.entries))
 
     def _walk(self, deriv: Derivation, facts: _Facts) -> tuple[Term, tuple[int, ...]]:
         """`translate`, given the facts of `deriv.ctx`."""

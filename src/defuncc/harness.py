@@ -14,7 +14,7 @@ from typing import Iterator
 from .cc import cc_check_context, cc_equiv, cc_infer, cc_normalize
 # dcc_normalize stays a module attribute: perfbench/tracing.py replaces it here
 from .dcc import dcc_check, dcc_equiv, dcc_infer, dcc_normalize  # noqa: F401
-# Translation stays a module attribute: perfbench/tracing.py and the tests replace it here
+# Translation stays a module attribute: perfbench/tracing.py replaces it here
 from .defun import Translation, defun, label_subset, label_union  # noqa: F401
 from .errors import (
     INPUT_ERRORS,
@@ -111,7 +111,7 @@ def check_reduction_preservation(j: Judgement):
     normal form is translated in the term's own run."""
     res, budget = j.translation(), j.budget
     nf = j.trace()[-1]
-    f_nf, defs = res.translate(j.nf_derivation())
+    ((f_nf, _),), defs = res.translate_many((j.nf_derivation(),))
     dcc_nf = j.target_nf()
     ground = isinstance(cc_normalize(res.derivation.type, budget), NatType)
     if ground:
@@ -404,13 +404,16 @@ def verify_path(
     (every check passed, the report lines, how many files could not be read,
     parsed or followed for nesting too deeply).
 
-    A single such file raises.  Inside a directory it gives one
+    A single such file raises, and so does a directory with none (verifying
+    nothing is no pass).  Inside a directory a file that fails so gives one
     `name: error: ...` or `name: parse error: ...` line in its sorted place,
     and the other files are still verified."""
     path = Path(path)
     files = [path]
     if path.is_dir():
         files = [f for f in sorted(path.iterdir()) if f.suffix in (".cc", ".dcc") and f.is_file()]
+        if not files:
+            raise FileNotFoundError(f"no .cc or .dcc file in {path}")
     ok, lines, unread = True, [], 0
     for f in files:
         try:

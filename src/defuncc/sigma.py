@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cc import SIGMA, cc_infer, cc_reduce_trace
 from .dcc import check_labels, dcc_calculus, dcc_check, dcc_equiv, dcc_infer, dcc_normalize
-# Translation stays a module attribute: perfbench/tracing.py and the tests replace it here
+# Translation stays a module attribute: perfbench/tracing.py replaces it here
 from .defun import Translation, defun  # noqa: F401
 from .errors import DefunccError, DiagramFailure, StepBudgetExceeded, TypeCheckError
 from .kernel import DEFAULT_BUDGET, Budget, Calculus, Derivation, convertible, infer, reduce_trace

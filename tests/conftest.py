@@ -154,3 +154,14 @@ def scaling():
         return elab.ctx, elab.main
 
     return build
+
+
+@pytest.fixture(scope="session")
+def scaling_programs(scaling):
+    """scaling_programs(): the scaling programs the differential tests run,
+    Vec n=2..8, `twice` k=1..3 and nested lambdas n=20..60, as (ctx, main
+    term) pairs.  Each call builds them afresh, so no test reads the node
+    caches another test warmed."""
+    sizes = [("vec", n) for n in range(2, 9)] + [("twice", k) for k in range(1, 4)]
+    sizes += [("lambdas", n) for n in range(20, 61, 10)]
+    return lambda: [scaling(family, size) for family, size in sizes]

@@ -259,6 +259,14 @@ def test_verify_directory_with_a_failing_check_exits_three(capsys, tmp_path):
     assert "unknown_label.dcc: main: FAIL (label l1 is not declared in the label context)" in out
 
 
+def test_verify_directory_with_no_input_file_exits_two(capsys, tmp_path):
+    """Verifying nothing is no pass: a mistyped or empty directory is an input error."""
+    (tmp_path / "notes.txt").write_text("add 1 1\n")
+    (tmp_path / "sub.cc").mkdir()
+    err = f"error: no .cc or .dcc file in {tmp_path}\n"
+    assert run(capsys, "verify", str(tmp_path)) == (2, "", err)
+
+
 def test_verify_failure_exits_three(capsys):
     code, _, err = run(
         capsys, "verify", str(CORPUS / "bad" / "unknown_label.dcc")
@@ -511,6 +519,15 @@ def test_a_budget_of_one_step_still_runs(capsys):
 
 
 BIG = "9" * 5000  # past the 4,300 digits `int` and `str` convert by default
+
+
+def test_a_budget_of_any_length_is_read_whole(capsys):
+    code, out, _ = run(capsys, "--budget", BIG, "check", str(CORPUS / "two_plus_two.cc"))
+    assert (code, out) == (0, "Nat\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "0" * 5000, "check", str(CORPUS / "two_plus_two.cc")])
+    assert exc.value.code == 2
+    assert "argument --budget: must be at least 1, not 000" in capsys.readouterr().err
 
 
 def test_numerals_levels_and_label_ids_of_any_length_go_through_every_command(

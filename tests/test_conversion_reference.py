@@ -167,13 +167,9 @@ class Spy:
 
 
 @pytest.fixture(scope="module")
-def judgements(corpus_judgements, scaling, enumerated):
-    """The corpus, Vec n=2..8, `twice` k=1..3, the lambda chains n=20..60
-    and the enumerated judgements."""
-    out = [(ctx, term) for _, ctx, term in corpus_judgements]
-    out += [scaling("vec", n) for n in range(2, 9)]
-    out += [scaling("twice", k) for k in range(1, 4)]
-    out += [scaling("lambdas", n) for n in range(20, 61, 10)]
+def judgements(corpus_judgements, scaling_programs, enumerated):
+    """The corpus, the scaling programs and the enumerated judgements."""
+    out = [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
     assert len(enumerated) == 2525
     return out + list(enumerated)
 

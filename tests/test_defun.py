@@ -47,7 +47,6 @@ EMPTY = Ctx()
 # the module, which the package's `defun` function shadows as an attribute
 defun_module = importlib.import_module("defuncc.defun")
 harness_module = importlib.import_module("defuncc.harness")
-sigma_module = importlib.import_module("defuncc.sigma")
 syntax_module = importlib.import_module("defuncc.syntax")
 
 
@@ -364,8 +363,8 @@ class _AlwaysDerive(Translation):
 
 
 def _use_translation(monkeypatch, cls) -> None:
-    for module in (defun_module, harness_module, sigma_module):
-        monkeypatch.setattr(module, "Translation", cls)
+    """Make every run with `cls`: only `defun` makes one."""
+    monkeypatch.setattr(defun_module, "Translation", cls)
 
 
 class TestTypeMemo:
@@ -433,14 +432,26 @@ class TestTypeMemo:
         assert misses == [ty]
         assert len(walks) == 1
 
-    def test_memo_changes_no_output(self, corpus_judgements, scaling, enumerated, monkeypatch):
+    def test_a_derivation_translated_before_reads_no_context_entry(self, elaborated, monkeypatch):
+        """A root call the identity table answers grows no context facts."""
+        elab = elaborated("open_add")
+        assert len(elab.ctx) > 0
+        run, deriv = Translation(DEFAULT_BUDGET), cc_infer(elab.ctx, elab.main)
+        first = run.translate(deriv)
+        grown = []
+        monkeypatch.setattr(defun_module, "_grow", lambda *args: grown.append(args))
+        assert run.translate(deriv) is first
+        assert grown == []
+
+    def test_memo_changes_no_output(
+        self, corpus_judgements, scaling_programs, enumerated, monkeypatch
+    ):
         """With and without the run's tables, every translation result is
         equal, and every diagram report is equal apart from its suspension
         count."""
         judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
         judgements += enumerated
-        judgements += [scaling("vec", n) for n in range(2, 9)]
-        judgements += [scaling("twice", k) for k in (1, 2)]
+        judgements += scaling_programs()
 
         def outputs():
             return [
@@ -469,7 +480,9 @@ def _forced(t):
 
 
 class TestLabelFreeReads:
-    def test_skipped_type_reads_mint_nothing(self, corpus_judgements, scaling, monkeypatch):
+    def test_skipped_type_reads_mint_nothing(
+        self, corpus_judgements, scaling_programs, monkeypatch
+    ):
         """A type read only for its definitions (at a variable, an application
         or a conversion) is not derived when neither it nor its context holds
         a lambda.  Its full translation would give no definitions and the type
@@ -491,9 +504,7 @@ class TestLabelFreeReads:
                 return out
 
         _use_translation(monkeypatch, Spy)
-        programs = [(ctx, term) for _, ctx, term in corpus_judgements]
-        programs += [scaling("vec", n) for n in range(2, 7)]
-        programs += [scaling("twice", k) for k in (1, 2, 3)]
+        programs = [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
         for ctx, term in programs:
             harness_module._judgement.cache_clear()  # its defun run must be spied on
             results = [check(ctx, term) for check in harness_module.ALL_CHECKS]
@@ -510,7 +521,7 @@ class TestLabelFreeReads:
 
 class TestPlainTypes:
     def test_plain_reads_are_their_own_translation(
-        self, corpus_judgements, scaling, enumerated, monkeypatch
+        self, corpus_judgements, scaling_programs, enumerated, monkeypatch
     ):
         """A type the walk reads whole (a closure telescope type, a return
         type, a context entry, the judgement's type) is not derived when it
@@ -533,10 +544,7 @@ class TestPlainTypes:
                 return out
 
         _use_translation(monkeypatch, Spy)
-        programs = [(ctx, term) for _, ctx, term in corpus_judgements]
-        programs += [scaling("vec", n) for n in range(2, 7)]
-        programs += [scaling("twice", k) for k in (1, 2, 3)]
-        programs += [scaling("lambdas", n) for n in range(20, 61, 10)]
+        programs = [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
         programs += enumerated
         # a context type holding a lambda: the plain-looking `P y` read under it is derived
         lam_ctx = parse_source(
@@ -545,7 +553,7 @@ class TestPlainTypes:
             "fun (y : Nat) => fun (z : Nat) => q y\n"
         ).elaborate()
         programs.append((lam_ctx.ctx, lam_ctx.main))
-        assert len(programs) == 50 + 5 + 3 + 5 + 2525 + 1
+        assert len(programs) == 50 + 15 + 2525 + 1
         for ctx, term in programs:
             report = check_diagram(Judgement(ctx, term), raise_on_failure=False)
             assert report.ok, report.edges
@@ -679,16 +687,13 @@ def _read_spy():
 
 
 @pytest.fixture(scope="module")
-def shortcut_reads(corpus_judgements, scaling, enumerated):
+def shortcut_reads(corpus_judgements, scaling_programs, enumerated):
     """What the shortcuts read while the diagram check (and with it `defun`)
     runs over the corpus, the scaling families and the enumeration: every
     context a type is read under with the facts carried with it, and every
     plain-context type read whole with its context's names and whether the
     run copied it."""
-    programs = [(ctx, term) for _, ctx, term in corpus_judgements]
-    programs += [scaling("vec", n) for n in range(2, 7)]
-    programs += [scaling("twice", k) for k in (1, 2, 3)]
-    programs += [scaling("lambdas", n) for n in range(20, 61, 10)]
+    programs = [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
     programs += enumerated
     # σ-states that push a suspension into a Π: its codomain is read under a
     # context whose last entry is a suspension, so not of source terms
@@ -698,8 +703,7 @@ def shortcut_reads(corpus_judgements, scaling, enumerated):
         programs.append((elab.ctx, elab.main))
     spy, facts, reads = _read_spy()
     with pytest.MonkeyPatch.context() as mp:
-        for module in (defun_module, harness_module, sigma_module):
-            mp.setattr(module, "Translation", spy)
+        mp.setattr(defun_module, "Translation", spy)
         for ctx, term in programs:
             report = check_diagram(Judgement(ctx, term), raise_on_failure=False)
             assert report.ok, report.edges
@@ -773,17 +777,16 @@ class TestShortcutFacts:
         kept = (elaborated.ctx, out, result.dcc_ctx)
         assert [c for c in kept if not set(vars(c)) <= {"entries", "_hash"}] == []
 
-    def test_a_read_context_holds_nothing_but_its_entries(self, corpus_judgements, scaling):
+    def test_a_read_context_holds_nothing_but_its_entries(
+        self, corpus_judgements, scaling_programs
+    ):
         """The translation keeps nothing on the contexts it reads: during the
         six checks, every context a type is read under holds no instance
         attribute but its entries and its cached hash."""
-        programs = [(ctx, term) for _, ctx, term in corpus_judgements]
-        programs += [scaling("vec", n) for n in range(2, 5)]
-        programs += [scaling("twice", k) for k in (1, 2)]
+        programs = [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
         spy, facts, _ = _read_spy()
         with pytest.MonkeyPatch.context() as mp:
-            for module in (defun_module, harness_module, sigma_module):
-                mp.setattr(module, "Translation", spy)
+            mp.setattr(defun_module, "Translation", spy)
             for ctx, term in programs:
                 harness_module._judgement.cache_clear()  # its defun run must be spied on
                 results = [check(ctx, term) for check in harness_module.ALL_CHECKS]

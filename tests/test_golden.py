@@ -5,16 +5,16 @@ output, the `checkdcc` output for that translation, and the `verify` output.
 For every ill-typed file under corpus/bad/, tests/golden/bad/ holds the
 `verify` output followed by its exit code, so failure messages are pinned
 too.  Any moved label number, fresh-name prime, printed type, step count or
-failure message shows up as a diff here.
+failure message shows up as a diff here.  `defuncc verify corpus` prints the
+per-file `verify` goldens one after another.
 
-tests/golden/budget_verdicts.txt holds, for every corpus judgement at each of
-the small budgets in BUDGETS, the six checks' verdicts (ok or FAIL, in
-ALL_CHECKS order).  At these budgets some checks run out of steps and others
-do not, so a change that makes a check reduce, derive or translate more (or
-less) than before shows up as a moved flag.
+The `fingerprint_*.txt` goldens are the parts of scripts/fingerprint.py that
+tests/test_scripts.py compares; `fingerprint_corpus.txt` holds the six
+checks' verdicts of every corpus judgement at the default and at small
+budgets.
 
-Regenerate (only when a change of output is intended and recorded in
-CHANGES.md): PYTHONPATH=src python tests/test_golden.py
+Regenerate every golden (only when a change of output is intended and
+recorded in CHANGES.md): PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from defuncc.cli import main
-from defuncc.harness import ALL_CHECKS, load_file, source_judgements
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -34,8 +33,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PROGRAMS = sorted(CORPUS.glob("*.cc"))
 BAD = sorted((CORPUS / "bad").iterdir())
 KINDS = ("dcc", "checkdcc", "verify")
-BUDGETS = (3, 5, 8, 12, 20, 30)
-VERDICTS = GOLDEN / "budget_verdicts.txt"
+FINGERPRINTS = ("corpus", "vec", "twice", "emit")  # the parts kept as goldens
 
 
 def _run(*argv: str) -> tuple[int, str]:
@@ -67,20 +65,6 @@ def render_bad(path: Path) -> str:
     return f"{out}exit {code}\n"
 
 
-def render_budget_verdicts() -> str:
-    """One line per corpus judgement and budget: `file:judgement @budget:`
-    then the six verdicts."""
-    lines = []
-    for path in PROGRAMS:
-        for name, ctx, term in source_judgements(load_file(path)):
-            for budget in BUDGETS:
-                flags = " ".join(
-                    "ok" if check(ctx, term, budget).ok else "FAIL" for check in ALL_CHECKS
-                )
-                lines.append(f"{path.name}:{name} @{budget}: {flags}\n")
-    return "".join(lines)
-
-
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
 def test_corpus_output_matches_golden(path):
     got = render(path)
@@ -95,17 +79,25 @@ def test_bad_verify_output_matches_golden(path):
     assert render_bad(path) == want, f"bad/{path.name}: verify output changed"
 
 
-def test_small_budget_verdicts_match_golden():
-    assert render_budget_verdicts() == VERDICTS.read_text(), "a verdict moved"
+def test_verify_of_the_corpus_prints_the_verify_goldens_in_order(capsys):
+    code = main(["verify", str(CORPUS)])
+    want = "".join((GOLDEN / f"{path.stem}.verify").read_text() for path in PROGRAMS)
+    assert (code, capsys.readouterr().out) == (0, want)
 
 
 if __name__ == "__main__":
+    from test_scripts import _run_script  # the fingerprint parts, run as their test runs them
+
     (GOLDEN / "bad").mkdir(parents=True, exist_ok=True)
     for path in PROGRAMS:
         for kind, text in render(path).items():
             (GOLDEN / f"{path.stem}.{kind}").write_text(text)
     for path in BAD:
         (GOLDEN / "bad" / f"{path.name}.verify").write_text(render_bad(path))
-    VERDICTS.write_text(render_budget_verdicts())
-    print(f"wrote {len(PROGRAMS) * len(KINDS) + len(BAD) + 1} files to {GOLDEN}",
+    for part in FINGERPRINTS:
+        proc = _run_script("fingerprint.py", part)
+        if proc.returncode:
+            sys.exit(f"scripts/fingerprint.py {part} exited {proc.returncode}:\n{proc.stderr}")
+        (GOLDEN / f"fingerprint_{part}.txt").write_text(proc.stdout)
+    print(f"wrote {len(PROGRAMS) * len(KINDS) + len(BAD) + len(FINGERPRINTS)} files to {GOLDEN}",
           file=sys.stderr)

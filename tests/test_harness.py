@@ -197,8 +197,8 @@ class TestSharedArtifact:
                 runs.append(budget)
                 super().__init__(budget)
 
+        monkeypatch.setattr(defun_module, "Translation", Counting)
         for module in (harness, defun_module, sigma_module):
-            monkeypatch.setattr(module, "Translation", Counting)
             for name in ("cc_normalize", "cc_reduce_trace"):
                 if hasattr(module, name):
                     real = getattr(module, name)
@@ -214,11 +214,9 @@ class TestSharedArtifact:
         assert (len(runs), len(normalized)) == (1, 1)
 
     @pytest.fixture(scope="class")
-    def programs(self, corpus_judgements, scaling):
-        """The corpus judgements, Vec n=2..6 and `twice` k=1..2."""
-        out = [(ctx, term) for _, ctx, term in corpus_judgements]
-        out += [scaling("vec", n) for n in range(2, 7)]
-        return out + [scaling("twice", k) for k in (1, 2)]
+    def programs(self, corpus_judgements, scaling_programs):
+        """The corpus judgements and the scaling programs."""
+        return [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
 
     def test_verdicts_do_not_depend_on_check_order(self, programs):
         """Reduction preservation and the diagram check extend the same run,
@@ -244,7 +242,7 @@ class TestSharedArtifact:
             for extend_first in (False, True):
                 j = sigma_module.Judgement(ctx, term)
                 if extend_first:
-                    j.translation().translate(j.nf_derivation())
+                    j.translation().translate_many((j.nf_derivation(),))
                 report = sigma_module.check_diagram(j, raise_on_failure=False)
                 reports.append(dataclasses.replace(report, subst_nodes=0))
             if reports[0] != reports[1]:
@@ -350,11 +348,9 @@ class TestReductionPreservation:
         cases = [(c, t, b) for _, c, t in corpus_judgements for b in budgets]
         self._assert_unchanged(cases)
 
-    def test_scaling_families(self, scaling):
-        programs = [scaling("vec", n) for n in range(2, 9)]
-        programs += [scaling("twice", k) for k in (1, 2)]
+    def test_scaling_families(self, scaling_programs):
         self._assert_unchanged(
-            [(c, t, b) for c, t in programs for b in (5, 30, 100, DEFAULT_BUDGET)]
+            [(c, t, b) for c, t in scaling_programs() for b in (5, 30, 100, DEFAULT_BUDGET)]
         )
 
     def test_enumerated_judgements(self, enumerated):

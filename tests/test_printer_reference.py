@@ -177,11 +177,9 @@ def test_the_enumeration_prints_alike(enumerated):
         assert_translation_prints_alike(ctx, term)
 
 
-def test_the_scaling_families_print_alike(scaling):
-    families = [("vec", n) for n in range(2, 13)] + [("twice", k) for k in (1, 2, 3)]
-    families += [("lambdas", n) for n in range(20, 61, 10)]
-    for family, size in families:
-        assert_translation_prints_alike(*scaling(family, size))
+def test_the_scaling_families_print_alike(scaling, scaling_programs):
+    for ctx, term in scaling_programs() + [scaling("vec", n) for n in (9, 10, 11, 12)]:
+        assert_translation_prints_alike(ctx, term)
 
 
 def test_suspensions_print_alike():

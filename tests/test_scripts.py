@@ -21,39 +21,18 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_verify_corpus_passes_on_the_corpus():
-    proc = _run_script("verify_corpus.py")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == "all good: 350 checks passed"
-
-
-def test_verify_corpus_counts_files_it_cannot_check(tmp_path):
-    (tmp_path / "two_plus_two.cc").write_text((ROOT / "corpus" / "two_plus_two.cc").read_text())
-    (tmp_path / "garbled.cc").write_bytes(b"axiom A : Type 0;\n\xff\xfe\n")
-    (tmp_path / "broken.cc").write_text("add 1 1\n)\n")
-    proc = _run_script("verify_corpus.py", str(tmp_path))
-    assert proc.returncode == 2
-    assert proc.stderr == "2 file(s) could not be checked, 0 failure(s) among 7 checks\n"
-
-
-def test_verify_corpus_exits_one_on_a_failing_check(tmp_path):
-    bad = (ROOT / "corpus" / "bad" / "unknown_label.dcc").read_text()
-    (tmp_path / "unknown_label.dcc").write_text(bad)
-    proc = _run_script("verify_corpus.py", str(tmp_path))
-    assert (proc.returncode, proc.stderr) == (1, "1 failure(s) among 2 checks\n")
-
-
 def test_fingerprint_flags_on_the_corpus_match_the_golden_verdicts():
-    """The flags against the budget verdicts, and every line, digests too,
-    against the corpus part of the fingerprint as it was recorded."""
+    """Every line, flags and digests, against the corpus part of the
+    fingerprint as it was recorded: the golden verdicts of every corpus
+    judgement at the default budget and at each small one.  At the small
+    budgets some checks run out of steps and others do not, so a change that
+    makes a check reduce, derive or translate more (or less) than before
+    shows up as a moved flag."""
     proc = _run_script("fingerprint.py", "corpus")
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert len(lines) == 350  # 50 judgements at 7 budgets
-    flags = [line.rsplit(" ", 1)[0] for line in lines]
-    assert all(f.endswith("@1000000: ok ok ok ok ok ok") for f in flags[::7])
-    golden = (ROOT / "tests" / "golden" / "budget_verdicts.txt").read_text().splitlines()
-    assert [f for i, f in enumerate(flags) if i % 7] == golden
+    assert all(" @1000000: ok ok ok ok ok ok " in line for line in lines[::7])
     assert proc.stdout == (ROOT / "tests" / "golden" / "fingerprint_corpus.txt").read_text()
 
 

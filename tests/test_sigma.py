@@ -188,7 +188,7 @@ class TestStateTranslation:
         elab = elaborated("compose_simply_typed")
         assert uses_only(elab.main, CC_TERMS)
         res = defun(elab.ctx, elab.main)
-        embedded, _ = res.translate(ccs_infer(elab.ctx, elab.main))
+        ((embedded, _),), _ = res.translate_many((ccs_infer(elab.ctx, elab.main),))
         assert alpha_eq(embedded, res.term)
 
     def test_state_definitions_stay_within_source_definitions(self):
@@ -312,11 +312,9 @@ class TestTraceTable:
     same states."""
 
     @pytest.fixture(scope="class")
-    def programs(self, corpus_judgements, scaling):
-        """The corpus judgements, Vec n=2..6 and `twice` k=1..3."""
-        out = [(ctx, term) for _, ctx, term in corpus_judgements]
-        out += [scaling("vec", n) for n in range(2, 7)]
-        return out + [scaling("twice", k) for k in (1, 2, 3)]
+    def programs(self, corpus_judgements, scaling_programs):
+        """The corpus judgements and the scaling programs."""
+        return [(ctx, term) for _, ctx, term in corpus_judgements] + scaling_programs()
 
     def test_the_diagrams_derivations_equal_fresh_ones(self, programs, monkeypatch):
         calls = []
