@@ -11,7 +11,10 @@ per-file `verify` goldens one after another.
 The `fingerprint_*.txt` goldens are the parts of scripts/fingerprint.py that
 tests/test_scripts.py compares; `fingerprint_corpus.txt` holds the six
 checks' verdicts of every corpus judgement at the default and at small
-budgets.
+budgets.  At the small budgets in BUDGETS some checks run out of steps and
+others do not, so a change that makes a check reduce, derive or translate
+more (or less) than before shows up as a moved flag; the verdicts rendered
+here, in process, are compared with the flags of that golden.
 
 Regenerate every golden (only when a change of output is intended and
 recorded in CHANGES.md): PYTHONPATH=src python tests/test_golden.py
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from defuncc.cli import main
+from defuncc.harness import ALL_CHECKS, load_file, source_judgements
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -34,6 +38,7 @@ PROGRAMS = sorted(CORPUS.glob("*.cc"))
 BAD = sorted((CORPUS / "bad").iterdir())
 KINDS = ("dcc", "checkdcc", "verify")
 FINGERPRINTS = ("corpus", "vec", "twice", "emit")  # the parts kept as goldens
+BUDGETS = (3, 5, 8, 12, 20, 30)
 
 
 def _run(*argv: str) -> tuple[int, str]:
@@ -65,6 +70,27 @@ def render_bad(path: Path) -> str:
     return f"{out}exit {code}\n"
 
 
+def render_budget_verdicts() -> str:
+    """One line per corpus judgement and budget: `file:judgement @budget:`
+    then the six verdicts."""
+    lines = []
+    for path in PROGRAMS:
+        for name, ctx, term in source_judgements(load_file(path)):
+            for budget in BUDGETS:
+                flags = " ".join(
+                    "ok" if check(ctx, term, budget).ok else "FAIL" for check in ALL_CHECKS
+                )
+                lines.append(f"{path.name}:{name} @{budget}: {flags}\n")
+    return "".join(lines)
+
+
+def golden_budget_verdicts() -> str:
+    """The small-budget lines of fingerprint_corpus.txt without their digests."""
+    lines = (GOLDEN / "fingerprint_corpus.txt").read_text().splitlines()
+    return "".join(f"{line.rsplit(' ', 1)[0]}\n" for line in lines
+                   if not line.split(": ", 1)[0].endswith("@1000000"))
+
+
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
 def test_corpus_output_matches_golden(path):
     got = render(path)
@@ -77,6 +103,12 @@ def test_corpus_output_matches_golden(path):
 def test_bad_verify_output_matches_golden(path):
     want = (GOLDEN / "bad" / f"{path.name}.verify").read_text()
     assert render_bad(path) == want, f"bad/{path.name}: verify output changed"
+
+
+def test_small_budget_verdicts_match_golden():
+    want = golden_budget_verdicts()
+    assert want.count("\n") == 300  # 50 judgements at 6 budgets
+    assert render_budget_verdicts() == want, "a verdict moved"
 
 
 def test_verify_of_the_corpus_prints_the_verify_goldens_in_order(capsys):
