@@ -10,10 +10,11 @@ of these, each time the best of 3 runs:
 - `defun` on nested lambdas `fun (x1 : Nat) => ... => add x1 xn`;
 - the translate-emit CLI pipeline on the same programs: `defun` as text and
   as JSON, `checkdcc` on the emitted text, `refun`;
-- the six metatheory checks on Vec chains, on nested `twice` and on the
+- the six metatheory checks on Vec chains, on nested `twice`, on the
   nested lambdas (a wide program: its label context prints n(n+1)/2
-  return-type nodes), with the commuting-diagram report's σ-steps and
-  labels beside each time;
+  return-type nodes) and on `Add` chains (a long trace: n source steps and
+  n σ-steps), with the commuting-diagram report's σ-steps and labels beside
+  each time;
 - `harness.enumerate_small_terms` at size budgets 3, 5 and 7, with the
   judgements it kept beside each time (size 7 takes about a minute:
   three timed runs and one more for the count).
@@ -81,6 +82,11 @@ def twice_source(k: int) -> str:
         "  fun (A : Type 0) => fun (f : A -> A) => fun (x : A) => f (f x);\n"
         f"{f} 0\n"
     )
+
+
+def add_source(n: int) -> str:
+    """`add 1 (add 1 (... (add 1 0)))`: n nested additions, n steps to the numeral n."""
+    return "add 1 (" * n + "0" + ")" * n + "\n"
 
 
 def speed_meter():
@@ -187,6 +193,7 @@ FAMILIES = [
      diagram_counts(twice_source)),
     ("six checks, nested lambdas", six_checks(lambda_source), (60, 120, 240, 480),
      diagram_counts(lambda_source)),
+    ("six checks, Add chain", six_checks(add_source), (50, 100, 200), diagram_counts(add_source)),
     ("enumeration", enumeration, (3, 5, 7), (("kept",), enumeration_kept)),
 ]
 

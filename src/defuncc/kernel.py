@@ -215,11 +215,23 @@ def convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool:
 
 def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable:
     """`convertible(calc, terms[i], terms[k], Budget(limit))` as a function of
-    (i, k) that normalizes each term once, under a budget of its own; a pair is
-    compared on a budget charged both terms' steps, so the same pairs run out."""
+    (i, k).  A step pair (i, i + 1) is decided per step first, on a budget of
+    its own: it holds if the two terms are α-equal, or if one leftmost step of
+    terms[i], spent from that budget, is α-equal to terms[i + 1].  Any other
+    pair, or one that rule leaves open, normalizes each term once, under a
+    budget of its own, and is compared on a budget charged both terms' steps;
+    so only such a pair runs out, and on the same pairs as `convertible`."""
     done: dict[int, tuple[Term, int]] = {}
 
     def convertible_at(i: int, k: int) -> bool:
+        if k == i + 1:
+            b, a, c = Budget(limit), terms[i], terms[k]
+            if alpha_eq(a, c):
+                return True
+            s = reduce_step(calc, a)
+            if s is not None and alpha_eq(s, c):
+                b.spend()  # below a limit of 1 this raises, as normalizing terms[i] would
+                return True
         for j in (i, k):
             if j not in done:
                 b = Budget(limit)

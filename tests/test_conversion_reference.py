@@ -18,7 +18,7 @@ from defuncc import kernel
 from defuncc.cc import CC, SIGMA
 from defuncc.errors import StepBudgetExceeded
 from defuncc.harness import ALL_CHECKS
-from defuncc.kernel import DEFAULT_BUDGET, Budget, Calculus, normalize
+from defuncc.kernel import DEFAULT_BUDGET, Budget, Calculus, normalize, reduce_step
 from defuncc.syntax import (
     NAT,
     Add,
@@ -82,7 +82,9 @@ def reference_convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool
 
 def reference_pairs(calc: Calculus, terms: list[Term], limit: int, made: list[Budget]):
     """`kernel.convertible_pairs` over the reference, each budget it makes
-    appended to `made`."""
+    appended to `made`.  A step pair (i, i + 1) holds on a fresh budget if its
+    terms are α-equal, and with one step spent if one leftmost step of
+    terms[i] is α-equal to terms[i + 1]; anything else compares normal forms."""
     done: dict[int, tuple[Term, int]] = {}
 
     def budget() -> Budget:
@@ -90,6 +92,14 @@ def reference_pairs(calc: Calculus, terms: list[Term], limit: int, made: list[Bu
         return made[-1]
 
     def convertible_at(i: int, k: int) -> bool:
+        if k == i + 1:
+            b = budget()
+            if alpha_eq(terms[i], terms[k]):
+                return True
+            step = reduce_step(calc, terms[i])
+            if step is not None and alpha_eq(step, terms[k]):
+                b.spend()
+                return True
         for j in (i, k):
             if j not in done:
                 b = budget()

@@ -5,6 +5,7 @@ import importlib
 
 import pytest
 
+from defuncc import kernel
 from defuncc import sigma as sigma_module
 from defuncc.cc import CC_TERMS, SIGMA, cc_infer, cc_normalize, cc_reduce_trace
 from defuncc.defun import Translation, defun, label_subset
@@ -381,6 +382,63 @@ class TestTraceTable:
                 assert spent == exhausted(ctx, states, SIGMA, budget), (term, budget)
                 runs_out += 0 < len(spent) < len(states)
         assert runs_out > 0
+
+
+class TestStepEdges:
+    """The step edges decide a step pair per step first: it holds if its
+    terms are α-equal or one leftmost step apart.  That rule must be sound
+    (what it accepts converts as whole states) and must fire: on the corpus
+    and on `twice` k=1..3, `dcc-preserves-sigma-step` normalizes no state."""
+
+    @staticmethod
+    def step_pairs(judgements, monkeypatch) -> list[tuple]:
+        """Every step pair the diagram checks of `judgements` compare, as
+        (calculus, redex, reduct, answer, whether the comparison normalized
+        anything); a pair the rule leaves open normalizes its reduct."""
+        normalized, pairs = [], []
+        normalize, real_pairs = kernel.normalize, sigma_module.convertible_pairs
+
+        def counting(calc, t, b):
+            normalized.append(calc)
+            return normalize(calc, t, b)
+
+        def spied(calc, terms, limit):
+            convertible_at = real_pairs(calc, terms, limit)
+
+            def at(i, k):
+                before = len(normalized)
+                answer = convertible_at(i, k)
+                if k == i + 1:
+                    pairs.append((calc, terms[i], terms[k], answer, len(normalized) > before))
+                return answer
+
+            return at
+
+        monkeypatch.setattr(kernel, "normalize", counting)
+        monkeypatch.setattr(sigma_module, "convertible_pairs", spied)
+        for ctx, term in judgements:
+            assert check_diagram(Judgement(ctx, term)).ok
+        monkeypatch.undo()
+        return pairs
+
+    def test_what_the_rule_accepts_converts_as_whole_states(
+        self, corpus_judgements, scaling_programs, enumerated, monkeypatch
+    ):
+        judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
+        pairs = self.step_pairs(judgements + scaling_programs() + list(enumerated), monkeypatch)
+        accepted = [(calc, a, c) for calc, a, c, answer, whole in pairs if answer and not whole]
+        # the σ edge accepts only `add` steps, the DCC edge nearly every pair
+        assert any(calc is SIGMA for calc, _, _ in accepted)
+        assert sum(calc is not SIGMA for calc, _, _ in accepted) > 500
+        for calc, a, c in accepted:
+            assert kernel.convertible(calc, a, c, Budget(DEFAULT_BUDGET)), (a, c)
+
+    def test_the_dcc_edge_normalizes_no_state(self, corpus_judgements, scaling, monkeypatch):
+        judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
+        judgements += [scaling("twice", k) for k in (1, 2, 3)]
+        pairs = [p for p in self.step_pairs(judgements, monkeypatch) if p[0] is not SIGMA]
+        assert len(pairs) > 100
+        assert [(a, c) for _, a, c, _, whole in pairs if whole] == []
 
 
 class TestAgainstSource:
