@@ -47,10 +47,11 @@ from .syntax import (
     alpha_eq,
     free_var_set,
     fresh_name,
+    frozen_slotted,
 )
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class CheckResult:
     name: str
     ok: bool

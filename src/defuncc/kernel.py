@@ -46,6 +46,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     freshen_binder,
+    frozen_slotted,
     rebuild,
     subst,
 )
@@ -66,9 +67,13 @@ class Budget:
             raise StepBudgetExceeded(self.limit)
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class Derivation:
-    """One typing judgement ctx |- subject : type plus its premises."""
+    """One typing judgement ctx |- subject : type plus its premises.
+
+    Every check builds derivations in bulk, so a derivation is a frozen
+    slotted record built through its slots (`syntax.frozen_slotted`); it is
+    never changed once built."""
 
     rule: str
     ctx: Ctx
@@ -381,12 +386,11 @@ def coerce(
 
 def check_context(calc: Calculus, ctx: Ctx, b: Budget) -> None:
     """Raise unless every assumption's type is a type in its prefix."""
-    seen: list[tuple[str, Term]] = []
+    prefix, bound = Ctx(), set()  # grown per entry: no entry rescans those before it
     for name, ty in ctx:
-        if any(name == n for n, _ in seen):
+        if name in bound:
             raise IllFormedContext(f"context binds {name!r} twice")
-        prefix = Ctx(tuple(seen))
-        extra = free_var_set(ty) - set(prefix.names())
+        extra = free_var_set(ty) - bound
         if extra:
             raise IllFormedContext(
                 f"type of {name!r} mentions later or unbound names {sorted(extra)}"
@@ -395,4 +399,5 @@ def check_context(calc: Calculus, ctx: Ctx, b: Budget) -> None:
             infer_type(calc, prefix, ty, b)
         except NotAType as exc:
             raise IllFormedContext(f"type of {name!r} is not a type: {exc}") from exc
-        seen.append((name, ty))
+        prefix = prefix.extend(name, ty)
+        bound.add(name)

@@ -7,12 +7,12 @@ calculus plus ESubst nodes.
 
 Nodes are immutable: a node's children never change after it is built.  That
 is what makes the per-node caches, free variables (`free_vars`) and hash,
-exact.
+exact.  Nodes and label records are built in bulk: see `frozen_slotted`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterator, Union, get_args
 
 
@@ -24,53 +24,70 @@ class _Node:
     __slots__ = ("_fv", "_hash", "_canon")
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_slotted(cls):
+    """`dataclass(frozen=True, slots=True, init=False)` with an `__init__`
+    that stores each field through its slot's descriptor, a third to a half
+    cheaper than the dataclass's `object.__setattr__`.  Fields keep their
+    names, order and defaults, so positional, keyword and `dataclasses.replace`
+    calls build what the dataclass built; assigning a field still raises."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    fs = fields(cls)
+    ns = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in fs}
+    body = "".join(f"_set_{f.name}(self, {f.name}); " for f in fs)
+    src = f"def __init__(self, {', '.join(f.name for f in fs)}): {body}pass"
+    exec(compile(src, "<frozen_slotted>", "exec"), ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
+    return cls
+
+
+@frozen_slotted
 class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Universe(_Node):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Pi(_Node):
     binder: str
     domain: "Term"
     codomain: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Lam(_Node):
     binder: str
     domain: "Term"
     body: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class NatType(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class NatLit(_Node):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Add(_Node):
     lhs: "Term"
     rhs: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Label(_Node):
     """A first-class function label applied to its closure arguments."""
 
@@ -78,7 +95,7 @@ class Label(_Node):
     args: tuple["Term", ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class SBind:
     """One entry of a suspended substitution: name, declared type, value.
 
@@ -92,7 +109,7 @@ class SBind:
     value: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class ESubst(_Node):
     """Suspended parallel substitution subject{x1:A1 |-> N1, ..., xk:Ak |-> Nk}.
 
@@ -434,6 +451,7 @@ def canon(t: Term, env: dict[str, int] | None = None, depth: int = 0):
 class _Entries:
     """Ordered entries looked up by key (a name, or a label id)."""
 
+    __slots__ = ()
     entries: tuple
 
     def __contains__(self, key) -> bool:
@@ -479,7 +497,7 @@ _new, _set = object.__new__, object.__setattr__
 # Label contexts
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class LabelEntry:
     """l(x1:A1,...,xn:An, x:A -> M:B): a named function definition.
 
@@ -515,7 +533,7 @@ def entry_alpha_eq(e1: LabelEntry, e2: LabelEntry) -> bool:
     return e1 is e2 or e1.label_id == e2.label_id and entry_canon(e1) == entry_canon(e2)
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class LabelCtx(_Entries):
     """Ordered label definitions; later entries may reference earlier labels."""
 

@@ -3,8 +3,11 @@ example runs as printed."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,19 @@ def test_readme_library_example_prints_what_it_says():
         exec(code, {})
     expected = [line.split("# ")[-1] for line in code.splitlines() if "print(" in line]
     assert out.getvalue().splitlines() == expected == ["A -> A", "l0{A}", "fun (x : A) => x"]
+
+
+def test_defuncc_defun_is_the_function_and_import_module_gives_the_module():
+    """The package re-exports `defun` under its module's name: the attribute,
+    and so `import defuncc.defun as m`, is the function, on which patching
+    `Translation` changes nothing; `importlib.import_module` gives the
+    module.  The package docstring and the README say both."""
+    import defuncc.defun as m
+
+    module = importlib.import_module("defuncc.defun")
+    assert m is defuncc.defun is module.defun and isinstance(m, types.FunctionType)
+    assert isinstance(module, types.ModuleType) and module is sys.modules["defuncc.defun"]
+    assert hasattr(module, "Translation") and not hasattr(m, "Translation")
+    for text in (defuncc.__doc__, README):
+        assert 'importlib.import_module("defuncc.defun")' in text
+        assert "import defuncc.defun as m" in " ".join(text.split())

@@ -1,5 +1,8 @@
 """Source-language type checking, reduction, and definitional equivalence."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 from defuncc.cc import (
@@ -12,6 +15,7 @@ from defuncc.cc import (
     fv_telescope,
 )
 from defuncc.errors import (
+    DefunccError,
     IllFormedContext,
     NotAFunction,
     NotAType,
@@ -21,7 +25,8 @@ from defuncc.errors import (
     UnboundVariable,
 )
 from defuncc.dcc import dcc_infer
-from defuncc.kernel import reduce_step
+from defuncc.harness import verify_path
+from defuncc.kernel import DEFAULT_BUDGET, Budget, check_context, infer_type, reduce_step
 from defuncc.sigma import ccs_infer
 from defuncc.surface import parse_term
 from defuncc.syntax import (
@@ -36,9 +41,11 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    free_var_set,
 )
 
 EMPTY = Ctx()
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def ctx_of(*pairs: tuple[str, str]) -> Ctx:
@@ -228,6 +235,74 @@ class TestContext:
         bad = Ctx((("x", NatType()), ("x", NatType())))
         with pytest.raises(TypeCheckError):
             cc_check_context(bad)
+
+    def test_verdicts_and_messages_match_the_prefix_copying_check(self, monkeypatch):
+        """`check_context` grows one prefix and one set of bound names; it
+        gives every context the verdict, message and step count of the
+        check that copied its prefix and rescanned its names per entry: the
+        contexts `verify` checks over the corpus and `corpus/bad`, and the
+        ill-formed ones, at a full budget and at small ones."""
+        seen = []
+
+        def spy(calc, ctx, b):
+            seen.append((calc, ctx))
+            return check_context(calc, ctx, b)
+
+        for name in ("defuncc.cc", "defuncc.dcc"):
+            monkeypatch.setattr(importlib.import_module(name), "check_context", spy)
+        verify_path(CORPUS)
+        ok, lines, _ = verify_path(CORPUS / "bad")
+        assert not ok and any("closure telescope of l0" in line for line in lines)
+        monkeypatch.undo()
+        ill_formed = [  # a repeated `_` is rejected as any repeated name is
+            Ctx((("x", Var("missing")),)),
+            Ctx((("x", NatType()), ("x", NatType()))),
+            Ctx((("_", Universe(0)), ("_", Universe(0)))),
+            ctx_of(("n", "Nat"), ("x", "n")),
+            ctx_of(("x", "y"), ("y", "Type 0")),
+            ctx_of(("A", "Type 0"), ("f", "A -> A"), ("A", "Type 1")),
+            ctx_of(("A", "Type 0"), ("B", "(fun (X : Type 1) => X) A")),
+            ctx_of(("F", "(fun (X : Type 1) => X) (Type 0)"), ("y", "F")),  # one step
+        ]
+        cases = seen + [(CC, ctx) for ctx in ill_formed]
+        assert len(cases) > 100
+        outcomes = set()
+        for calc, ctx in cases:
+            for limit in (0, 1, 3, DEFAULT_BUDGET):
+                got = _context_verdict(check_context, calc, ctx, limit)
+                assert got == _context_verdict(_copying_check_context, calc, ctx, limit)
+                outcomes.add(got[0])
+        assert {None, "IllFormedContext", "StepBudgetExceeded", "TypeMismatch"} <= outcomes
+
+
+def _copying_check_context(calc, ctx, b):
+    """The context check as it was first written: each entry copies its
+    whole prefix and scans the names bound before it (quadratic)."""
+    seen = []
+    for name, ty in ctx:
+        if any(name == n for n, _ in seen):
+            raise IllFormedContext(f"context binds {name!r} twice")
+        prefix = Ctx(tuple(seen))
+        extra = free_var_set(ty) - set(prefix.names())
+        if extra:
+            raise IllFormedContext(
+                f"type of {name!r} mentions later or unbound names {sorted(extra)}"
+            )
+        try:
+            infer_type(calc, prefix, ty, b)
+        except NotAType as exc:
+            raise IllFormedContext(f"type of {name!r} is not a type: {exc}") from exc
+        seen.append((name, ty))
+
+
+def _context_verdict(check, calc, ctx, limit):
+    """(error class or None, its message, steps spent) of one check."""
+    b = Budget(limit)
+    try:
+        check(calc, ctx, b)
+    except DefunccError as exc:
+        return type(exc).__name__, str(exc), b.used
+    return None, "", b.used
 
 
 class TestFvTelescope:

@@ -1,10 +1,16 @@
 """Substitution, alpha-equivalence, and free-variable bookkeeping."""
 
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import defuncc
 from defuncc import syntax
+from defuncc.harness import CheckResult
+from defuncc.kernel import Derivation
 from defuncc.defun import defun
 from defuncc.cc import CC_TERMS
 from defuncc.sigma import ccs_reduce_trace
@@ -15,6 +21,8 @@ from defuncc.syntax import (
     Ctx,
     ESubst,
     Label,
+    LabelCtx,
+    LabelEntry,
     Lam,
     NatLit,
     NatType,
@@ -347,6 +355,67 @@ class TestFreeVariableCache:
             "ESubst": ("subject", "bindings"),
             "SBind": ("name", "domain", "value"),
         }
+
+
+_ENTRY = LabelEntry(3, (("a", NatType()),), "x", NatType(), Add(Var("a"), Var("x")), NatType())
+_DERIVATION = Derivation("var", Ctx((("x", NatType()),)), Var("x"), NatType())
+
+# one object of each class built by `syntax.frozen_slotted`, no field at its default
+BUILT_THROUGH_SLOTS = ONE_OF_EACH + [
+    SBind("x", NatType(), NatLit(1)),
+    Derivation("conv", _DERIVATION.ctx, Var("x"), Universe(0), (_DERIVATION,)),
+    _ENTRY,
+    LabelCtx((_ENTRY,)),
+    CheckResult("round-trip", False, "why"),
+]
+DEFAULTS = {
+    "Label": {"args": ()},
+    "Derivation": {"children": ()},
+    "CheckResult": {"detail": ""},
+    "LabelCtx": {"entries": ()},
+}
+
+
+def test_every_class_built_through_slots_is_under_contract():
+    """A class of the package that `frozen_slotted` builds has an object in
+    BUILT_THROUGH_SLOTS, so the contract below covers it."""
+    built = set()
+    for info in pkgutil.iter_modules(defuncc.__path__):
+        module = importlib.import_module(f"defuncc.{info.name}")
+        for obj in vars(module).values():
+            code = getattr(getattr(obj, "__init__", None), "__code__", None)
+            if isinstance(obj, type) and code and code.co_filename == "<frozen_slotted>":
+                built.add(obj)
+    assert built == {type(o) for o in BUILT_THROUGH_SLOTS}
+
+
+@pytest.mark.parametrize("obj", BUILT_THROUGH_SLOTS, ids=lambda o: type(o).__name__)
+def test_built_through_slots_as_the_dataclass_built_it(obj):
+    """The slot-setting constructor keeps the dataclass's contract: its
+    signature, positional and keyword calls, `replace`, immutability, no
+    instance dictionary; and it is this constructor, not the dataclass's."""
+    cls, fs = type(obj), dataclasses.fields(obj)
+    assert cls.__init__.__code__.co_filename == "<frozen_slotted>"
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in fs]
+    assert {p.name: p.default for p in params if p.default is not p.empty} == DEFAULTS.get(
+        cls.__name__, {}
+    )
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    values = [getattr(obj, f.name) for f in fs]
+    by_position, by_keyword = cls(*values), cls(**{f.name: v for f, v in zip(fs, values)})
+    for twin in (by_position, by_keyword, dataclasses.replace(obj)):
+        assert twin is not obj and twin == obj
+        assert hash(twin) == hash(obj) and repr(twin) == repr(obj)
+    for f in fs:
+        other = dataclasses.replace(obj, **{f.name: "other"})
+        assert getattr(other, f.name) == "other" and other != obj
+        assert dataclasses.replace(other, **{f.name: getattr(obj, f.name)}) == obj
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, None)
+    assert not hasattr(obj, "__dict__")
+    if cls.__name__ in DEFAULTS:
+        assert cls(*values[:-1]) == dataclasses.replace(obj, **DEFAULTS[cls.__name__])
 
 
 # ---------------------------------------------------------------------------
