@@ -237,7 +237,9 @@ SIGMA = Calculus(
     enters=frozenset({App, Add, Pi, ESubst}),
     head=_head,
     is_function=lambda t: isinstance(t, (Lam, ESubst)),
-    # the result of an application is the codomain under a suspension
-    instantiate=lambda pi, arg: ESubst(pi.codomain, (SBind(pi.binder, pi.domain, arg),)),
+    # the result of an application is the codomain under a suspension, dropped
+    # when it binds nothing there: the garbage-collection rule of explicit substitutions
+    instantiate=lambda pi, arg: ESubst(pi.codomain, (SBind(pi.binder, pi.domain, arg),))
+    if pi.binder in free_vars(pi.codomain) else pi.codomain,
     rules={ESubst: _ty_subst},
 )

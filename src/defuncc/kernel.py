@@ -16,6 +16,7 @@ from operator import is_not
 from typing import Callable
 
 from .errors import (
+    DefunccError,
     IllFormedContext,
     NotAFunction,
     NotAType,
@@ -220,23 +221,20 @@ def convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool:
 
 def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable:
     """`convertible(calc, terms[i], terms[k], Budget(limit))` as a function of
-    (i, k).  A step pair (i, i + 1) is decided per step first, on a budget of
-    its own: it holds if the two terms are α-equal, or if one leftmost step of
-    terms[i], spent from that budget, is α-equal to terms[i + 1].  Any other
-    pair, or one that rule leaves open, normalizes each term once, under a
-    budget of its own, and is compared on a budget charged both terms' steps;
-    so only such a pair runs out, and on the same pairs as `convertible`."""
+    (i, k).  A step pair (i, i + 1) is decided at the step's hole first, on a
+    budget of its own (`_at_hole`).  Any other pair, or one that rule leaves
+    open or runs out of budget in, normalizes each term once, under a budget
+    of its own, and is compared on a budget charged both terms' steps; so
+    every False and every exhausted budget comes from whole states."""
     done: dict[int, tuple[Term, int]] = {}
 
     def convertible_at(i: int, k: int) -> bool:
         if k == i + 1:
-            b, a, c = Budget(limit), terms[i], terms[k]
-            if alpha_eq(a, c):
-                return True
-            s = reduce_step(calc, a)
-            if s is not None and alpha_eq(s, c):
-                b.spend()  # below a limit of 1 this raises, as normalizing terms[i] would
-                return True
+            try:
+                if _at_hole(calc, terms[i], terms[k], Budget(limit)):
+                    return True
+            except DefunccError:  # its budget ran out, or a label it unfolded is unknown
+                pass
         for j in (i, k):
             if j not in done:
                 b = Budget(limit)
@@ -249,14 +247,72 @@ def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable
     return convertible_at
 
 
+def _at_hole(calc: Calculus, a: Term, c: Term, bud: Budget) -> bool:
+    """Whether a converts to c by one contraction where they differ.  One walk
+    descends while the nodes agree in constructor, tag and binder names and
+    exactly one child differs by identity (`reduce_step` rebuilds only the
+    redex path).  The pair holds if the deepest nodes are α-equal, or if a
+    node of the path, deepest first, contracts (one step) to what meets the
+    other side in `_equiv_nf` with `_apply_head`: conversion is a congruence."""
+    path = [(a, c)]
+    while type(a) is type(c) and (entry := _BINDING.get(type(a))) is not None:
+        (tag_a, names_a, kids_a), (tag_c, names_c, kids_c) = entry[0](a), entry[0](c)
+        if tag_a != tag_c or names_a != names_c or len(kids_a) != len(kids_c):
+            break
+        differ = [(p, q) for (_, p), (_, q) in zip(kids_a, kids_c) if p is not q]
+        if len(differ) != 1:
+            break
+        a, c = differ[0]
+        path.append((a, c))
+    if alpha_eq(a, c):
+        return True
+    for a, c in reversed(path):
+        r = _contract(calc, a)
+        if r is not None:
+            bud.spend()
+            if _equiv_nf(calc, r, c, bud, {}, {}, 0, _apply_head):
+                return True
+    return False
+
+
+def _apply_head(calc: Calculus, t: Term, z: str, b: Budget) -> Term | None:
+    """t applied to the fresh name z, contracted at the root (one step)."""
+    r = calc.head(App(t, Var(z)))
+    if r is not None:
+        b.spend()
+    return r
+
+
+def _pushed(calc: Calculus, t: Term, b: Budget) -> Term:
+    """t with the suspensions at its head pushed, or dropped whole if they bind
+    nothing in their subject (garbage collection), one step each."""
+    while type(t) is ESubst:
+        fv = free_vars(t.subject)
+        r = calc.head(t) if any(sb.name in fv for sb in t.bindings) else t.subject
+        if r is None:
+            break
+        b.spend()
+        t = r
+    return t
+
+
 def _equiv_nf(calc: Calculus, a: Term, b: Term, bud: Budget, enva: dict[str, int],
-              envb: dict[str, int], depth: int) -> bool:
+              envb: dict[str, int], depth: int, unfold: Callable | None = None) -> bool:
     """Equivalence of normal forms under binder maps (name -> binding level,
     as `_aeq` keeps them), so no bound name is renamed.  Products,
     applications, additions and label closures compare part by part; any
     other pair is equal if `_aeq` says so.  Failing that, when either side is
     a function, both are applied to a common fresh name and compared again:
-    the beta step this spends from the budget is what bounds the bridge."""
+    the beta step this spends from the budget is what bounds the bridge.
+
+    The hole rule passes `unfold=_apply_head` and terms that need not be
+    normal: both heads are `_pushed` first, identical nodes compare at once,
+    and the bridge contracts only the application it makes; so nothing the
+    step left alone is contracted."""
+    if unfold is not None:
+        a, b = _pushed(calc, a, bud), _pushed(calc, b, bud)
+        if a is b:
+            return _aeq(a, b, enva, envb, depth)
     ta = type(a)
     if ta is type(b) and ta in (Pi, App, Add, Label):  # compared part by part
         split = _BINDING[ta][0]
@@ -264,7 +320,7 @@ def _equiv_nf(calc: Calculus, a: Term, b: Term, bud: Budget, enva: dict[str, int
         if tag_a == tag_b and len(kids_a) == len(kids_b):
             envs_a, envs_b = _scopes(enva, names_a, depth), _scopes(envb, names_b, depth)
             for (n, p), (_, q) in zip(kids_a, kids_b):
-                if not _equiv_nf(calc, p, q, bud, envs_a[n], envs_b[n], depth + n):
+                if not _equiv_nf(calc, p, q, bud, envs_a[n], envs_b[n], depth + n, unfold):
                     break
             else:
                 return True
@@ -275,11 +331,11 @@ def _equiv_nf(calc: Calculus, a: Term, b: Term, bud: Budget, enva: dict[str, int
         return True
     if calc.is_function(a) or calc.is_function(b):
         z = fresh_name("x", {*enva, *envb}.union(free_vars(a), free_vars(b)))
-        a2 = calc.unfold(calc, a, z, bud)
+        a2 = (unfold or calc.unfold)(calc, a, z, bud)
         if a2 is None:
             return False
-        b2 = calc.unfold(calc, b, z, bud)
-        return b2 is not None and _equiv_nf(calc, a2, b2, bud, enva, envb, depth)
+        b2 = (unfold or calc.unfold)(calc, b, z, bud)
+        return b2 is not None and _equiv_nf(calc, a2, b2, bud, enva, envb, depth, unfold)
     return False
 
 

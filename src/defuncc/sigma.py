@@ -143,9 +143,9 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
         "source ",
         "embedded redex and reduct are not sigma-equivalent",
     )
-    edge(
+    edge(  # a one-state trace is the normal form: no σ redex, nothing to compare
         "sigma-reaches-cc-normal-form",
-        simulates(0, len(cc_trace) - 1),
+        len(cc_trace) == 1 or simulates(0, len(cc_trace) - 1),
         "sigma-normal form of the embedding vs the source normal form",
     )
 

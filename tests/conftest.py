@@ -141,12 +141,13 @@ def joinable():
 
 @pytest.fixture(scope="session")
 def scaling():
-    """Builder for the scaling families: ("vec", n), ("twice", k) or
-    ("lambdas", n) gives the program's (ctx, main term)."""
+    """Builder for the scaling families: ("vec", n), ("twice", k),
+    ("lambdas", n) or ("add", n) gives the program's (ctx, main term)."""
     sources = {
         "vec": _families.vec_source,
         "twice": _families.twice_source,
         "lambdas": _families.lambda_source,
+        "add": _families.add_source,
     }
 
     def build(family: str, size: int):

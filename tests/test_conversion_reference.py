@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 from defuncc import kernel
 from defuncc.cc import CC, SIGMA
-from defuncc.errors import StepBudgetExceeded
+from defuncc.errors import DefunccError, StepBudgetExceeded
 from defuncc.harness import ALL_CHECKS
-from defuncc.kernel import DEFAULT_BUDGET, Budget, Calculus, normalize, reduce_step
+from defuncc.kernel import DEFAULT_BUDGET, Budget, Calculus, normalize
 from defuncc.syntax import (
     NAT,
     Add,
     App,
+    ESubst,
     Label,
     Lam,
     NatLit,
@@ -32,6 +33,7 @@ from defuncc.syntax import (
     Universe,
     Var,
     alpha_eq,
+    children,
     free_var_set,
     fresh_name,
     subst,
@@ -80,11 +82,104 @@ def reference_convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool
     return _equiv_nf(calc, normalize(calc, a, bud), normalize(calc, b, bud), 0, bud)
 
 
+def _own(t: Term):
+    """What a node holds besides its children: its binder names or label id."""
+    match t:
+        case Pi(x) | Lam(x):
+            return x
+        case Label(i):
+            return i
+        case ESubst(_, bindings):
+            return tuple(sb.name for sb in bindings)
+    return None
+
+
+def _hole_path(a: Term, c: Term) -> list[tuple[Term, Term]]:
+    """The node pairs from the roots down to where a and c differ in more
+    than one child, or in constructor, binder names or label id."""
+    path = [(a, c)]
+    while type(a) is type(c) and _own(a) == _own(c) and len(children(a)) == len(children(c)):
+        differ = [(p, q) for p, q in zip(children(a), children(c)) if p is not q]
+        if len(differ) != 1:
+            break
+        a, c = differ[0]
+        path.append((a, c))
+    return path
+
+
+def _contracted(calc: Calculus, t: Term) -> Term | None:
+    """The redex at the root of t, contracted; None if there is none."""
+    if type(t) in (App, ESubst):
+        return calc.head(t)
+    if type(t) is Add and type(t.lhs) is NatLit and type(t.rhs) is NatLit:
+        return NatLit(t.lhs.value + t.rhs.value)
+    return None
+
+
+def _meets(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool:
+    """a matched against b by pushing suspensions at the heads, or dropping
+    those that bind nothing there (a step either way), renaming Π binders to
+    a common fresh name, and applying two functions to a fresh name (a step
+    per application)."""
+    sides = []
+    for t in (a, b):
+        while type(t) is ESubst:
+            names = {sb.name for sb in t.bindings}
+            r = calc.head(t) if names & free_var_set(t.subject) else t.subject
+            if r is None:
+                break
+            bud.spend()
+            t = r
+        sides.append(t)
+    a, b = sides
+    if alpha_eq(a, b):
+        return True
+    match a, b:
+        case Pi(x, a1, b1), Pi(y, a2, b2):
+            if not _meets(calc, a1, a2, bud):
+                return False
+            z = fresh_name(x, free_var_set(b1) | free_var_set(b2) | {x, y})
+            return _meets(calc, subst(b1, x, Var(z)), subst(b2, y, Var(z)), bud)
+        case App(f1, x1), App(f2, x2):
+            return _meets(calc, f1, f2, bud) and _meets(calc, x1, x2, bud)
+        case Add(l1, r1), Add(l2, r2):
+            return _meets(calc, l1, l2, bud) and _meets(calc, r1, r2, bud)
+        case Label(i, xs), Label(j, ys) if i == j and len(xs) == len(ys):
+            if all(_meets(calc, p, q, bud) for p, q in zip(xs, ys)):
+                return True
+    if calc.is_function(a) or calc.is_function(b):
+        z = fresh_name("x", free_var_set(a) | free_var_set(b))
+        applied = []
+        for t in (a, b):
+            r = calc.head(App(t, Var(z)))
+            if r is None:
+                return False
+            bud.spend()
+            applied.append(r)
+        return _meets(calc, *applied, bud)
+    return False
+
+
+def _at_hole(calc: Calculus, a: Term, c: Term, bud: Budget) -> bool:
+    path = _hole_path(a, c)
+    if alpha_eq(*path[-1]):
+        return True
+    for a, c in reversed(path):
+        r = _contracted(calc, a)
+        if r is not None:
+            bud.spend()
+            if _meets(calc, r, c, bud):
+                return True
+    return False
+
+
 def reference_pairs(calc: Calculus, terms: list[Term], limit: int, made: list[Budget]):
     """`kernel.convertible_pairs` over the reference, each budget it makes
-    appended to `made`.  A step pair (i, i + 1) holds on a fresh budget if its
-    terms are α-equal, and with one step spent if one leftmost step of
-    terms[i] is α-equal to terms[i + 1]; anything else compares normal forms."""
+    appended to `made`.  A step pair (i, i + 1) holds on a fresh budget if
+    the deepest nodes of its path (`_hole_path`) are α-equal, or if a node of
+    the path, tried deepest first, contracts (one step) to what `_meets` the
+    other side; anything else, or a pair whose budget runs out there,
+    compares normal forms."""
     done: dict[int, tuple[Term, int]] = {}
 
     def budget() -> Budget:
@@ -93,13 +188,11 @@ def reference_pairs(calc: Calculus, terms: list[Term], limit: int, made: list[Bu
 
     def convertible_at(i: int, k: int) -> bool:
         if k == i + 1:
-            b = budget()
-            if alpha_eq(terms[i], terms[k]):
-                return True
-            step = reduce_step(calc, terms[i])
-            if step is not None and alpha_eq(step, terms[k]):
-                b.spend()
-                return True
+            try:
+                if _at_hole(calc, terms[i], terms[k], budget()):
+                    return True
+            except DefunccError:
+                pass
         for j in (i, k):
             if j not in done:
                 b = budget()
