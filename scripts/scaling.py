@@ -26,7 +26,9 @@ of CPU time (its own time is left out of both columns).  The host is shared
 and its speed drifts, so `cpu_s` of one run is comparable only within that
 run; `scaled_s` compares across runs.  The tables are printed once every
 curve is done, because a run's speed is read from the reference tasks on
-both sides of it.
+both sides of it.  Under each table is the family's growth exponent: the
+least-squares slope of log `cpu_s` against log n, over the sizes that took
+at least 10 ms (faster ones are mostly timer and interpreter noise).
 
 Every run starts from freshly parsed terms, so no cache carries over; the
 parse of the library families is not timed.
@@ -35,6 +37,8 @@ parse of the library families is not timed.
 import contextlib
 import importlib.util
 import io
+import math
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +49,7 @@ from defuncc.sigma import Judgement, check_diagram
 from defuncc.surface import parse_source
 
 REPEATS = 3
+FIT_MIN_S = 0.010  # the least CPU time a size needs to enter the growth fit
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "defuncc"
 
@@ -116,6 +121,15 @@ def best_cpu(prepare, speed) -> tuple[float, tuple, tuple] | None:
         if best is None or cpu < best[0]:
             best = cpu, start, end
     return best
+
+
+def growth_exponent(points: list[tuple[int, float]]) -> float | None:
+    """The least-squares slope of log seconds against log n over the (n,
+    seconds) points of at least FIT_MIN_S; None if fewer than two sizes are left."""
+    kept = [(math.log(n), math.log(s)) for n, s in points if s >= FIT_MIN_S]
+    if len({x for x, _ in kept}) < 2:
+        return None
+    return statistics.linear_regression(*zip(*kept)).slope
 
 
 def cli_run(*argv: str) -> tuple[int, str]:
@@ -222,7 +236,9 @@ def main() -> int:
             cpu, start, end = best
             line = f"{n:>5}  {cpu:>8.3f}  {speed.scaled(start, end):>8.3f}"
             print(line + "".join(f"  {v:>{w}}" for v, w in zip(count or (), widths)))
-        print()
+        exponent = growth_exponent([(n, best[0]) for n, best, _ in curve if best])
+        fit = "n/a (fewer than two sizes took 10 ms)" if exponent is None else f"{exponent:.2f}"
+        print(f"growth exponent: {fit}\n")
     return 1 if failed else 0
 
 

@@ -219,32 +219,18 @@ def convertible(calc: Calculus, a: Term, b: Term, bud: Budget) -> bool:
     return alpha_eq(a, b) or _equiv_nf(calc, a, b, bud, {}, {}, 0)
 
 
-def convertible_pairs(calc: Calculus, terms: list[Term], limit: int) -> Callable:
-    """`convertible(calc, terms[i], terms[k], Budget(limit))` as a function of
-    (i, k).  A step pair (i, i + 1) is decided at the step's hole first, on a
-    budget of its own (`_at_hole`).  Any other pair, or one that rule leaves
-    open or runs out of budget in, normalizes each term once, under a budget
-    of its own, and is compared on a budget charged both terms' steps; so
-    every False and every exhausted budget comes from whole states."""
-    done: dict[int, tuple[Term, int]] = {}
-
-    def convertible_at(i: int, k: int) -> bool:
-        if k == i + 1:
-            try:
-                if _at_hole(calc, terms[i], terms[k], Budget(limit)):
-                    return True
-            except DefunccError:  # its budget ran out, or a label it unfolded is unknown
-                pass
-        for j in (i, k):
-            if j not in done:
-                b = Budget(limit)
-                done[j] = normalize(calc, terms[j], b), b.used
-        b = Budget(limit)
-        b.spend(done[i][1] + done[k][1])
-        a, c = done[i][0], done[k][0]
-        return alpha_eq(a, c) or _equiv_nf(calc, a, c, b, {}, {}, 0)
-
-    return convertible_at
+def convertible_step(calc: Calculus, a: Term, c: Term, limit: int) -> bool:
+    """`convertible(calc, a, c, Budget(limit))` for a state a and the state c
+    one step on.  The pair is decided at the step's hole first, on a budget
+    of its own (`_at_hole`); a pair that rule leaves open, or runs out of
+    budget in, is compared as whole states by `convertible`, so every False
+    and every exhausted budget comes from whole states."""
+    try:
+        if _at_hole(calc, a, c, Budget(limit)):
+            return True
+    except DefunccError:  # its budget ran out, or a label it unfolded is unknown
+        pass
+    return convertible(calc, a, c, Budget(limit))
 
 
 def _at_hole(calc: Calculus, a: Term, c: Term, bud: Budget) -> bool:

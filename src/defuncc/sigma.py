@@ -20,7 +20,7 @@ from .dcc import check_labels, dcc_calculus, dcc_check, dcc_equiv, dcc_infer, dc
 from .defun import Translation, defun  # noqa: F401
 from .errors import DefunccError, DiagramFailure, StepBudgetExceeded, TypeCheckError
 from .kernel import DEFAULT_BUDGET, Budget, Calculus, Derivation, convertible, infer, reduce_trace
-from .kernel import convertible_pairs
+from .kernel import convertible_step
 from .syntax import Ctx, Term, alpha_eq
 
 
@@ -51,8 +51,13 @@ class Judgement:
     term's `target_type()` and `target_nf()`, the source `trace()` ending in
     the normal form, and that form's `nf_derivation()`: the translation's own
     derivation when the term takes no step, as inference is a function of
-    `(ctx, term)`.  Each is built on first use; a failure is not kept, so each
-    check that reads it meets it."""
+    `(ctx, term)`.  `translated_nf()` is that derivation translated in the
+    translation's run, as `translate_many` gives it (`[(term, its
+    definitions)]` and the run's label context then), and `coherent()`
+    compares the translated term with that term by `dcc_equiv` under that
+    context: reduction preservation reads it on a type that is not ground,
+    and the diagram's `dcc-coherence` edge always.  Each is built on first
+    use; a failure is not kept, so each check that reads it meets it."""
 
     def __init__(self, ctx: Ctx, term: Term, budget: int = DEFAULT_BUDGET, translate=defun):
         self.ctx, self.term, self.budget = ctx, term, budget
@@ -64,8 +69,10 @@ class Judgement:
         self.target_nf = _once(lambda: dcc_normalize(res().labels, res().term, budget))
         # no closure refers to the judgement, so dropping it frees them at once
         trace = self.trace = _once(lambda: cc_reduce_trace(term, budget))
-        self.nf_derivation = _once(lambda: res().derivation if len(trace()) == 1 else
-                                   cc_infer(ctx, trace()[-1], budget, check_ctx=False))
+        nf_d = self.nf_derivation = _once(lambda: res().derivation if len(trace()) == 1 else
+                                          cc_infer(ctx, trace()[-1], budget, check_ctx=False))
+        nf_t = self.translated_nf = _once(lambda: res().translate_many((nf_d(),)))
+        self.coherent = _once(lambda: dcc_equiv(nf_t()[1], res().term, nf_t()[0][0][0], budget))
 
 
 def _once(build):
@@ -123,7 +130,7 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
         if raise_on_failure and not ok:
             raise DiagramFailure(name, detail)
 
-    def steps_edge(name: str, states: list | range, related, kind: str, failure: str) -> None:
+    def steps_edge(name: str, states: list, related, kind: str, failure: str) -> None:
         """An edge that holds when every state is related to the next one."""
         n = len(states) - 1
         bad = next((i for i in range(n) if not related(states[i], states[i + 1])), None)
@@ -135,17 +142,16 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     cc_trace = j.trace()
     s_trace = ccs_reduce_trace(term, budget)
 
-    simulates = convertible_pairs(SIGMA, cc_trace, budget)
     steps_edge(
         "sigma-simulates-cc-step",
-        range(len(cc_trace)),
-        simulates,
+        cc_trace,
+        lambda a, c: convertible_step(SIGMA, a, c, budget),
         "source ",
         "embedded redex and reduct are not sigma-equivalent",
     )
-    edge(  # a one-state trace is the normal form: no σ redex, nothing to compare
+    edge(  # the ends of a trace of at most two states are the pair just decided
         "sigma-reaches-cc-normal-form",
-        len(cc_trace) == 1 or simulates(0, len(cc_trace) - 1),
+        edges[-1].ok if len(cc_trace) <= 2 else ccs_equiv(cc_trace[0], cc_trace[-1], budget),
         "sigma-normal form of the embedding vs the source normal form",
     )
 
@@ -185,7 +191,7 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     if untyped:
         edge("sigma-states-typed", False, untyped[0])
         return report(len(defs))
-    (nf_t, _), *states = translated
+    _, *states = translated
     state_ts = [t for t, _ in states]
 
     edge(
@@ -210,10 +216,11 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     except DefunccError as exc:
         edge("dcc-context-well-formed", False, str(exc))
 
+    dcc = dcc_calculus(defs)
     steps_edge(
         "dcc-preserves-sigma-step",
-        range(len(state_ts)),
-        convertible_pairs(dcc_calculus(defs), state_ts, budget),
+        state_ts,
+        lambda a, c: convertible_step(dcc, a, c, budget),
         "",
         "translated redex and reduct differ",
     )
@@ -224,10 +231,6 @@ def check_diagram(j: Judgement, raise_on_failure: bool = True) -> DiagramReport:
     except StepBudgetExceeded:
         terminated = False
     edge("dcc-translation-normalizes", terminated, "")
-    edge(
-        "dcc-coherence",
-        dcc_equiv(defs, res.term, nf_t, budget),
-        "translated term vs translated normal form",
-    )
+    edge("dcc-coherence", j.coherent(), "translated term vs translated normal form")
 
     return report(len(defs))

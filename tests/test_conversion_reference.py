@@ -173,35 +173,21 @@ def _at_hole(calc: Calculus, a: Term, c: Term, bud: Budget) -> bool:
     return False
 
 
-def reference_pairs(calc: Calculus, terms: list[Term], limit: int, made: list[Budget]):
-    """`kernel.convertible_pairs` over the reference, each budget it makes
-    appended to `made`.  A step pair (i, i + 1) holds on a fresh budget if
-    the deepest nodes of its path (`_hole_path`) are α-equal, or if a node of
-    the path, tried deepest first, contracts (one step) to what `_meets` the
-    other side; anything else, or a pair whose budget runs out there,
-    compares normal forms."""
-    done: dict[int, tuple[Term, int]] = {}
-
-    def budget() -> Budget:
-        made.append(Budget(limit))
-        return made[-1]
-
-    def convertible_at(i: int, k: int) -> bool:
-        if k == i + 1:
-            try:
-                if _at_hole(calc, terms[i], terms[k], budget()):
-                    return True
-            except DefunccError:
-                pass
-        for j in (i, k):
-            if j not in done:
-                b = budget()
-                done[j] = normalize(calc, terms[j], b), b.used
-        b = budget()
-        b.spend(done[i][1] + done[k][1])
-        return _equiv_nf(calc, done[i][0], done[k][0], 0, b)
-
-    return convertible_at
+def reference_step(calc: Calculus, a: Term, c: Term, limit: int, made: list[Budget]) -> bool:
+    """`kernel.convertible_step` over the reference, each budget it makes
+    appended to `made`.  The pair holds on a fresh budget if the deepest
+    nodes of its path (`_hole_path`) are α-equal, or if a node of the path,
+    tried deepest first, contracts (one step) to what `_meets` the other
+    side; anything else, or a pair whose budget runs out there, compares
+    normal forms on a fresh budget."""
+    made.append(Budget(limit))
+    try:
+        if _at_hole(calc, a, c, made[-1]):
+            return True
+    except DefunccError:
+        pass
+    made.append(Budget(limit))
+    return reference_convertible(calc, a, c, made[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +203,15 @@ def _outcome(compare, *args):
 
 
 class Spy:
-    """Replaces `convertible` and `convertible_pairs` wherever the program
+    """Replaces `convertible` and `convertible_step` wherever the program
     imported them; each comparison runs under the reference too, on a copy
     of its budget, and the two outcomes and spent counts are kept."""
 
     def __init__(self, monkeypatch):
         self.compared: list[tuple[bool | None, int]] = []  # (answer, steps used) per comparison
         self.mismatches: list[tuple] = []
-        real_convertible, real_pairs = kernel.convertible, kernel.convertible_pairs
-        made: list[Budget] = []  # the budgets the real convertible_pairs makes
+        real_convertible, real_step = kernel.convertible, kernel.convertible_step
+        made: list[Budget] = []  # the budgets the real convertible_step makes
 
         class Seen(Budget):
             def __init__(self, limit: int):
@@ -239,25 +225,18 @@ class Spy:
             got = _outcome(real_convertible, calc, a, b, bud)
             return self._settle(got, bud.used, want, ref_bud.used, (a, b))
 
-        def convertible_pairs(calc, terms, limit):
-            real = real_pairs(calc, terms, limit)
+        def convertible_step(calc, a, c, limit):
             ref_made: list[Budget] = []
-            ref = reference_pairs(calc, terms, limit, ref_made)
-
-            def convertible_at(i, k):
-                want = _outcome(ref, i, k)
-                got = _outcome(real, i, k)
-                pair = terms[i], terms[k]
-                return self._settle(got, made[-1].used, want, ref_made[-1].used, pair)
-
-            return convertible_at
+            want = _outcome(reference_step, calc, a, c, limit, ref_made)
+            got = _outcome(real_step, calc, a, c, limit)
+            return self._settle(got, made[-1].used, want, ref_made[-1].used, (a, c))
 
         monkeypatch.setattr(kernel, "Budget", Seen)
         for name in ("defuncc.kernel", "defuncc.cc", "defuncc.dcc", "defuncc.sigma"):
             module = importlib.import_module(name)
             monkeypatch.setattr(module, "convertible", convertible)
-            if hasattr(module, "convertible_pairs"):
-                monkeypatch.setattr(module, "convertible_pairs", convertible_pairs)
+            if hasattr(module, "convertible_step"):
+                monkeypatch.setattr(module, "convertible_step", convertible_step)
 
     def _settle(self, got, used, want, ref_used, pair):
         (answer, error), (ref_answer, ref_error) = got, want

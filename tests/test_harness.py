@@ -235,14 +235,15 @@ class TestSharedArtifact:
 
     def test_diagram_report_does_not_depend_on_a_translated_normal_form(self, programs):
         """Reduction preservation may have translated the normal form in the
-        run before the diagram check extends it."""
+        run, and compared the translated term with it, before the diagram
+        check extends the run and reads that comparison."""
         moved = []
         for ctx, term in programs:
             reports = []
-            for extend_first in (False, True):
+            for first in ((), ("translated_nf",), ("coherent",)):
                 j = sigma_module.Judgement(ctx, term)
-                if extend_first:
-                    j.translation().translate_many((j.nf_derivation(),))
+                for part in first:
+                    getattr(j, part)()
                 report = sigma_module.check_diagram(j, raise_on_failure=False)
                 reports.append(dataclasses.replace(report, subst_nodes=0))
             if reports[0] != reports[1]:
@@ -278,6 +279,27 @@ class TestSharedArtifact:
         results = [check(ctx, term, budget) for check in ALL_CHECKS]
         assert all(r.ok for r in results), [r.line() for r in results]
         assert (calls.count("dcc_infer"), calls.count("dcc_normalize")) == (2, 1)
+
+    @pytest.mark.parametrize("name", ["compose_dependent.cc", "compose_nat_ground.cc"])
+    def test_one_pass_compares_the_term_with_its_normal_form_once(self, name, monkeypatch):
+        """Reduction preservation on a type that is not ground (the first file)
+        and the diagram's `dcc-coherence` edge read the judgement's one
+        comparison of the translated term with its translated normal form."""
+        ctx, term, budget = _shared_case(name, 1_000_000)
+        harness._judgement.cache_clear()
+        target = harness.defun(ctx, term, budget).term
+        compared = []
+        for module in (harness, sigma_module):
+
+            def counting(defs, a, b, *args, _real=module.dcc_equiv):
+                compared.append(alpha_eq(a, target))
+                return _real(defs, a, b, *args)
+
+            monkeypatch.setattr(module, "dcc_equiv", counting)
+        results = [check(ctx, term, budget) for check in ALL_CHECKS]
+        assert all(r.ok for r in results), [r.line() for r in results]
+        assert results[1].detail.startswith("ground value") == (name == "compose_nat_ground.cc")
+        assert compared.count(True) == 1
 
     def test_label_context_is_checked_once_per_judgement(self, enumerated, monkeypatch):
         """Type preservation checks the judgement's labels and context and the

@@ -81,3 +81,16 @@ def test_scaling_header_prints_the_source_line_count(monkeypatch, capsys):
     monkeypatch.setattr(scaling, "FAMILIES", [])  # the header alone, no curves
     assert scaling.main() == 0
     assert capsys.readouterr().out == f"src/defuncc/*.py: {total} lines\n\n"
+
+
+def test_scaling_growth_exponent_of_exact_powers():
+    """The fit recovers the power of t = c·n^k, and leaves out the sizes that
+    took under 10 ms."""
+    spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    fit = scaling.growth_exponent
+    assert fit([(n, 0.5 * n**2) for n in (2, 4, 8, 16)]) == pytest.approx(2.0)
+    assert fit([(n, 0.01 * n) for n in (1, 3, 9)]) == pytest.approx(1.0)
+    assert fit([(1, 0.009), (2, 0.5), (4, 1.0)]) == pytest.approx(1.0)  # n=1 left out
+    assert fit([(1, 0.001), (2, 0.5)]) is None  # one size left

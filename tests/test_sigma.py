@@ -407,26 +407,20 @@ class TestStepEdges:
         (calculus, redex, reduct, answer, whether the comparison normalized
         anything); a pair the rule leaves open normalizes its reduct."""
         normalized, pairs = [], []
-        normalize, real_pairs = kernel.normalize, sigma_module.convertible_pairs
+        normalize, real_step = kernel.normalize, sigma_module.convertible_step
 
         def counting(calc, t, b):
             normalized.append(calc)
             return normalize(calc, t, b)
 
-        def spied(calc, terms, limit):
-            convertible_at = real_pairs(calc, terms, limit)
-
-            def at(i, k):
-                before = len(normalized)
-                answer = convertible_at(i, k)
-                if k == i + 1:
-                    pairs.append((calc, terms[i], terms[k], answer, len(normalized) > before))
-                return answer
-
-            return at
+        def spied(calc, a, c, limit):
+            before = len(normalized)
+            answer = real_step(calc, a, c, limit)
+            pairs.append((calc, a, c, answer, len(normalized) > before))
+            return answer
 
         monkeypatch.setattr(kernel, "normalize", counting)
-        monkeypatch.setattr(sigma_module, "convertible_pairs", spied)
+        monkeypatch.setattr(sigma_module, "convertible_step", spied)
         for ctx, term in judgements:
             assert check_diagram(Judgement(ctx, term)).ok
         monkeypatch.undo()
@@ -436,11 +430,15 @@ class TestStepEdges:
         self, corpus_judgements, scaling_programs, enumerated, monkeypatch
     ):
         judgements = [(ctx, term) for _, ctx, term in corpus_judgements]
-        pairs = self.step_pairs(judgements + scaling_programs() + list(enumerated), monkeypatch)
+        judgements += scaling_programs() + list(enumerated)
+        pairs = self.step_pairs(judgements, monkeypatch)
         accepted = [(calc, a, c) for calc, a, c, answer, whole in pairs if answer and not whole]
-        # every step pair of these judgements is decided at its hole today:
-        # 494 on the σ edge, 645 on the DCC edge
-        assert sum(calc is SIGMA for calc, _, _ in accepted) >= 494
+        # every step pair of these judgements is decided at its hole today, and
+        # once: 326 on the σ edge (one per source step), 645 on the DCC edge
+        assert len(accepted) == len(pairs)
+        source_steps = sum(len(cc_reduce_trace(term)) - 1 for _, term in judgements)
+        assert sum(calc is SIGMA for calc, *_ in pairs) == source_steps
+        assert sum(calc is SIGMA for calc, _, _ in accepted) >= 326
         assert sum(calc is not SIGMA for calc, _, _ in accepted) >= 645
         for calc, a, c in accepted:
             assert kernel.convertible(calc, a, c, Budget(DEFAULT_BUDGET)), (a, c)
